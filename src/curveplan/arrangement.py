@@ -368,10 +368,6 @@ class HalfEdge:
     target: int
 
     @property
-    def signed_id(self):
-        return self.sign * self.edge_id
-
-    @property
     def direction(self):
         return "forward" if self.sign > 0 else "reverse"
 
@@ -444,9 +440,6 @@ class Drawing:
         """Signed curvature at the origin w.r.t. the traversal orientation."""
         g = self.oriented_geometry(se)
         return signed_curvature(g, 0.0)
-
-    def incident_edges(self, vid):
-        return sorted({abs(se) for se in self.pi[vid]})
 
     def components(self):
         """Connected components as lists of vertex ids (edge connectivity)."""

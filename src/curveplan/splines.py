@@ -13,11 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import build_drawing
-from .curves import ParamCurve, basis_row, fit_bspline, uniform_arclength_knots
+from .curves import (
+    ParamCurve,
+    basis_row,
+    derivative_data,
+    fit_bspline,
+    uniform_arclength_knots,
+)
 from .errors import FitError, GeometryError, InversionError, SchemaError
 
 INVERT_MAX_ITER = 50
 INVERT_TOL_FACTOR = 1e-11
+#: points per direction of the parameter grid that seeds a cold inversion
+SEED_GRID = 7
 
 
 class TensorSplineSpace:
@@ -86,71 +94,43 @@ class TensorSplineSpace:
     def basis_v(self, t):
         return basis_row(self.tv, self.dv, float(t))
 
-    def rows_u(self, params):
-        return [self.basis_u(t) for t in np.atleast_1d(params)]
 
-    def rows_v(self, params):
-        return [self.basis_v(t) for t in np.atleast_1d(params)]
+def _tensor_eval(knots_u, du, knots_v, dv, net, u, v):
+    """Evaluate sum_ij net[i, j] N_i(u) M_j(v) at scalar or same-shape u, v.
 
+    N and M are the degree-du and degree-dv B-splines on knots_u and knots_v.
+    Per point this is the (1, m) @ (m, k) product over the flattened
+    (du+1)(dv+1) block of non-zero basis functions, the same product
+    ``np.tensordot(np.outer(bu, bv), block, axes=2)`` forms.
+    """
+    m = (du + 1) * (dv + 1)
 
-def _tensor_eval(space, values, u, v):
-    """Evaluate sum_ij values[i, j] B_i(u) B_j(v) for same-shape u, v arrays."""
+    def at(s, t):
+        fu, bu = basis_row(knots_u, du, s)
+        fv, bv = basis_row(knots_v, dv, t)
+        block = net[fu : fu + du + 1, fv : fv + dv + 1].reshape(m, -1)
+        return np.dot((bu[:, None] * bv).reshape(1, m), block)[0]
+
+    if np.ndim(u) == 0:
+        return at(float(u), float(v))
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scalar = u.ndim == 0
-    uu, vv = np.ravel(u), np.ravel(v)
-    tail = values.shape[2:]
-    out = np.zeros((len(uu),) + tail)
+    uu, vv = u.ravel().tolist(), np.asarray(v, dtype=float).ravel().tolist()
+    out = np.empty((len(uu),) + net.shape[2:])
     for k in range(len(uu)):
-        fu, bu = space.basis_u(uu[k])
-        fv, bv = space.basis_v(vv[k])
-        block = values[fu : fu + space.du + 1, fv : fv + space.dv + 1]
-        out[k] = np.tensordot(np.outer(bu, bv), block, axes=2)
-    out = out.reshape(u.shape + tail)
-    return out[()] if scalar else out
-
-
-def _tensor_jacobian(space, ctrl, u, v):
-    """Partial derivatives of a vector-valued tensor spline at (u, v) pairs."""
-    from .curves import derivative_data
-
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scalar = u.ndim == 0
-    uu, vv = np.ravel(u), np.ravel(v)
-    out = np.zeros((len(uu), 2, 2))
-
-    # derivative coefficient grids along each direction
-    nu, nv = ctrl.shape[0], ctrl.shape[1]
-    flat_v = ctrl.reshape(nu, -1)
-    ku, du1, cu = derivative_data(space.tu, space.du, flat_v)
-    cu = cu.reshape(-1, nv, *ctrl.shape[2:])
-    flat_u = np.moveaxis(ctrl, 1, 0).reshape(nv, -1)
-    kv, dv1, cv = derivative_data(space.tv, space.dv, flat_u)
-    cv = np.moveaxis(cv.reshape(-1, nu, *ctrl.shape[2:]), 0, 1)
-
-    for k in range(len(uu)):
-        fu, bu = basis_row(ku, du1, uu[k]) if du1 >= 0 else (0, np.zeros(1))
-        fv0, bv0 = space.basis_v(vv[k])
-        block = cu[fu : fu + du1 + 1, fv0 : fv0 + space.dv + 1]
-        dp_du = np.tensordot(np.outer(bu, bv0), block, axes=2)
-
-        fu0, bu0 = space.basis_u(uu[k])
-        fv, bv = basis_row(kv, dv1, vv[k]) if dv1 >= 0 else (0, np.zeros(1))
-        block = cv[fu0 : fu0 + space.du + 1, fv : fv + dv1 + 1]
-        dp_dv = np.tensordot(np.outer(bu0, bv), block, axes=2)
-        out[k, :, 0] = dp_du
-        out[k, :, 1] = dp_dv
-    out = out.reshape(u.shape + (2, 2))
-    return out[()] if scalar else out
+        out[k] = at(uu[k], vv[k])
+    return out.reshape(u.shape + net.shape[2:])
 
 
 class SplineMap2D:
-    """Tensor-product spline map T: [0,1]^2 -> R^2 with positive Jacobian."""
+    """Tensor-product spline map T: [0,1]^2 -> R^2 with positive Jacobian.
+
+    Immutable after construction: the control net is a read-only copy, so
+    what ``__init__`` derives from it for point inversion stays valid.
+    """
 
     def __init__(self, space, control, check_bijective=True):
         self.space = space
-        self.ctrl = np.asarray(control, dtype=float)
+        self.ctrl = np.array(control, dtype=float)
         if self.ctrl.shape != (space.nu, space.nv, 2):
             raise SchemaError(
                 f"control net must have shape ({space.nu}, {space.nv}, 2)",
@@ -158,8 +138,24 @@ class SplineMap2D:
             )
         if not np.all(np.isfinite(self.ctrl)):
             raise SchemaError("control net must be finite", field="control")
+        self.ctrl.flags.writeable = False
+        nu, nv = space.nu, space.nv
+        # hodographs as (knots, degree, net): dT/du on the knots_u side,
+        # dT/dv on the knots_v side
+        ku, du1, cu = derivative_data(space.tu, space.du, self.ctrl.reshape(nu, -1))
+        self.hodograph_u = (ku, du1, cu.reshape(-1, nv, 2))
+        flat_u = np.moveaxis(self.ctrl, 1, 0).reshape(nv, -1)
+        kv, dv1, cv = derivative_data(space.tv, space.dv, flat_u)
+        self.hodograph_v = (kv, dv1, np.moveaxis(cv.reshape(-1, nu, 2), 0, 1))
         if check_bijective:
             self._check_jacobian_sign()
+        # Newton inversion: residual tolerance and the seed grid it starts
+        # from when no warm start is given
+        self.invert_tol = INVERT_TOL_FACTOR * max(self.bbox_diag(), 1e-12)
+        us = np.linspace(0.0, 1.0, SEED_GRID)
+        uu, vv = np.meshgrid(us, us, indexing="ij")
+        self.seed_params = np.column_stack([uu.ravel(), vv.ravel()])
+        self.seed_points = self.point(uu, vv).reshape(-1, 2)
 
     def _check_jacobian_sign(self):
         us, vs = [], []
@@ -177,14 +173,21 @@ class SplineMap2D:
             )
 
     def point(self, u, v):
-        return _tensor_eval(self.space, self.ctrl, u, v)
+        s = self.space
+        return _tensor_eval(s.tu, s.du, s.tv, s.dv, self.ctrl, u, v)
 
     def point_pairs(self, pts):
         pts = np.asarray(pts, dtype=float)
         return self.point(pts[..., 0], pts[..., 1])
 
     def jacobian(self, u, v):
-        return _tensor_jacobian(self.space, self.ctrl, u, v)
+        """Columns dT/du and dT/dv, shape (..., 2, 2)."""
+        s = self.space
+        ku, du1, cu = self.hodograph_u
+        kv, dv1, cv = self.hodograph_v
+        dp_du = _tensor_eval(ku, du1, s.tv, s.dv, cu, u, v)
+        dp_dv = _tensor_eval(s.tu, s.du, kv, dv1, cv, u, v)
+        return np.stack([dp_du, dp_dv], axis=-1)
 
     def jacobian_det(self, u, v):
         jac = self.jacobian(u, v)
@@ -214,7 +217,8 @@ class SplineFunc2D:
             )
 
     def value(self, u, v):
-        return _tensor_eval(self.space, self.coeffs[..., None], u, v)[..., 0]
+        s = self.space
+        return _tensor_eval(s.tu, s.du, s.tv, s.dv, self.coeffs[..., None], u, v)[..., 0]
 
     def __call__(self, u, v):
         return self.value(u, v)
@@ -224,13 +228,10 @@ class SplineFunc2D:
 # inversion
 
 
-def _grid_guess(T, p, n=7):
-    us = np.linspace(0.0, 1.0, n)
-    uu, vv = np.meshgrid(us, us, indexing="ij")
-    pts = T.point(uu, vv)
-    d = np.linalg.norm(pts - np.asarray(p, float), axis=-1)
-    k = int(np.argmin(d))
-    return float(uu.ravel()[k]), float(vv.ravel()[k])
+def _grid_guess(T, p):
+    d = np.linalg.norm(T.seed_points - p, axis=-1)
+    u, v = T.seed_params[int(np.argmin(d))]
+    return float(u), float(v)
 
 
 def invert(T, p, guess=None):
@@ -240,7 +241,7 @@ def invert(T, p, guess=None):
     tolerance (the point lies outside the map image).
     """
     p = np.asarray(p, dtype=float)
-    tol = INVERT_TOL_FACTOR * max(T.bbox_diag(), 1e-12)
+    tol = T.invert_tol
     if guess is None:
         u, v = _grid_guess(T, p)
     else:
@@ -255,10 +256,11 @@ def invert(T, p, guess=None):
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        step_u, step_v = float(step[0]), float(step[1])
         lam, improved = 1.0, False
         while lam > 1.0 / 4096:
-            u2 = float(np.clip(u + lam * step[0], 0.0, 1.0))
-            v2 = float(np.clip(v + lam * step[1], 0.0, 1.0))
+            u2 = min(max(u + lam * step_u, 0.0), 1.0)
+            v2 = min(max(v + lam * step_v, 0.0), 1.0)
             r2 = T.point(u2, v2) - p
             n2 = float(np.linalg.norm(r2))
             if n2 < res:
@@ -390,7 +392,8 @@ def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
     Samples at Chebyshev-distributed parameters, inverts pointwise with
     warm starts, and fits a B-spline of degree max(3, deg gamma) with
     uniform-arc-length knots.  One escalation (double samples and knots) is
-    attempted before failing.
+    attempted before failing; the FitError then carries the curve parameter
+    of the sample with the largest residual as ``worst_sample``.
     """
     a, b = gamma.domain
     if arc is None:
@@ -421,17 +424,19 @@ def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
         knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
         ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
         fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
-        residual = max(
+        errs = [
             float(np.linalg.norm(T1.point_pairs(fit.point(s)) - gamma.point(t)))
             for s, t in zip(params, ts)
-        )
+        ]
+        worst = max(range(m), key=errs.__getitem__)
+        residual = errs[worst]
         if residual <= fit_tol:
             return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
         m = 2 * m - 1
         n_ctrl = min(2 * n_ctrl, m - 2)
     raise FitError(
         f"pull-back fit residual {residual:.2e} exceeds tolerance {fit_tol:.2e}",
-        worst_sample=None,
+        worst_sample=float(ts[worst]),
         residual=residual,
     )
 

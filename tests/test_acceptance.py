@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 status lines.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import curveplan
 from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve
 from curveplan.quadrature import integrate_adaptive
@@ -297,6 +300,10 @@ def test_criterion_9_cli_determinism(tmp_path):
             {"--out": ".json"},
         ),
     ]
+    # the CLI subprocesses import the same curveplan as this test process
+    pkg_root = str(Path(curveplan.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     for name, args, outputs in jobs:
         results = []
         for run_id in range(2):
@@ -310,6 +317,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                 [sys.executable, "-m", "curveplan", *argv],
                 capture_output=True,
                 cwd=".",
+                env=env,
             )
             assert proc.returncode == 0, f"{name}: {proc.stderr.decode()[:400]}"
             results.append(tuple(p.read_bytes() for p in paths))

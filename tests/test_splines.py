@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from curveplan.curves import ParamCurve
-from curveplan.errors import GeometryError, InversionError
+from curveplan import splines
+from curveplan.curves import ParamCurve, basis_row, derivative_data
+from curveplan.errors import FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01
 from curveplan.regions import extract_and_classify
 from curveplan.splines import (
@@ -95,11 +96,124 @@ def test_partition_of_unity():
     assert np.allclose(ones.value(uu, vv), 1.0, atol=1e-13)
 
 
+def test_map_control_net_is_a_read_only_copy():
+    ctrl = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+    T = SplineMap2D(TensorSplineSpace((1, 1), [0, 0, 1, 1], [0, 0, 1, 1]), ctrl)
+    with pytest.raises(ValueError):
+        T.ctrl[1, 1, 0] = 2.0
+    ctrl[1, 1, 0] = 2.0
+    assert T.ctrl[1, 1, 0] == 1.0
+    assert np.array_equal(T.point(1.0, 1.0), [1.0, 1.0])
+
+
 def test_map_bijectivity_check():
     space = TensorSplineSpace((1, 1), [0, 0, 1, 1], [0, 0, 1, 1])
     folded = np.array([[[0.0, 0.0], [0.0, 1.0]], [[-1.0, 0.5], [1.0, 1.0]]])
     with pytest.raises(GeometryError):
         SplineMap2D(space, folded)
+
+
+# -- tensor evaluation kernel against the per-point tensordot reference --------
+
+
+def reference_tensor_eval(space, values, u, v):
+    """Per-point tensordot evaluation of sum_ij values[i, j] B_i(u) B_j(v)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    scalar = u.ndim == 0
+    uu, vv = np.ravel(u), np.ravel(v)
+    tail = values.shape[2:]
+    out = np.zeros((len(uu),) + tail)
+    for k in range(len(uu)):
+        fu, bu = space.basis_u(uu[k])
+        fv, bv = space.basis_v(vv[k])
+        block = values[fu : fu + space.du + 1, fv : fv + space.dv + 1]
+        out[k] = np.tensordot(np.outer(bu, bv), block, axes=2)
+    out = out.reshape(u.shape + tail)
+    return out[()] if scalar else out
+
+
+def reference_tensor_jacobian(space, ctrl, u, v):
+    """Per-point tensordot Jacobian, hodograph nets rebuilt on every call."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    scalar = u.ndim == 0
+    uu, vv = np.ravel(u), np.ravel(v)
+    out = np.zeros((len(uu), 2, 2))
+    nu, nv = ctrl.shape[0], ctrl.shape[1]
+    ku, du1, cu = derivative_data(space.tu, space.du, ctrl.reshape(nu, -1))
+    cu = cu.reshape(-1, nv, *ctrl.shape[2:])
+    flat_u = np.moveaxis(ctrl, 1, 0).reshape(nv, -1)
+    kv, dv1, cv = derivative_data(space.tv, space.dv, flat_u)
+    cv = np.moveaxis(cv.reshape(-1, nu, *ctrl.shape[2:]), 0, 1)
+    for k in range(len(uu)):
+        fu, bu = basis_row(ku, du1, uu[k])
+        fv0, bv0 = space.basis_v(vv[k])
+        block = cu[fu : fu + du1 + 1, fv0 : fv0 + space.dv + 1]
+        out[k, :, 0] = np.tensordot(np.outer(bu, bv0), block, axes=2)
+        fu0, bu0 = space.basis_u(uu[k])
+        fv, bv = basis_row(kv, dv1, vv[k])
+        block = cv[fu0 : fu0 + space.du + 1, fv : fv + dv1 + 1]
+        out[k, :, 1] = np.tensordot(np.outer(bu0, bv), block, axes=2)
+    out = out.reshape(u.shape + (2, 2))
+    return out[()] if scalar else out
+
+
+KERNEL_CASES = [
+    ((1, 1), (0.5,), (0.3, 0.7)),
+    ((2, 3), (0.25, 0.5, 0.5), (0.4,)),
+    ((3, 2), (0.2, 0.6), (0.35, 0.7, 0.9)),
+]
+
+
+def _jittered_map(degrees, iu, iv, seed):
+    """A bijective map: the Greville grid of the space, jittered a little."""
+    space = unit_space(degrees, iu, iv)
+    rng = np.random.default_rng(seed)
+    return make_map(
+        degrees, space.tu, space.tv, transform=lambda u, v: (u, v) + rng.uniform(-0.01, 0.01, 2)
+    )
+
+
+def _kernel_params(space, seed):
+    """Random parameters plus every breakpoint, including u = 1 and v = 1."""
+    rng = np.random.default_rng(seed)
+    us = np.concatenate([rng.uniform(0, 1, 5), space.breakpoints_u()])
+    vs = np.concatenate([rng.uniform(0, 1, 4), space.breakpoints_v()])
+    return np.meshgrid(us, vs, indexing="ij")
+
+
+@pytest.mark.parametrize("degrees, iu, iv", KERNEL_CASES)
+def test_tensor_kernel_matches_tensordot_reference(degrees, iu, iv):
+    T = _jittered_map(degrees, iu, iv, seed=11)
+    space = T.space
+    uu, vv = _kernel_params(space, seed=12)
+    assert np.array_equal(T.point(uu, vv), reference_tensor_eval(space, T.ctrl, uu, vv))
+    assert np.array_equal(
+        T.jacobian(uu, vv), reference_tensor_jacobian(space, T.ctrl, uu, vv)
+    )
+    coeffs = np.random.default_rng(13).normal(size=(space.nu, space.nv))
+    f = SplineFunc2D(space, coeffs)
+    assert np.array_equal(
+        f.value(uu, vv), reference_tensor_eval(space, coeffs[..., None], uu, vv)[..., 0]
+    )
+    for u, v in zip(uu.ravel(), vv.ravel()):
+        assert np.array_equal(T.point(u, v), reference_tensor_eval(space, T.ctrl, u, v))
+        assert np.array_equal(
+            T.jacobian(u, v), reference_tensor_jacobian(space, T.ctrl, u, v)
+        )
+
+
+@pytest.mark.parametrize("degrees, iu, iv", KERNEL_CASES)
+def test_invert_is_deterministic(degrees, iu, iv):
+    T = _jittered_map(degrees, iu, iv, seed=21)
+    twin = _jittered_map(degrees, iu, iv, seed=21)
+    uu, vv = _kernel_params(T.space, seed=22)
+    for p in T.point(uu, vv).reshape(-1, 2):
+        first = invert(T, p)
+        assert invert(T, p) == first
+        assert invert(twin, p) == first
+        assert invert(T, p, guess=first) == first
 
 
 # -- iso curves and pull-back ---------------------------------------------------
@@ -164,6 +278,38 @@ def test_pull_back_trims_to_image():
     assert pb.trimmed
     lo, hi = pb.source_range
     assert abs(lo - 0.25) < 1e-8 and abs(hi - 0.75) < 1e-8
+
+
+def test_pull_back_fit_error_names_worst_sample(monkeypatch):
+    # T1 is bilinear on 2x2 elements with its centre moved, so T1^-1 kinks
+    # where the segment crosses T1's knot lines and no cubic fits it to 1e-8
+    space = unit_space((1, 1), iu=(0.5,), iv=(0.5,))
+    g = np.array([0.0, 0.5, 1.0])
+    ctrl = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+    ctrl[1, 1] += (0.05, -0.05)
+    T1 = SplineMap2D(space, ctrl)
+    gamma = ParamCurve("segment", [(0.05, 0.2), (0.95, 0.8)])
+    fits = []
+    fit_bspline = splines.fit_bspline
+
+    def recording_fit(params, points, degree, knots, **kw):
+        ctrl = fit_bspline(params, points, degree, knots, **kw)
+        fits.append((params, ParamCurve("bspline", ctrl, degree=degree, knots=knots)))
+        return ctrl
+
+    monkeypatch.setattr(splines, "fit_bspline", recording_fit)
+    lo, hi = 0.1, 0.9
+    with pytest.raises(FitError) as info:
+        pull_back(T1, gamma, arc=(lo, hi))
+    params, fit = fits[-1]
+    ts = splines._chebyshev_lobatto(lo, hi, len(params))
+    errs = [
+        float(np.linalg.norm(T1.point_pairs(fit.point(s)) - gamma.point(t)))
+        for s, t in zip(params, ts)
+    ]
+    assert info.value.residual == max(errs)
+    assert lo < info.value.worst_sample < hi
+    assert info.value.worst_sample == ts[int(np.argmax(errs))]
 
 
 # -- interface drawings ---------------------------------------------------------
