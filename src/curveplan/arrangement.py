@@ -7,6 +7,7 @@ Half-edges are signed 1-based edge ids: +e traverses the edge along its
 parameterization, -e against it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,7 @@ def _segment_segment(a, b, tol):
     if abs(denom) <= 1e-14 * max(l1 * l2, 1e-300):
         # parallel; coincident iff the offset is parallel too
         off = q0 - p0
-        if abs(_cross(d1, off)) > tol * max(l1, 1.0):
+        if abs(_cross(d1, off)) > tol * l1:  # perpendicular distance > tol
             return []
         u = d1 / (l1 * l1)
         s0, s1 = float(np.dot(q0 - p0, u)), float(np.dot(q1 - p0, u))
@@ -443,21 +444,12 @@ class Drawing:
 
     def components(self):
         """Connected components as lists of vertex ids (edge connectivity)."""
-        parent = {vid: vid for vid in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = _UnionFind(self.vertices)
         for e in self.edges.values():
-            ra, rb = find(e.v_from), find(e.v_to)
-            if ra != rb:
-                parent[ra] = rb
+            uf.union(e.v_from, e.v_to)
         groups = {}
         for vid in self.vertices:
-            groups.setdefault(find(vid), []).append(vid)
+            groups.setdefault(uf.find(vid), []).append(vid)
         return sorted(groups.values(), key=min)
 
     def subdrawing(self, vertex_ids, edge_ids):
@@ -492,24 +484,54 @@ class Drawing:
 # drawing assembly
 
 
-def _cluster_points(points, tol):
-    """Union-find clustering of points closer than tol; returns labels."""
-    n = len(points)
-    parent = list(range(n))
+class _UnionFind:
+    """Disjoint sets over hashable items, with path halving."""
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return [find(i) for i in range(n)]
+    def union(self, a, b):
+        self.parent[self.find(a)] = self.find(b)
+
+
+def _box_pairs(curves, tol):
+    """Ascending pairs (i, j), i < j, whose control-point boxes pass
+    ``not _boxes_disjoint``: a sort-and-sweep on the boxes' xmin."""
+    boxes = [(*c.ctrl.min(axis=0).tolist(), *c.ctrl.max(axis=0).tolist()) for c in curves]
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        xlo, ylo, xhi, yhi = boxes[i]
+        for j in order[k + 1 :]:
+            bxlo, bylo, bxhi, byhi = boxes[j]
+            if bxlo > xhi + tol:
+                break  # every later box starts further right
+            if not (xlo > bxhi + tol or ylo > byhi + tol or bylo > yhi + tol):
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def _cluster_points(points, tol):
+    """Labels of the transitive closure of ``|p_i - p_j| <= tol``, comparing
+    only points in the 3x3 neighbouring cells of a grid hash.  Cells have side
+    2 tol, so a pair within tol never lands two cells apart by rounding."""
+    uf = _UnionFind(range(len(points)))
+    cells = {}
+    for i, p in enumerate(points):
+        cx, cy = math.floor(p[0] / (2 * tol)), math.floor(p[1] / (2 * tol))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in cells.get((cx + dx, cy + dy), ()):
+                    if np.linalg.norm(points[j] - p) <= tol:
+                        uf.union(j, i)
+        cells.setdefault((cx, cy), []).append(i)
+    return [uf.find(i) for i in range(len(points))]
 
 
 def _param_tol(curve, tol):
@@ -526,17 +548,22 @@ def build_drawing(curves, tol=DEFAULT_TOL):
     one seam-crossing edge; an intersection-free closed curve receives an
     artificial seam vertex carrying a single loop edge.
     """
+    if tol <= 0:
+        raise GeometryError("intersection tolerance must be positive")
     curves = list(curves)
+    partners = [[] for _ in curves]
+    for i, j in _box_pairs(curves, tol):
+        partners[i].append(j)
     records = []  # (curve_i, t_i, curve_j, t_j, point, tangential)
     for i, ca in enumerate(curves):
         if ca.kind != "segment":
             for h in intersect_curve_pair(ca, ca, tol):
                 records.append((i, h.t_a, i, h.t_b, h.point, h.tangential))
-        for j in range(i + 1, len(curves)):
+        for j in partners[i]:
             for h in intersect_curve_pair(ca, curves[j], tol):
                 records.append((i, h.t_a, j, h.t_b, h.point, h.tangential))
 
-    labels = _cluster_points([r[4] for r in records], tol) if records else []
+    labels = _cluster_points([r[4] for r in records], tol)
     clusters = {}
     first_seen = {}
     for idx, (rec, lab) in enumerate(zip(records, labels)):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, TieBreakError
+from .quadrature import gauss01
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,15 +164,10 @@ def extract_regions(drawing):
 # classification
 
 
-def _gauss01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _edge_area_integral(geometry):
     """Integral of (x y' - y x') dt over the edge, exact per polynomial span."""
     n = geometry.degree + 1
-    nodes, weights = _gauss01(n)
+    nodes, weights = gauss01(n)
     total = 0.0
     brk = geometry.breakpoints()
     for u0, u1 in zip(brk[:-1], brk[1:]):

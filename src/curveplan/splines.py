@@ -129,6 +129,8 @@ class SplineMap2D:
     """
 
     def __init__(self, space, control, check_bijective=True):
+        if min(space.degrees) < 1:
+            raise SchemaError("map degrees must be >= 1", field="degrees")
         self.space = space
         self.ctrl = np.array(control, dtype=float)
         if self.ctrl.shape != (space.nu, space.nv, 2):

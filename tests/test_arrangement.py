@@ -1,13 +1,16 @@
 """Intersection and drawing-assembly behavior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curveplan.arrangement import build_drawing, intersect_curve_pair
+from curveplan import arrangement
+from curveplan.arrangement import DEFAULT_TOL, build_drawing, intersect_curve_pair
 from curveplan.curves import ParamCurve
-from curveplan.errors import OverlapError
+from curveplan.errors import CurveplanError, OverlapError
 
 from arrangement_oracle import SegmentArrangement
 from util import quadratic_arch, segment, square_curves, circle_bspline
@@ -46,6 +49,20 @@ def test_identical_curves_overlap_error():
         intersect_curve_pair(segment((0, 0), (1, 0)), segment((0.5, 0), (2, 0)))
     with pytest.raises(OverlapError):
         intersect_curve_pair(quadratic_arch(), quadratic_arch())
+
+
+@pytest.mark.parametrize("long_first", [False, True])
+def test_parallel_reach_is_perpendicular_distance(long_first):
+    # the same pair, 1e-6 apart, once with a short and once with a long first
+    # segment: apart by more than tol in both argument orders either way
+    first = segment((0, 0), (5, 0) if long_first else (0.05, 0))
+    near = segment((0.01, 1e-6), (0.04, 1e-6))
+    assert intersect_curve_pair(first, near) == []
+    assert intersect_curve_pair(near, first) == []
+    within = segment((0.01, 0.5 * DEFAULT_TOL), (0.04, 0.5 * DEFAULT_TOL))
+    for a, b in ((first, within), (within, first)):
+        with pytest.raises(OverlapError):
+            intersect_curve_pair(a, b)
 
 
 def test_collinear_endpoint_touch_is_single_hit():
@@ -184,3 +201,169 @@ def test_random_segments_match_exact_oracle():
                 if pt is not None:
                     expected.add((round(float(pt[0]), 5), round(float(pt[1]), 5)))
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# broad phase and clustering against brute force
+
+
+def _bezier(pts):
+    return ParamCurve("bezier", pts)
+
+
+def _closed_bspline(cx, cy, rx, ry, phase):
+    ang = phase + np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    ctrl = np.column_stack([cx + rx * np.cos(ang), cy + ry * np.sin(ang)])
+    ctrl = np.vstack([ctrl, ctrl[:1]])
+    knots = np.concatenate([[0.0] * 4, np.linspace(0.0, 1.0, 7)[1:-1], [1.0] * 4])
+    return ParamCurve("bspline", ctrl, degree=3, knots=knots)
+
+
+# grid coordinates make exact box touches and collinear pieces likely
+_coord = st.one_of(
+    st.integers(0, 8).map(lambda k: k / 8),
+    st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+_point = st.tuples(_coord, _coord)
+_curve = st.one_of(
+    st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq)),
+    st.lists(_point, min_size=3, max_size=4).map(_bezier),
+    st.builds(
+        _closed_bspline,
+        _coord, _coord,
+        st.floats(0.05, 0.4), st.floats(0.05, 0.4), st.floats(0.0, 6.0),
+    ),
+)
+
+
+def _touching(curve, axis, tol):
+    """A segment whose box starts exactly tol past the box of curve."""
+    hi = curve.ctrl.max(axis=0)
+    lo = curve.ctrl.min(axis=0)
+    start = hi[axis] + tol
+    p, q = [0.0, 0.0], [0.0, 0.0]
+    p[axis], q[axis] = start, start + 0.25
+    p[1 - axis], q[1 - axis] = lo[1 - axis], hi[1 - axis] + 0.1
+    return segment(tuple(p), tuple(q))
+
+
+@st.composite
+def _curve_lists(draw, max_size):
+    curves = draw(st.lists(_curve, min_size=1, max_size=max_size))
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-3, 0.125]))
+    for k, axis in draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 1)), max_size=3)):
+        curves.append(_touching(curves[k % len(curves)], axis, tol))
+    for k in draw(st.lists(st.integers(0, 50), max_size=2)):
+        c = curves[k % len(curves)]
+        if c.kind == "segment":  # collinear end-to-end continuation
+            p, q = c.ctrl
+            curves.append(segment(tuple(q), tuple(2 * q - p)))
+    order = draw(st.permutations(range(len(curves))))
+    return [curves[i] for i in order], tol
+
+
+def _brute_pairs(curves, tol):
+    whole = [arrangement._Piece.whole(c) for c in curves]
+    return [
+        (i, j)
+        for i in range(len(curves))
+        for j in range(i + 1, len(curves))
+        if not arrangement._boxes_disjoint(whole[i], whole[j], tol)
+    ]
+
+
+def _brute_cluster(points, tol):
+    """The O(R^2) union-find the grid hash replaces."""
+    parent = list(range(len(points)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.linalg.norm(points[i] - points[j]) <= tol:
+                parent[find(i)] = find(j)
+    return [find(i) for i in range(len(points))]
+
+
+def _partition(labels):
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    return sorted(groups.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curve_lists(max_size=30))
+def test_box_pairs_equal_brute_force(case):
+    curves, tol = case
+    assert arrangement._box_pairs(curves, tol) == _brute_pairs(curves, tol)
+
+
+@st.composite
+def _point_sets(draw):
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-3, 0.1]))
+    points = []
+    for x, y in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8)):
+        points.append(np.array([x * tol, y * tol]))  # on cell boundaries
+    for _ in range(draw(st.integers(0, 3))):  # chains just under tol apart
+        start = np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1))))
+        ang = draw(st.floats(0.0, 2.0 * np.pi))
+        gap = draw(st.floats(0.9, 0.999999)) * tol
+        step = gap * np.array([math.cos(ang), math.sin(ang)])
+        points.extend(start + k * step for k in range(draw(st.integers(2, 12))))
+    points.extend(
+        np.array(p)
+        for p in draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), max_size=10))
+    )
+    order = draw(st.permutations(range(len(points))))
+    return [points[i] for i in order], tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_grid_clustering_equals_brute_force(case):
+    points, tol = case
+    got = _partition(arrangement._cluster_points(points, tol))
+    assert got == _partition(_brute_cluster(points, tol))
+
+
+def _all_pairs(curves, tol):
+    n = len(curves)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _drawing_or_error(curves, tol):
+    try:
+        return build_drawing(curves, tol=tol)
+    except CurveplanError as exc:
+        return type(exc), str(exc)
+
+
+def _snapshot(d):
+    if isinstance(d, tuple):
+        return d
+    vertices = [
+        (vid, v.position.tobytes(), v.hits, v.seam, v.tangential)
+        for vid, v in d.vertices.items()
+    ]
+    edges = [
+        (eid, e.curve_id, e.t_lo, e.t_hi, e.v_from, e.v_to,
+         e.geometry.ctrl.tobytes(), e.geometry.knots.tobytes())
+        for eid, e in d.edges.items()
+    ]
+    return vertices, edges, d.pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(_curve_lists(max_size=6))
+def test_build_drawing_equals_all_pairs_reference(case):
+    curves, tol = case
+    got = _snapshot(_drawing_or_error(curves, tol))
+    with mock.patch.object(arrangement, "_box_pairs", _all_pairs), mock.patch.object(
+        arrangement, "_cluster_points", _brute_cluster
+    ):
+        want = _snapshot(_drawing_or_error(curves, tol))
+    assert got == want

@@ -86,6 +86,23 @@ def test_malformed_knots_exit_2(tmp_path, capsys):
     assert err["error"]["field"] == "knots"
 
 
+def test_degree_zero_map_exit_2(tmp_path, capsys):
+    bad = tmp_path / "map0.json"
+    bad.write_text(json.dumps({
+        "degrees": [0, 1],
+        "knots_u": [0, 0.5, 1], "knots_v": [0, 0, 1, 1],
+        "control": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]],
+    }))
+    code = run([
+        "mesh-intersect", "--map1", str(bad), "--map2", f"{FIXTURES}/map_offset.json",
+        "--regions", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "SchemaError"
+    assert err["error"]["field"] == "degrees"
+
+
 def test_overlap_exit_3(tmp_path, capsys):
     bad = tmp_path / "overlap.json"
     bad.write_text(json.dumps({
