@@ -40,6 +40,17 @@ def find_span(knots, degree, t):
     return int(np.searchsorted(knots, t, side="right")) - 1
 
 
+def find_spans(knots, degree, t):
+    """``find_span`` over a 1-d parameter array, clamped the same way.
+
+    The spans of the domain ends bound the plain search from both sides.
+    """
+    n = len(knots) - degree - 1
+    lo = np.searchsorted(knots, knots[degree], side="right") - 1
+    hi = np.searchsorted(knots, knots[n]) - 1
+    return np.minimum(np.maximum(np.searchsorted(knots, t, side="right") - 1, lo), hi)
+
+
 def basis_funs(knots, degree, span, t):
     """Non-vanishing B-spline basis values N_{span-degree},...,N_{span} at t."""
     out = np.zeros(degree + 1)
@@ -87,35 +98,64 @@ def deboor_point(knots, degree, ctrl, t):
     return d[degree]
 
 
+def deboor_points(knots, degree, ctrl, t):
+    """``deboor_point`` over a 1-d parameter array; bit-equal per element.
+
+    Each level r of the recurrence updates all points j = r..degree of all
+    parameters at once, from the previous level's values, with the scalar
+    code's operation order and its alpha = 0 rule for empty knot intervals.
+    """
+    t = np.asarray(t, dtype=float)
+    first = find_spans(knots, degree, t) - degree
+    d = np.asarray(ctrl, dtype=float)[first[:, None] + np.arange(degree + 1)]
+    win = knots[first[:, None] + np.arange(2 * degree + 1)]
+    tt = t[:, None]
+    for r in range(1, degree + 1):
+        lo = win[:, r : degree + 1]
+        den = win[:, degree + 1 : 2 * degree + 2 - r] - lo
+        alpha = np.divide(tt - lo, den, out=np.zeros_like(den), where=den != 0.0)[..., None]
+        d[:, r:] = (1.0 - alpha) * d[:, r - 1 : -1] + alpha * d[:, r:]
+    return d[:, degree]
+
+
 def derivative_data(knots, degree, ctrl):
     """Control data of the hodograph (first derivative curve)."""
     ctrl = np.asarray(ctrl, dtype=float)
     if degree == 0:
-        return np.asarray(knots, dtype=float), 0, np.zeros_like(ctrl[:1])
+        return np.asarray(knots, dtype=float), 0, np.zeros_like(ctrl)
     den = knots[degree + 1 : degree + len(ctrl)] - knots[1 : len(ctrl)]
     den = np.where(den == 0.0, 1.0, den)
     dctrl = degree * (ctrl[1:] - ctrl[:-1]) / den[:, None]
     return np.asarray(knots[1:-1], dtype=float), degree - 1, dctrl
 
 
-def insert_knot(knots, degree, ctrl, t):
-    """One Boehm knot insertion step; returns the refined (knots, ctrl)."""
-    knots = np.asarray(knots, dtype=float)
-    ctrl = np.asarray(ctrl, dtype=float)
-    span = find_span(knots, degree, t)
-    new_ctrl = np.empty((len(ctrl) + 1, ctrl.shape[1]))
-    new_ctrl[: span - degree + 1] = ctrl[: span - degree + 1]
-    for i in range(span - degree + 1, span + 1):
-        den = knots[i + degree] - knots[i]
-        alpha = 1.0 if den == 0.0 else (t - knots[i]) / den
-        new_ctrl[i] = (1.0 - alpha) * ctrl[i - 1] + alpha * ctrl[i]
-    new_ctrl[span + 1 :] = ctrl[span:]
-    new_knots = np.insert(knots, span + 1, t)
-    return new_knots, new_ctrl
-
-
 def _multiplicity(knots, t, tol):
     return int(np.sum(np.abs(knots - t) <= tol))
+
+
+def _insert_repeated(knots, degree, ctrl, t, reps):
+    """Insert the interior parameter t ``reps`` times in one pass (A5.1).
+
+    Step q is the Boehm step on span k + q, its knots read from the input
+    vector.  Unlike A5.1, each step recomputes all ``degree`` points, also
+    those with alpha = 0 that A5.1 copies, so the full-multiplicity step
+    needs no special case and the result is bit-equal to ``reps`` single
+    Boehm insertions, signed zeros included.  Plain floats: nets are tiny.
+    """
+    k = find_span(knots, degree, t)
+    t = float(t)
+    kn = knots.tolist()
+    pts = ctrl.tolist()
+    for q in range(reps):
+        new = []
+        for i in range(k + q - degree + 1, k + q + 1):
+            lo = kn[i] if i <= k else t
+            den = kn[i + degree - q] - lo
+            alpha = 1.0 if den == 0.0 else (t - lo) / den
+            new.append([(1.0 - alpha) * a + alpha * b for a, b in zip(pts[i - 1], pts[i])])
+        pts[k + q - degree + 1 : k + q] = new
+    new_knots = np.concatenate((knots[: k + 1], np.full(reps, t), knots[k + 1 :]))
+    return new_knots, np.array(pts)
 
 
 def split_bspline(knots, degree, ctrl, t):
@@ -127,9 +167,9 @@ def split_bspline(knots, degree, ctrl, t):
     near = knots[np.abs(knots - t) <= snap]
     if len(near):
         t = near[0]
-    mult = _multiplicity(knots, t, snap)
-    for _ in range(degree + 1 - mult):
-        knots, ctrl = insert_knot(knots, degree, ctrl, t)
+    reps = degree + 1 - _multiplicity(knots, t, snap)
+    if reps > 0:
+        knots, ctrl = _insert_repeated(knots, degree, ctrl, t, reps)
     j = int(np.searchsorted(knots, t - snap, side="left"))
     while abs(knots[j] - t) > snap:
         j += 1
@@ -250,18 +290,25 @@ class ParamCurve:
         return np.unique(np.concatenate(([a], self.interior_knots(), [b])))
 
     def _check_t(self, t):
+        """Refuse parameters outside the padded domain, NaN included."""
         a, b = self.domain
         pad = 1e-12 * max(b - a, 1.0)
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < a - pad) or np.any(tt > b + pad):
-            raise GeometryError(f"parameter {t} outside curve domain [{a}, {b}]")
+        lo, hi = a - pad, b + pad
+        if np.ndim(t) == 0:
+            bad = None if lo <= float(t) <= hi else t
+        else:
+            tt = np.asarray(t, dtype=float)
+            ok = tt.size == 0 or (lo <= tt.min() and tt.max() <= hi)
+            bad = None if ok else tt[~((tt >= lo) & (tt <= hi))][0]
+        if bad is not None:
+            raise GeometryError(f"parameter {bad} outside curve domain [{a}, {b}]")
 
     def point(self, t):
-        """Evaluate the curve; t may be a scalar or a 1-d array."""
+        """Evaluate the curve at a scalar t, or at a 1-d array t (shape (m, 2))."""
         self._check_t(t)
         if np.ndim(t) == 0:
             return deboor_point(self.knots, self.degree, self.ctrl, float(t))
-        return np.array([deboor_point(self.knots, self.degree, self.ctrl, float(s)) for s in np.asarray(t)])
+        return deboor_points(self.knots, self.degree, self.ctrl, t)
 
     def _deriv_data(self, order):
         if order == 1:
@@ -275,15 +322,12 @@ class ParamCurve:
         raise GeometryError("derivative order must be 1 or 2")
 
     def deriv(self, t, order=1):
-        """Derivative of the stated order; exact hodograph evaluation."""
+        """Derivative of the stated order at a scalar or 1-d array t (exact hodograph)."""
         self._check_t(t)
         knots, degree, ctrl = self._deriv_data(order)
-        if degree < 0 or len(ctrl) == 0:
-            zero = np.zeros(2)
-            return zero if np.ndim(t) == 0 else np.tile(zero, (len(t), 1))
         if np.ndim(t) == 0:
             return deboor_point(knots, degree, ctrl, float(t))
-        return np.array([deboor_point(knots, degree, ctrl, float(s)) for s in np.asarray(t)])
+        return deboor_points(knots, degree, ctrl, t)
 
     def bbox(self):
         """Axis-aligned (min, max) corners; contains the curve image."""

@@ -158,9 +158,8 @@ def _area_centroid(pieces):
     for g in pieces:
         nodes, weights = gauss01(2 * g.degree + 2)
         for u0, u1 in zip(g.breakpoints()[:-1], g.breakpoints()[1:]):
-            for t, w in zip(u0 + (u1 - u0) * nodes, weights * (u1 - u0)):
-                p = g.point(t)
-                d = g.deriv(t)
+            ts = u0 + (u1 - u0) * nodes
+            for p, d, w in zip(g.point(ts), g.deriv(ts), weights * (u1 - u0)):
                 area += 0.5 * w * (p[0] * d[1] - p[1] * d[0])
                 mx += 0.5 * w * p[0] * p[0] * d[1]
                 my -= 0.5 * w * p[1] * p[1] * d[0]
@@ -329,9 +328,9 @@ def integrate_tiles(tiles, f, n, phys_map=None):
     u, w = gauss01(n)
     total = 0.0
     blocks = max(1, len(u) // 256)
+    wchunks = np.array_split(w, blocks)
     for tile in tiles:
-        for iu, uchunk in enumerate(np.array_split(u, blocks)):
-            wchunk = np.array_split(w, blocks)[iu]
+        for uchunk, wchunk in zip(np.array_split(u, blocks), wchunks):
             pts, det = tile.grids(uchunk, u)
             if np.min(det) <= 0.0:
                 raise JacobianError(

@@ -172,9 +172,7 @@ def _edge_area_integral(geometry):
     brk = geometry.breakpoints()
     for u0, u1 in zip(brk[:-1], brk[1:]):
         ts = u0 + (u1 - u0) * nodes
-        for t, w in zip(ts, weights):
-            p = geometry.point(t)
-            d = geometry.deriv(t)
+        for p, d, w in zip(geometry.point(ts), geometry.deriv(ts), weights):
             total += w * (u1 - u0) * (p[0] * d[1] - p[1] * d[0])
     return total
 
@@ -186,11 +184,10 @@ def _trail_direction_samples(drawing, se, m=8):
     t1 = -drawing.outgoing_tangent(-se)
     angles = [math.atan2(t0[1], t0[0])]
     brk = g.breakpoints()
+    floor = 1e-13 * max(g.bbox_diag(), 1.0)
     for u0, u1 in zip(brk[:-1], brk[1:]):
-        for s in np.linspace(u0, u1, m + 2)[1:-1]:
-            d = g.deriv(float(s))
-            nd = math.hypot(d[0], d[1])
-            if nd > 1e-13 * max(g.bbox_diag(), 1.0):
+        for d in g.deriv(np.linspace(u0, u1, m + 2)[1:-1]):
+            if math.hypot(d[0], d[1]) > floor:
                 angles.append(math.atan2(d[1], d[0]))
     angles.append(math.atan2(t1[1], t1[0]))
     return angles

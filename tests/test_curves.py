@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curveplan.curves import (
     ParamCurve,
+    deboor_point,
     derivative,
     evaluate,
+    find_span,
     restrict,
     signed_curvature,
+    split_bspline,
     tangent_into_interior,
 )
 from curveplan.errors import DegenerateTangentError, GeometryError, SchemaError
@@ -179,3 +184,148 @@ def test_reversed_curve():
     rev = arch.reversed()
     for t in np.linspace(0, 1, 17):
         assert np.allclose(rev.point(t), arch.point(1 - t), atol=1e-14)
+
+
+def test_second_derivative_of_piecewise_linear_bspline_is_zero():
+    polyline = ParamCurve("bspline", [(0, 0), (1, 1), (2, 0)], degree=1, knots=[0, 0, 0.5, 1, 1])
+    assert np.array_equal(polyline.deriv(0.7, 2), [0.0, 0.0])
+    assert np.array_equal(polyline.deriv(np.array([0.2, 0.7]), 2), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters and the array shape contract
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_raise(bad):
+    arch = ParamCurve("bezier", [[0, 0], [1, 2], [2, 0]])
+    calls = [
+        lambda: arch.point(bad),
+        lambda: arch.point(np.array([0.2, bad])),
+        lambda: arch.deriv(bad),
+        lambda: arch.deriv(np.array([0.2, bad]), 2),
+        lambda: arch.restricted(0.2, bad),
+        lambda: arch.restricted(bad, 0.8),
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError):
+            call()
+
+
+def test_out_of_domain_message_names_first_bad_parameter():
+    arch = quadratic_arch()
+    with pytest.raises(GeometryError, match=r"parameter nan outside") as info:
+        arch.point(np.array([0.2, np.nan, 2.0, 0.4]))
+    assert "0.2" not in str(info.value)
+
+
+def test_empty_parameter_array_gives_empty_point_array():
+    for curve in (quadratic_arch(), segment((0, 0), (1, 2))):
+        empty = np.array([])
+        assert curve.point(empty).shape == (0, 2)
+        assert curve.deriv(empty).shape == (0, 2)
+        assert curve.deriv(empty, 2).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact equivalence of the batched kernels with the scalar algorithms
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _clamped_curves(draw):
+    """Clamped B-splines of degree 1-5 with interior knots of multiplicity
+    up to the degree (as in seam concatenations), on shifted domains."""
+    degree = draw(st.integers(1, 5))
+    a = draw(st.sampled_from([0.0, -1.5, 0.3]))
+    b = a + draw(st.sampled_from([1.0, 0.25, 3.0]))
+    fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
+    vals = np.unique([a + (b - a) * f for f in fracs])
+    vals = vals[(vals > a) & (vals < b)]
+    mults = draw(st.lists(st.integers(1, degree), min_size=len(vals), max_size=len(vals)))
+    knots = [a] * (degree + 1) + list(np.repeat(vals, mults)) + [b] * (degree + 1)
+    n = len(knots) - degree - 1
+    coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    ctrl = draw(arrays(np.float64, (n, 2), elements=coords))
+    return ParamCurve("bspline", ctrl, degree=degree, knots=knots, _allow_c0=True)
+
+
+@st.composite
+def _curves_and_params(draw):
+    curve = draw(_clamped_curves())
+    a, b = curve.domain
+    pad = 1e-12 * max(b - a, 1.0)
+    brk = curve.breakpoints()
+    near = np.concatenate([np.nextafter(brk, -np.inf), np.nextafter(brk, np.inf)])
+    inside = draw(st.lists(st.floats(a, b), max_size=12))
+    ts = np.concatenate([brk, near, [a - 0.5 * pad, a - pad, b + 0.5 * pad, b + pad], inside])
+    return curve, ts[(ts >= a - pad) & (ts <= b + pad)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curves_and_params())
+def test_batched_point_and_deriv_equal_scalar_de_boor(curve_and_params):
+    curve, ts = curve_and_params
+    scalar = np.array([deboor_point(curve.knots, curve.degree, curve.ctrl, float(t)) for t in ts])
+    assert _same_bits(curve.point(ts), scalar)
+    for order in (1, 2):
+        scalar = np.array([curve.deriv(float(t), order) for t in ts])
+        assert _same_bits(curve.deriv(ts, order), scalar)
+
+
+def _insert_knot_reference(knots, degree, ctrl, t):
+    """One Boehm knot insertion step; returns the refined (knots, ctrl)."""
+    knots = np.asarray(knots, dtype=float)
+    ctrl = np.asarray(ctrl, dtype=float)
+    span = find_span(knots, degree, t)
+    new_ctrl = np.empty((len(ctrl) + 1, ctrl.shape[1]))
+    new_ctrl[: span - degree + 1] = ctrl[: span - degree + 1]
+    for i in range(span - degree + 1, span + 1):
+        den = knots[i + degree] - knots[i]
+        alpha = 1.0 if den == 0.0 else (t - knots[i]) / den
+        new_ctrl[i] = (1.0 - alpha) * ctrl[i - 1] + alpha * ctrl[i]
+    new_ctrl[span + 1 :] = ctrl[span:]
+    new_knots = np.insert(knots, span + 1, t)
+    return new_knots, new_ctrl
+
+
+def _split_reference(knots, degree, ctrl, t):
+    """split_bspline by repeated single Boehm insertions."""
+    snap = 1e-12 * max(knots[-1] - knots[0], 1.0)
+    near = knots[np.abs(knots - t) <= snap]
+    if len(near):
+        t = near[0]
+    mult = int(np.sum(np.abs(knots - t) <= snap))
+    for _ in range(degree + 1 - mult):
+        knots, ctrl = _insert_knot_reference(knots, degree, ctrl, t)
+    j = int(np.searchsorted(knots, t - snap, side="left"))
+    while abs(knots[j] - t) > snap:
+        j += 1
+    return (knots[: j + degree + 1], ctrl[:j]), (knots[j:], ctrl[j:])
+
+
+@st.composite
+def _curves_and_splits(draw):
+    curve = draw(_clamped_curves())
+    a, b = curve.domain
+    interior = curve.interior_knots()
+    choices = [st.floats(a, b, exclude_min=True, exclude_max=True)]
+    if len(interior):
+        on_knot = st.sampled_from(list(interior))
+        choices.append(on_knot)
+        choices.append(on_knot.map(lambda k: k + 0.5e-12 * max(b - a, 1.0)))
+    return curve, draw(st.one_of(choices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curves_and_splits())
+def test_split_equals_repeated_boehm_insertion(curve_and_t):
+    curve, t = curve_and_t
+    got = split_bspline(curve.knots, curve.degree, curve.ctrl, t)
+    want = _split_reference(curve.knots, curve.degree, curve.ctrl, t)
+    for (gk, gc), (wk, wc) in zip(got, want):
+        assert _same_bits(gk, wk) and _same_bits(gc, wc)
