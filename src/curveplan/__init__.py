@@ -49,6 +49,7 @@ from .splines import (
     composed_field,
     integrate_spline_product,
     invert,
+    invert_points,
     knot_iso_curves,
     pull_back,
 )

@@ -51,37 +51,41 @@ def find_spans(knots, degree, t):
     return np.minimum(np.maximum(np.searchsorted(knots, t, side="right") - 1, lo), hi)
 
 
-def basis_funs(knots, degree, span, t):
-    """Non-vanishing B-spline basis values N_{span-degree},...,N_{span} at t."""
-    out = np.zeros(degree + 1)
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    out[0] = 1.0
+def basis_rows(knots, degree, t):
+    """First indices (m,) and values (m, degree+1) of the non-zero basis
+    functions at every parameter of a 1-d array.
+
+    The Cox-de Boor triangle of A2.2 (Piegl & Tiller) run on all parameters
+    at once, with the scalar recurrence's operation order per element.
+    """
+    knots = np.asarray(knots, dtype=float)
+    t = np.asarray(t, dtype=float)
+    span = find_spans(knots, degree, t)
+    out = [np.ones_like(t)]
+    left, right = [None], [None]
     for j in range(1, degree + 1):
-        left[j] = t - knots[span + 1 - j]
-        right[j] = knots[span + j] - t
+        left.append(t - knots[span + 1 - j])
+        right.append(knots[span + j] - t)
         saved = 0.0
         for r in range(j):
             tmp = out[r] / (right[r + 1] + left[j - r])
             out[r] = saved + right[r + 1] * tmp
             saved = left[j - r] * tmp
-        out[j] = saved
-    return out
+        out.append(saved)
+    return span - degree, np.stack(out, axis=-1)
 
 
 def basis_row(knots, degree, t):
     """(first_index, values) of the non-zero basis functions at parameter t."""
-    span = find_span(knots, degree, t)
-    return span - degree, basis_funs(knots, degree, span, t)
+    first, vals = basis_rows(knots, degree, [t])
+    return int(first[0]), vals[0]
 
 
 def basis_matrix(knots, degree, params):
     """Dense collocation matrix B[k, i] = N_i(params[k])."""
-    n = len(knots) - degree - 1
-    mat = np.zeros((len(params), n))
-    for k, t in enumerate(params):
-        first, vals = basis_row(knots, degree, t)
-        mat[k, first : first + degree + 1] = vals
+    first, vals = basis_rows(knots, degree, params)
+    mat = np.zeros((len(vals), len(knots) - degree - 1))
+    np.put_along_axis(mat, first[:, None] + np.arange(degree + 1), vals, axis=1)
     return mat
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import basis_row, find_span
+from .curves import basis_rows, find_span
 from .errors import GeometryError
 from .quadrature import gauss01, region_tiles
 from .splines import SplineFunc2D, composed_field, region_covered_by
@@ -43,12 +43,9 @@ def _span_gram_1d(knots, degree):
     out = []
     brk = np.unique(knots)
     for u0, u1 in zip(brk[:-1], brk[1:]):
-        first = find_span(knots, degree, 0.5 * (u0 + u1)) - degree
-        block = np.zeros((degree + 1, degree + 1))
-        for t, w in zip(u0 + (u1 - u0) * nodes, weights * (u1 - u0)):
-            _, vals = basis_row(knots, degree, float(t))
-            block += w * np.outer(vals, vals)
-        out.append((float(u0), float(u1), first, block))
+        first, vals = basis_rows(knots, degree, u0 + (u1 - u0) * nodes)
+        block = (vals.T * (weights * (u1 - u0))) @ vals
+        out.append((float(u0), float(u1), int(first[0]), block))
     return out
 
 
@@ -82,11 +79,8 @@ def region_element_table(region_set, space, probe_n=2, tol=1e-12):
     out = {}
     for k, region in enumerate(region_set.regions):
         tiles = region_tiles(region, region_set.drawing)
-        ids = set()
-        for tile in tiles:
-            pts, _ = tile.grids(u, u)
-            for p in pts.reshape(-1, 2):
-                ids.add(space.element_of(float(p[0]), float(p[1]), tol=tol))
+        pts = np.concatenate([tile.grids(u, u)[0].reshape(-1, 2) for tile in tiles])
+        ids = set(zip(*space.element_of(pts[:, 0], pts[:, 1], tol=tol)))
         if len(ids) != 1:
             raise GeometryError(
                 f"region {k} spans knot elements {sorted(ids)}; "
@@ -120,19 +114,12 @@ def _element_moments_plain(f, space, n_u, n_v, elements=None):
         v0, v1 = bv[iv], bv[iv + 1]
         us = u0 + (u1 - u0) * nodes_u
         vs = v0 + (v1 - v0) * nodes_v
-        rows_u = [basis_row(space.tu, space.du, float(t)) for t in us]
-        rows_v = [basis_row(space.tv, space.dv, float(t)) for t in vs]
-        fu, fv = rows_u[0][0], rows_v[0][0]
+        fu, rows_u = basis_rows(space.tu, space.du, us)
+        fv, rows_v = basis_rows(space.tv, space.dv, vs)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         vals = np.asarray(f(uu, vv), dtype=float)
-        block = np.zeros((space.du + 1, space.dv + 1))
-        scale = (u1 - u0) * (v1 - v0)
-        for a, (_, bu_vals) in enumerate(rows_u):
-            for b, (_, bv_vals) in enumerate(rows_v):
-                block += (w_u[a] * w_v[b] * scale * vals[a, b]) * np.outer(
-                    bu_vals, bv_vals
-                )
-        out[(iu, iv)] = (fu, fv, block)
+        weight = np.outer(w_u, w_v) * ((u1 - u0) * (v1 - v0)) * vals
+        out[(iu, iv)] = (int(fu[0]), int(fv[0]), rows_u.T @ weight @ rows_v)
     return out
 
 
@@ -141,28 +128,28 @@ def _element_moments_regions(f, space, table, n):
 
     ``table`` maps region index -> (element, tiles); regions are integrated
     with their own tiles so kinks of f along region boundaries are safe.
+    All tile nodes go through one call of f.
     """
     nodes, w = gauss01(n)
-    ww = np.outer(w, w)
-    out = {}
+    ww = np.outer(w, w).ravel()
+    owners, grids = [], []
     for _, (element, tiles) in sorted(table.items()):
-        if element not in out:
-            fu, fv = _element_first_dofs(space, element)
-            out[element] = (fu, fv, np.zeros((space.du + 1, space.dv + 1)))
-        fu, fv, block = out[element]
-        for tile in tiles:
-            pts, det = tile.grids(nodes, nodes)
-            vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-            weight = ww * vals * det
-            for a in range(pts.shape[0]):
-                for b in range(pts.shape[1]):
-                    ru, bu_vals = basis_row(space.tu, space.du, float(pts[a, b, 0]))
-                    rv, bv_vals = basis_row(space.tv, space.dv, float(pts[a, b, 1]))
-                    if ru != fu or rv != fv:
-                        raise GeometryError(
-                            "quadrature node escaped its region's knot element"
-                        )
-                    block += weight[a, b] * np.outer(bu_vals, bv_vals)
+        owners += [element] * len(tiles)
+        grids += [tile.grids(nodes, nodes) for tile in tiles]
+    if not grids:
+        return {}
+    pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
+    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    weight = np.tile(ww, len(grids)) * vals * np.concatenate([det.ravel() for _, det in grids])
+    ru, bu_vals = basis_rows(space.tu, space.du, pts[:, 0])
+    rv, bv_vals = basis_rows(space.tv, space.dv, pts[:, 1])
+    out = {}
+    for element in dict.fromkeys(owners):
+        fu, fv = _element_first_dofs(space, element)
+        sel = np.repeat([e == element for e in owners], len(ww))
+        if np.any(ru[sel] != fu) or np.any(rv[sel] != fv):
+            raise GeometryError("quadrature node escaped its region's knot element")
+        out[element] = (fu, fv, (bu_vals[sel] * weight[sel, None]).T @ bv_vals[sel])
     return out
 
 

@@ -16,6 +16,7 @@ from .arrangement import build_drawing
 from .curves import (
     ParamCurve,
     basis_row,
+    basis_rows,
     derivative_data,
     fit_bspline,
     uniform_arclength_knots,
@@ -26,6 +27,10 @@ INVERT_MAX_ITER = 50
 INVERT_TOL_FACTOR = 1e-11
 #: points per direction of the parameter grid that seeds a cold inversion
 SEED_GRID = 7
+#: points per block of the batched kernels, which bounds their scratch memory
+_BLOCK = 512
+#: Newton step scales tried in turn: 1, 1/2, ..., 1/2048
+_LINE_SEARCH = 0.5 ** np.arange(12)
 
 
 class TensorSplineSpace:
@@ -73,11 +78,12 @@ class TensorSplineSpace:
         return out
 
     def element_of(self, u, v, tol=0.0):
-        """Indices of the knot element containing (u, v)."""
+        """Indices of the knot element containing (u, v); arrays of them
+        when u and v are arrays."""
         bu, bv = self.breakpoints_u(), self.breakpoints_v()
-        iu = int(np.clip(np.searchsorted(bu, u + tol, side="right") - 1, 0, len(bu) - 2))
-        iv = int(np.clip(np.searchsorted(bv, v + tol, side="right") - 1, 0, len(bv) - 2))
-        return iu, iv
+        iu = np.clip(np.searchsorted(bu, np.add(u, tol), side="right") - 1, 0, len(bu) - 2)
+        iv = np.clip(np.searchsorted(bv, np.add(v, tol), side="right") - 1, 0, len(bv) - 2)
+        return (int(iu), int(iv)) if np.ndim(iu) == 0 else (iu, iv)
 
     def support(self, i, j):
         """Parameter rectangle supporting basis function (i, j)."""
@@ -101,23 +107,21 @@ def _tensor_eval(knots_u, du, knots_v, dv, net, u, v):
     N and M are the degree-du and degree-dv B-splines on knots_u and knots_v.
     Per point this is the (1, m) @ (m, k) product over the flattened
     (du+1)(dv+1) block of non-zero basis functions, the same product
-    ``np.tensordot(np.outer(bu, bv), block, axes=2)`` forms.
+    ``np.tensordot(np.outer(bu, bv), block, axes=2)`` forms.  All points of
+    a block go through one stacked ``np.matmul``, which runs that product
+    per point; einsum or a plain sum would round differently.
     """
     m = (du + 1) * (dv + 1)
-
-    def at(s, t):
-        fu, bu = basis_row(knots_u, du, s)
-        fv, bv = basis_row(knots_v, dv, t)
-        block = net[fu : fu + du + 1, fv : fv + dv + 1].reshape(m, -1)
-        return np.dot((bu[:, None] * bv).reshape(1, m), block)[0]
-
-    if np.ndim(u) == 0:
-        return at(float(u), float(v))
     u = np.asarray(u, dtype=float)
-    uu, vv = u.ravel().tolist(), np.asarray(v, dtype=float).ravel().tolist()
-    out = np.empty((len(uu),) + net.shape[2:])
-    for k in range(len(uu)):
-        out[k] = at(uu[k], vv[k])
+    uu, vv = u.ravel(), np.asarray(v, dtype=float).ravel()
+    out = np.empty((len(uu), 1, net[0, 0].size))
+    for s in range(0, len(uu), _BLOCK):
+        fu, bu = basis_rows(knots_u, du, uu[s : s + _BLOCK])
+        fv, bv = basis_rows(knots_v, dv, vv[s : s + _BLOCK])
+        rows = (fu[:, None] + np.arange(du + 1))[:, :, None]
+        cols = (fv[:, None] + np.arange(dv + 1))[:, None, :]
+        block = net[rows, cols].reshape(len(fu), m, -1)
+        out[s : s + _BLOCK] = np.matmul((bu[:, :, None] * bv[:, None, :]).reshape(-1, 1, m), block)
     return out.reshape(u.shape + net.shape[2:])
 
 
@@ -230,49 +234,88 @@ class SplineFunc2D:
 # inversion
 
 
-def _grid_guess(T, p):
-    d = np.linalg.norm(T.seed_points - p, axis=-1)
-    u, v = T.seed_params[int(np.argmin(d))]
-    return float(u), float(v)
+def _seed_guesses(T, pts):
+    """The seed-grid parameters nearest to each point, first on ties."""
+    out = np.empty_like(pts)
+    step = _BLOCK // 8  # a point takes a row of SEED_GRID**2 distances
+    for s in range(0, len(pts), step):
+        d = np.linalg.norm(T.seed_points - pts[s : s + step, None], axis=-1)
+        out[s : s + step] = T.seed_params[np.argmin(d, axis=1)]
+    return out
+
+
+def _norms(r):
+    """Norms of the rows of an (n, 2) array, each the root of a BLAS dot as
+    in ``np.linalg.norm`` of one row; ``axis=1`` would round differently."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None]))[:, 0, 0]
+
+
+def _newton_steps(jac, r):
+    """Solve jac @ step = -r per lane, by least squares where jac is singular
+    (one singular lane makes the stacked solve raise for all)."""
+    try:
+        return np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(jac) == 1:
+            return np.linalg.lstsq(jac[0], -r[0], rcond=None)[0][None]
+        return np.concatenate([_newton_steps(j[None], x[None]) for j, x in zip(jac, r)])
+
+
+def invert_points(T, pts, guess=None):
+    """Parameters (n, 2) with T(u, v) = pts[k], by clamped damped Newton run
+    on all points at once; returns (uv, ok).
+
+    Each lane starts from its guess row (or the nearest seed-grid node) and
+    takes Newton steps scaled by 1, 1/2, ..., 1/2048 until the residual
+    drops.  A lane stops when its residual is within tolerance (ok), when
+    no trial improves, or after INVERT_MAX_ITER steps; uv then holds its last
+    iterate.  Lanes do not interact: each is bit-for-bit ``invert``.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    if guess is None:
+        uv = _seed_guesses(T, pts)
+    else:
+        uv = np.array(np.broadcast_to(np.asarray(guess, dtype=float), pts.shape))
+    tol = T.invert_tol
+    r = T.point_pairs(uv) - pts
+    res = _norms(r)
+    live = np.flatnonzero(res > tol)
+    for _ in range(INVERT_MAX_ITER):
+        if not len(live):
+            break
+        steps = _newton_steps(T.jacobian(uv[live, 0], uv[live, 1]), r[live])
+        # the full step on every lane, then all shorter ones at once on the
+        # lanes it fails; a lane takes the first scale that improves
+        search = live
+        for lams in (_LINE_SEARCH[:1], _LINE_SEARCH[1:]):
+            if not len(search):
+                break
+            trial = uv[search, None] + lams[:, None] * steps[:, None]
+            trial = np.where(trial < 0.0, 0.0, trial)  # max(x, 0.0), then
+            trial = np.where(trial > 1.0, 1.0, trial)  # min(x, 1.0) of floats
+            r2 = T.point_pairs(trial) - pts[search, None]
+            n2 = _norms(r2.reshape(-1, 2)).reshape(len(search), len(lams))
+            better = n2 < res[search, None]
+            found = np.flatnonzero(better.any(axis=1))
+            pick, hit = np.argmax(better[found], axis=1), search[found]
+            uv[hit], r[hit], res[hit] = trial[found, pick], r2[found, pick], n2[found, pick]
+            search, steps = np.delete(search, found), np.delete(steps, found, axis=0)
+        live = live[(res[live] > tol) & ~np.isin(live, search)]
+    return uv, res <= tol
 
 
 def invert(T, p, guess=None):
-    """Parameters (u, v) with T(u, v) = p, by clamped damped Newton.
+    """Parameters (u, v) with T(u, v) = p: ``invert_points`` on one lane.
 
     Raises InversionError when no parameter in [0,1]^2 reproduces p to
     tolerance (the point lies outside the map image).
     """
     p = np.asarray(p, dtype=float)
-    tol = T.invert_tol
-    if guess is None:
-        u, v = _grid_guess(T, p)
-    else:
-        u, v = float(guess[0]), float(guess[1])
-    r = T.point(u, v) - p
-    res = float(np.linalg.norm(r))
-    for _ in range(INVERT_MAX_ITER):
-        if res <= tol:
-            return u, v
-        jac = T.jacobian(u, v)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        step_u, step_v = float(step[0]), float(step[1])
-        lam, improved = 1.0, False
-        while lam > 1.0 / 4096:
-            u2 = min(max(u + lam * step_u, 0.0), 1.0)
-            v2 = min(max(v + lam * step_v, 0.0), 1.0)
-            r2 = T.point(u2, v2) - p
-            n2 = float(np.linalg.norm(r2))
-            if n2 < res:
-                u, v, r, res, improved = u2, v2, r2, n2, True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    if res <= tol:
+    uv, ok = invert_points(T, p, None if guess is None else np.reshape(guess, (1, 2)))
+    u, v = float(uv[0, 0]), float(uv[0, 1])
+    if ok[0]:
         return u, v
+    res = float(np.linalg.norm(T.point(u, v) - p))
     raise InversionError(
         f"point inversion did not converge (residual {res:.2e}); point outside image?"
     )
@@ -337,69 +380,68 @@ def _chebyshev_lobatto(a, b, m):
     return a + (b - a) * 0.5 * (x + 1.0)
 
 
-def _inside_arcs(T1, gamma, probes=129):
-    """Maximal parameter ranges of gamma lying inside the image of T1.
+def _inside_arcs(T1, gammas, probes=129):
+    """Maximal parameter ranges of each curve lying inside the image of T1.
 
-    Boundaries are refined by bisection on the inversion-success predicate.
+    The probes of all curves are inverted in one batch; the arc ends are
+    then refined together by bisection on the inversion-success predicate.
     """
-    a, b = gamma.domain
-    ts = np.linspace(a, b, probes)
-    ok = []
-    warm = None
-    for t in ts:
-        sol = _try_invert(T1, gamma.point(t), guess=warm)
-        ok.append(sol is not None)
-        warm = sol if sol is not None else None
+    ts = [np.linspace(*gamma.domain, probes) for gamma in gammas]
+    uv, ok = invert_points(T1, np.concatenate([g.point(t) for g, t in zip(gammas, ts)]))
+    uv, ok = uv.reshape(len(gammas), probes, 2), ok.reshape(len(gammas), probes)
 
-    arcs = []
-    i = 0
-    while i < len(ts):
-        if not ok[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ts) and ok[j + 1]:
-            j += 1
-        lo, hi = ts[i], ts[j]
-        if i > 0:
-            lo = _bisect_boundary(T1, gamma, ts[i - 1], ts[i], inside_right=True)
-        if j + 1 < len(ts):
-            hi = _bisect_boundary(T1, gamma, ts[j + 1], ts[j], inside_right=False)
-        if hi - lo > 1e-9 * (b - a):
-            arcs.append((float(lo), float(hi)))
-        i = j + 1
-    return arcs
+    arcs, ends = [], []  # runs of inside probes per curve; bisections of their ends
+    for c, (gamma, t) in enumerate(zip(gammas, ts)):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], ok[c], [0])).astype(int)))
+        firsts, lasts = edges[::2], edges[1::2] - 1
+        arcs.append([[t[i], t[j]] for i, j in zip(firsts, lasts)])
+        for run, i, j in zip(arcs[-1], firsts, lasts):
+            if i > 0:
+                ends.append((run, 0, gamma, t[i - 1], t[i], uv[c, i]))
+            if j + 1 < probes:
+                ends.append((run, 1, gamma, t[j + 1], t[j], uv[c, j]))
+    for (run, side, *_), t in zip(ends, _bisect_boundaries(T1, [e[2:] for e in ends])):
+        run[side] = t
+    return [
+        [(float(lo), float(hi)) for lo, hi in runs if hi - lo > 1e-9 * (t[-1] - t[0])]
+        for t, runs in zip(ts, arcs)
+    ]
 
 
-def _bisect_boundary(T1, gamma, t_out, t_in, inside_right, tol=1e-10):
-    warm = _try_invert(T1, gamma.point(t_in))
-    lo, hi = (t_out, t_in) if inside_right else (t_in, t_out)
-    # invariant: exactly one end of [lo, hi] inverts successfully
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        sol = _try_invert(T1, gamma.point(mid), guess=warm)
-        good = sol is not None
-        if good:
-            warm = sol
-        if inside_right:
-            lo, hi = (lo, mid) if good else (mid, hi)
-        else:
-            lo, hi = (mid, hi) if good else (lo, mid)
-    return hi if inside_right else lo
+def _bisect_boundaries(T1, jobs, tol=1e-10):
+    """Last inside parameters of curve stretches, all bisected at once.
+
+    Each job is (gamma, t_out, t_in, solution at t_in), with gamma(t_out)
+    outside the image of T1 and gamma(t_in) inside.  Each step inverts the
+    midpoint from the last inside solution; the parameters move until they
+    are within tol.
+    """
+    t_out = np.array([job[1] for job in jobs])
+    t_in = np.array([job[2] for job in jobs])
+    warm = np.array([job[3] for job in jobs]).reshape(-1, 2)
+    live = np.flatnonzero(np.abs(t_in - t_out) > tol)
+    while len(live):
+        mid = 0.5 * (t_out[live] + t_in[live])
+        pts = np.array([jobs[k][0].point(t) for k, t in zip(live, mid)])
+        sol, good = invert_points(T1, pts, warm[live])
+        t_in[live[good]], warm[live[good]] = mid[good], sol[good]
+        t_out[live[~good]] = mid[~good]
+        live = live[np.abs(t_in[live] - t_out[live]) > tol]
+    return t_in
 
 
 def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
     """Pull a physical curve back into T1's parameter square.
 
-    Samples at Chebyshev-distributed parameters, inverts pointwise with
-    warm starts, and fits a B-spline of degree max(3, deg gamma) with
+    Samples at Chebyshev-distributed parameters, inverts them in one batch,
+    and fits a B-spline of degree max(3, deg gamma) with
     uniform-arc-length knots.  One escalation (double samples and knots) is
     attempted before failing; the FitError then carries the curve parameter
     of the sample with the largest residual as ``worst_sample``.
     """
     a, b = gamma.domain
     if arc is None:
-        arcs = _inside_arcs(T1, gamma)
+        arcs = _inside_arcs(T1, [gamma])[0]
         if not arcs:
             raise InversionError("curve lies outside the map image")
         arc = max(arcs, key=lambda ab: ab[1] - ab[0])
@@ -412,26 +454,17 @@ def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
     for attempt in range(2):
         ts = _chebyshev_lobatto(lo, hi, m)
         params = (ts - lo) / (hi - lo)
-        inverted = []
-        warm = None
-        for t in ts:
-            sol = _try_invert(T1, gamma.point(t), guess=warm)
-            if sol is None:
-                raise InversionError(
-                    f"inversion failed inside a trimmed arc at parameter {t:.6g}"
-                )
-            inverted.append(sol)
-            warm = sol
-        inverted = np.asarray(inverted)
+        inverted, ok = invert_points(T1, gamma.point(ts))
+        if not ok.all():
+            raise InversionError(
+                f"inversion failed inside a trimmed arc at parameter {ts[np.argmin(ok)]:.6g}"
+            )
         knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
         ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
         fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
-        errs = [
-            float(np.linalg.norm(T1.point_pairs(fit.point(s)) - gamma.point(t)))
-            for s, t in zip(params, ts)
-        ]
-        worst = max(range(m), key=errs.__getitem__)
-        residual = errs[worst]
+        errs = _norms(T1.point_pairs(fit.point(params)) - gamma.point(ts))
+        worst = int(np.argmax(errs))
+        residual = float(errs[worst])
         if residual <= fit_tol:
             return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
         m = 2 * m - 1
@@ -489,11 +522,12 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8, sample_count=65):
     for vbar in T1.space.interior_knots_v():
         curves.append(ParamCurve("segment", [(0.0, vbar), (1.0, vbar)]))
 
-    pulled = []
-    for gamma in knot_iso_curves(T2) + boundary_curves(T2):
-        for arc in _inside_arcs(T1, gamma):
-            pb = pull_back(T1, gamma, sample_count=sample_count, fit_tol=fit_tol, arc=arc)
-            pulled.append(pb)
+    gammas = knot_iso_curves(T2) + boundary_curves(T2)
+    pulled = [
+        pull_back(T1, gamma, sample_count=sample_count, fit_tol=fit_tol, arc=arc)
+        for gamma, arcs in zip(gammas, _inside_arcs(T1, gammas))
+        for arc in arcs
+    ]
 
     for pb in pulled:
         dedupe_tol = max(tol, 10.0 * pb.residual)
@@ -526,28 +560,25 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     drawing = region_set.drawing
     u, w = gauss01(n)
     ww = np.outer(w, w)
-    total = 0.0
+    grids = []
     for region in region_set.regions:
         tiles = region_tiles(region, drawing, probe_n=n)
-        if not region_covered_by(region, tiles, T1, T2):
-            continue
-        warm = None
-        for tile in tiles:
-            pts, det = tile.grids(u, u)
-            s1_vals = s1.value(pts[..., 0], pts[..., 1])
-            phys = T1.point_pairs(pts)
-            s2_vals = np.zeros_like(s1_vals)
-            for i in range(pts.shape[0]):
-                for j in range(pts.shape[1]):
-                    sol = _try_invert(T2, phys[i, j], guess=warm)
-                    if sol is None:
-                        raise InversionError(
-                            "inversion failed inside a region marked covered; "
-                            "pull-back accuracy insufficient"
-                        )
-                    warm = sol
-                    s2_vals[i, j] = s2.value(sol[0], sol[1])
-            total += float(np.sum(ww * s1_vals * s2_vals * det))
+        if region_covered_by(region, tiles, T1, T2):
+            grids += [tile.grids(u, u) for tile in tiles]
+    if not grids:
+        return 0.0
+    pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
+    uv, ok = invert_points(T2, T1.point_pairs(pts))
+    if not ok.all():
+        raise InversionError(
+            "inversion failed inside a region marked covered; "
+            "pull-back accuracy insufficient"
+        )
+    s2_vals = s2.value(uv[:, 0], uv[:, 1]).reshape(len(grids), n, n)
+    total = 0.0
+    for (p, det), s2_tile in zip(grids, s2_vals):
+        s1_vals = s1.value(p[..., 0], p[..., 1])
+        total += float(np.sum(ww * s1_vals * s2_tile * det))
     return total
 
 
@@ -565,19 +596,15 @@ def composed_field(s2, T1, T2, outside_value=0.0, strict=False):
         shape = np.broadcast(u, v).shape
         uu = np.broadcast_to(u, shape).ravel()
         vv = np.broadcast_to(v, shape).ravel()
+        uv, ok = invert_points(T2, T1.point(uu, vv))
+        if strict and not ok.all():
+            k = int(np.argmin(ok))
+            raise InversionError(
+                f"inversion failed at ({uu[k]:.6g}, {vv[k]:.6g}) inside a "
+                "region marked covered"
+            )
         out = np.full(len(uu), float(outside_value))
-        warm = None
-        for k in range(len(uu)):
-            p = T1.point(uu[k], vv[k])
-            sol = _try_invert(T2, p, guess=warm)
-            if sol is not None:
-                warm = sol
-                out[k] = s2.value(sol[0], sol[1])
-            elif strict:
-                raise InversionError(
-                    f"inversion failed at ({uu[k]:.6g}, {vv[k]:.6g}) inside a "
-                    "region marked covered"
-                )
+        out[ok] = s2.value(uv[ok, 0], uv[ok, 1])
         return out.reshape(shape) if shape else float(out[0])
 
     return field

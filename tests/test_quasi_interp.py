@@ -1,7 +1,10 @@
 """Quasi-interpolant projection and level-set coefficient properties."""
 
 import numpy as np
+import pytest
 
+from curveplan import quasi_interp
+from curveplan.curves import basis_matrix, basis_row
 from curveplan.quadrature import gauss01
 from curveplan.quasi_interp import level_set_coeffs, llm_project
 from curveplan.regions import extract_and_classify
@@ -203,3 +206,95 @@ def test_level_set_region_split_is_exact_at_kinks():
     got, want = _theta_integrals(field, s2, T1, T2, T1.space, rs)
     assert abs(want - 0.36) < 1e-9
     assert abs(got - 0.36) < 1e-9
+
+
+# -- batched assembly against the per-node loops it replaced ----------------------
+# Sums now run as matrix products, so they agree to roundoff; the tolerance is
+# a few hundred ulps of the largest entry.
+
+RTOL = 1e-13
+
+
+def reference_span_gram_1d(knots, degree):
+    nodes, weights = gauss01(degree + 1)
+    out = []
+    brk = np.unique(knots)
+    for u0, u1 in zip(brk[:-1], brk[1:]):
+        block = np.zeros((degree + 1, degree + 1))
+        for t, w in zip(u0 + (u1 - u0) * nodes, weights * (u1 - u0)):
+            first, vals = basis_row(knots, degree, float(t))
+            block += w * np.outer(vals, vals)
+        out.append((float(u0), float(u1), first, block))
+    return out
+
+
+def reference_element_moments(f, space, element, us, vs, weights):
+    """Sum over nodes (us[k], vs[k]) of weights[k] f B_i B_j, node by node."""
+    block = np.zeros((space.du + 1, space.dv + 1))
+    for x, y, w in zip(us, vs, weights):
+        fu, bu = basis_row(space.tu, space.du, float(x))
+        fv, bv = basis_row(space.tv, space.dv, float(y))
+        assert (fu, fv) == quasi_interp._element_first_dofs(space, element)
+        block += w * float(f(x, y)) * np.outer(bu, bv)
+    return block
+
+
+def _close(a, b):
+    return np.allclose(a, b, rtol=0.0, atol=RTOL * max(np.abs(b).max(), 1.0))
+
+
+@pytest.mark.parametrize("degrees, iu, iv", [((1, 1), (0.5,), (0.3, 0.7)), ((3, 2), (0.2, 0.6), (0.4,))])
+def test_batched_gram_and_plain_moments_match_node_loops(degrees, iu, iv):
+    space = unit_space(degrees, iu, iv)
+    for knots, degree in ((space.tu, space.du), (space.tv, space.dv)):
+        got, want = quasi_interp._span_gram_1d(knots, degree), reference_span_gram_1d(knots, degree)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert all(_close(g[3], w[3]) for g, w in zip(got, want))
+    f = _random_func(space, 31)
+    n = 4
+    nodes, w = gauss01(n)
+    moments = quasi_interp._element_moments_plain(f, space, n, n)
+    bu, bv = space.breakpoints_u(), space.breakpoints_v()
+    for (iu_, iv_), (fu, fv, block) in moments.items():
+        us = bu[iu_] + (bu[iu_ + 1] - bu[iu_]) * nodes
+        vs = bv[iv_] + (bv[iv_ + 1] - bv[iv_]) * nodes
+        uu, vv = np.meshgrid(us, vs, indexing="ij")
+        scale = (bu[iu_ + 1] - bu[iu_]) * (bv[iv_ + 1] - bv[iv_])
+        weights = (np.outer(w, w) * scale).ravel()
+        want = reference_element_moments(f, space, (iu_, iv_), uu.ravel(), vv.ravel(), weights)
+        assert (fu, fv) == quasi_interp._element_first_dofs(space, (iu_, iv_))
+        assert _close(block, want)
+
+
+def test_batched_region_moments_match_node_loop():
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1))
+    T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u + 0.1 * v, 0.2 + 0.7 * v))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    table = quasi_interp.region_element_table(rs, T1.space)
+    f = _random_func(T1.space, 32)
+    n = 4
+    nodes, w = gauss01(n)
+    got = quasi_interp._element_moments_regions(f, T1.space, table, n)
+    want = {}
+    for element, tiles in (table[k] for k in sorted(table)):
+        block = want.setdefault(element, np.zeros((2, 2)))
+        for tile in tiles:
+            pts, det = tile.grids(nodes, nodes)
+            weights = (np.outer(w, w) * det).ravel()
+            pts = pts.reshape(-1, 2)
+            block += reference_element_moments(f, T1.space, element, pts[:, 0], pts[:, 1], weights)
+    assert list(got) == list(want)
+    for element, (fu, fv, block) in got.items():
+        assert _close(block, want[element])
+
+
+def test_basis_matrix_rows_are_basis_rows():
+    space = unit_space((3, 2), (0.2, 0.6, 0.6), (0.4,))
+    params = np.concatenate([np.linspace(0, 1, 17), space.breakpoints_u()])
+    mat = basis_matrix(space.tu, space.du, params)
+    for row, t in zip(mat, params):
+        first, vals = basis_row(space.tu, space.du, t)
+        want = np.zeros(space.nu)
+        want[first : first + space.du + 1] = vals
+        assert row.tobytes() == want.tobytes()
+

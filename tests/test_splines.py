@@ -1,10 +1,15 @@
 """Spline maps, inversion, pull-backs, interface drawings, spline products."""
 
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curveplan import splines
-from curveplan.curves import ParamCurve, basis_row, derivative_data
+from curveplan.curves import ParamCurve, basis_row, basis_rows, derivative_data, find_span
 from curveplan.errors import FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01
 from curveplan.regions import extract_and_classify
@@ -17,6 +22,7 @@ from curveplan.splines import (
     composed_field,
     integrate_spline_product,
     invert,
+    invert_points,
     knot_iso_curves,
     pull_back,
 )
@@ -214,6 +220,291 @@ def test_invert_is_deterministic(degrees, iu, iv):
         assert invert(T, p) == first
         assert invert(twin, p) == first
         assert invert(T, p, guess=first) == first
+
+
+# -- batched inversion against the scalar Newton it replaced -------------------
+
+
+def reference_invert(T, p, guess=None):
+    """Scalar clamped damped Newton: the per-point inversion ``invert_points``
+    batches; raises InversionError where it does not converge."""
+    p = np.asarray(p, dtype=float)
+    tol = T.invert_tol
+    if guess is None:
+        d = np.linalg.norm(T.seed_points - p, axis=-1)
+        u, v = (float(x) for x in T.seed_params[int(np.argmin(d))])
+    else:
+        u, v = float(guess[0]), float(guess[1])
+    r = T.point(u, v) - p
+    res = float(np.linalg.norm(r))
+    for _ in range(splines.INVERT_MAX_ITER):
+        if res <= tol:
+            return u, v
+        jac = T.jacobian(u, v)
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        step_u, step_v = float(step[0]), float(step[1])
+        lam, improved = 1.0, False
+        while lam > 1.0 / 4096:
+            u2 = min(max(u + lam * step_u, 0.0), 1.0)
+            v2 = min(max(v + lam * step_v, 0.0), 1.0)
+            r2 = T.point(u2, v2) - p
+            n2 = float(np.linalg.norm(r2))
+            if n2 < res:
+                u, v, r, res, improved = u2, v2, r2, n2, True
+                break
+            lam *= 0.5
+        if not improved:
+            break
+    if res <= tol:
+        return u, v
+    raise InversionError(f"residual {res:.2e}")
+
+
+def _reference_try(T, p, guess=None):
+    try:
+        return reference_invert(T, p, guess)
+    except InversionError:
+        return None
+
+
+def _assert_lanes_match_reference(T, pts, guesses):
+    uv, ok = invert_points(T, pts, guesses)
+    assert uv.shape == (len(pts), 2) and ok.shape == (len(pts),)
+    for k, p in enumerate(pts):
+        ref = _reference_try(T, p, None if guesses is None else guesses[k])
+        assert bool(ok[k]) == (ref is not None), (k, p)
+        if ref is not None:
+            assert np.array(ref).tobytes() == uv[k].tobytes(), (k, p, ref, uv[k])
+
+
+def _polar(u, v, bend):
+    return (0.3 + u) * np.cos(bend * v), (0.3 + u) * np.sin(bend * v)
+
+
+@st.composite
+def _inversion_problems(draw):
+    """A jittered map and points inside, on and outside its image boundary
+    (corners included), with or without per-lane guesses."""
+    degrees, iu, iv = draw(st.sampled_from(KERNEL_CASES))
+    T = _jittered_map(degrees, iu, iv, seed=draw(st.integers(0, 2**16)))
+    bend = draw(st.sampled_from([0.0, 1.5, 3.0]))
+    if bend:  # a polar sector: full Newton steps overshoot, damping is needed
+        T = SplineMap2D(T.space, np.stack(_polar(T.ctrl[..., 0], T.ctrl[..., 1], bend), axis=-1))
+    unit = st.floats(0.0, 1.0)
+    inner = draw(arrays(np.float64, (draw(st.integers(1, 6)), 2), elements=unit))
+    edge = draw(arrays(np.float64, (draw(st.integers(1, 6)), 2), elements=unit))
+    sides = draw(st.lists(st.sampled_from([(0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)]),
+                          min_size=len(edge), max_size=len(edge)))
+    for k, (axis, value) in enumerate(sides):
+        edge[k, axis] = value
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    on_edge = T.point_pairs(np.concatenate([edge, corners]))
+    push = draw(st.lists(st.floats(1e-9, 0.5), min_size=len(on_edge), max_size=len(on_edge)))
+    centre = T.point(0.5, 0.5)
+    outside = on_edge + np.array(push)[:, None] * (on_edge - centre)
+    pts = np.concatenate([T.point_pairs(inner), on_edge, outside])
+    guesses = None
+    if draw(st.booleans()):
+        guesses = draw(arrays(np.float64, (len(pts), 2), elements=unit))
+    return T, pts, guesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(_inversion_problems())
+def test_invert_points_lanes_equal_scalar_newton(problem):
+    T, pts, guesses = problem
+    _assert_lanes_match_reference(T, pts, guesses)
+
+
+def test_invert_points_singular_jacobian_lanes_take_least_squares_steps():
+    # the edge u = 0 collapses to one point, so dT/dv vanishes there and
+    # the stacked solve fails for the whole batch
+    space = TensorSplineSpace((1, 1), [0, 0, 1, 1], [0, 0, 1, 1])
+    ctrl = np.array([[[0.0, 0.5], [0.0, 0.5]], [[1.0, 0.0], [1.0, 1.0]]])
+    T = SplineMap2D(space, ctrl, check_bijective=False)
+    pts = T.point_pairs([[0.5, 0.3], [0.7, 0.6], [0.2, 0.9], [0.9, 0.1]])
+    guesses = np.array([[0.0, 0.3], [0.5, 0.5], [0.0, 0.8], [0.6, 0.6]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(T.jacobian(guesses[:, 0], guesses[:, 1]), np.ones((4, 2, 1)))
+    _assert_lanes_match_reference(T, pts, guesses)
+
+
+def test_invert_points_empty_and_one_lane():
+    T = _jittered_map(*KERNEL_CASES[1], seed=3)
+    uv, ok = invert_points(T, np.zeros((0, 2)))
+    assert uv.shape == (0, 2) and ok.shape == (0,)
+    p = T.point(0.3, 0.6)
+    uv, ok = invert_points(T, p)
+    assert ok.tolist() == [True] and tuple(uv[0]) == invert(T, p)
+
+
+def test_row_norms_round_like_the_norm_of_one_row():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-12, 3, size=(2000, 1))
+    want = np.array([np.linalg.norm(r) for r in rows])
+    assert splines._norms(rows).tobytes() == want.tobytes()
+
+
+def reference_basis_funs(knots, degree, span, t):
+    """Scalar Cox-de Boor triangle (A2.2) at one parameter."""
+    out = np.zeros(degree + 1)
+    left = np.zeros(degree + 1)
+    right = np.zeros(degree + 1)
+    out[0] = 1.0
+    for j in range(1, degree + 1):
+        left[j] = t - knots[span + 1 - j]
+        right[j] = knots[span + j] - t
+        saved = 0.0
+        for r in range(j):
+            tmp = out[r] / (right[r + 1] + left[j - r])
+            out[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        out[j] = saved
+    return out
+
+
+@st.composite
+def _knots_and_params(draw):
+    """Clamped knot vectors of degree 0-5 with repeated interior knots, and
+    parameters at every breakpoint, both domain ends and their neighbours."""
+    degree = draw(st.integers(0, 5))
+    a = draw(st.sampled_from([0.0, -1.5, 0.3]))
+    b = a + draw(st.sampled_from([1.0, 0.25, 3.0]))
+    fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=5))
+    vals = np.unique([a + (b - a) * f for f in fracs])
+    vals = vals[(vals > a) & (vals < b)]
+    mults = draw(st.lists(st.integers(1, max(degree, 1)), min_size=len(vals), max_size=len(vals)))
+    knots = np.array([a] * (degree + 1) + list(np.repeat(vals, mults)) + [b] * (degree + 1))
+    brk = np.unique(knots)
+    inside = draw(st.lists(st.floats(a, b), max_size=10))
+    ts = np.concatenate(
+        [brk, np.nextafter(brk, -np.inf), np.nextafter(brk, np.inf), inside]
+    )
+    return knots, degree, ts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_knots_and_params())
+def test_batched_basis_equals_scalar_triangle(case):
+    knots, degree, ts = case
+    first, vals = basis_rows(knots, degree, ts)
+    assert vals.shape == (len(ts), degree + 1)
+    for k, t in enumerate(ts):
+        span = find_span(knots, degree, t)
+        assert first[k] == span - degree
+        ref = reference_basis_funs(knots, degree, span, t)
+        assert vals[k].tobytes() == ref.tobytes()
+        f, row = basis_row(knots, degree, t)
+        assert f == span - degree and row.tobytes() == ref.tobytes()
+
+
+# -- cold batched probing against the warm-started chain ------------------------
+
+
+def reference_inside_arcs(T1, gamma, probes=129):
+    """Probes inverted one by one, each warm-started from the last success;
+    arc ends bisected from a cold inversion of the inside probe."""
+    a, b = gamma.domain
+    ts = np.linspace(a, b, probes)
+    ok, warm = [], None
+    for t in ts:
+        warm = _reference_try(T1, gamma.point(t), warm)
+        ok.append(warm is not None)
+
+    def bisect(t_out, t_in, inside_right, tol=1e-10):
+        warm = _reference_try(T1, gamma.point(t_in))
+        lo, hi = (t_out, t_in) if inside_right else (t_in, t_out)
+        while abs(hi - lo) > tol:
+            mid = 0.5 * (lo + hi)
+            sol = _reference_try(T1, gamma.point(mid), warm)
+            if sol is not None:
+                warm = sol
+            if inside_right:
+                lo, hi = (lo, mid) if sol is not None else (mid, hi)
+            else:
+                lo, hi = (mid, hi) if sol is not None else (lo, mid)
+        return hi if inside_right else lo
+
+    arcs, i = [], 0
+    while i < len(ts):
+        if not ok[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(ts) and ok[j + 1]:
+            j += 1
+        lo = bisect(ts[i - 1], ts[i], True) if i > 0 else ts[i]
+        hi = bisect(ts[j + 1], ts[j], False) if j + 1 < len(ts) else ts[j]
+        if hi - lo > 1e-9 * (b - a):
+            arcs.append((float(lo), float(hi)))
+        i = j + 1
+    return arcs
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def _fixture_map(name, key=None):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        m = json.load(fh)
+    m = m[key] if key else m
+    return SplineMap2D(TensorSplineSpace(m["degrees"], m["knots_u"], m["knots_v"]), m["control"])
+
+
+def _partial_pair(seed, warped):
+    """T1 bilinear on 2x2 elements in a random affine frame (its centre
+    moved when ``warped``); T2 one bilinear element over part of T1's
+    square, jittered and turned to a random side."""
+    rng = np.random.default_rng(seed)
+    A = np.array([[1.0, 0.0], [0.0, 1.0]]) + rng.uniform(-0.3, 0.3, (2, 2))
+    shift = rng.uniform(-1.0, 1.0, 2)
+    g = np.array([0.0, 0.5, 1.0])
+    t1 = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+    if warped:
+        t1[1, 1] += rng.uniform(-0.08, 0.08, 2)
+    lo, hi = np.array([rng.uniform(0.2, 0.45), -0.15]), np.array([1.15, 1.15])
+    box = np.stack(np.meshgrid([0.0, 1.0], [0.0, 1.0], indexing="ij"), axis=-1)
+    box = box * (hi - lo) + lo + rng.uniform(-0.04, 0.04, (2, 2, 2))
+    for _ in range(int(rng.integers(4))):
+        box = np.stack([1.0 - box[..., 1], box[..., 0]], axis=-1)
+    knots = [0.0, 0.0, 0.5, 1.0, 1.0]
+    T1 = SplineMap2D(TensorSplineSpace((1, 1), knots, knots), t1 @ A.T + shift)
+    T2 = SplineMap2D(TensorSplineSpace((1, 1), [0, 0, 1, 1], [0, 0, 1, 1]), box @ A.T + shift)
+    return T1, T2
+
+
+def _coverage_pairs():
+    yield "quasi fixtures", _fixture_map("quasi_target.json", "map"), _fixture_map(
+        "quasi_source.json", "map"
+    )
+    yield "map fixtures", _fixture_map("map_grid_2x2.json"), _fixture_map("map_offset.json")
+    for seed in range(4):
+        yield f"partial {seed}", *_partial_pair(seed, warped=False)
+        yield f"warped T1 {seed}", *_partial_pair(100 + seed, warped=True)
+    c, s = np.cos(0.6), np.sin(0.6)
+    yield "turned T2", make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1)), make_map(
+        knots_u=(0, 0, 0.3, 0.7, 1, 1), knots_v=(0, 0, 0.5, 1, 1),
+        transform=lambda u, v: (0.7 + 0.8 * (c * u - s * v), -0.1 + 0.8 * (s * u + c * v)),
+    )
+    curved = _jittered_map((2, 3), (0.25, 0.5, 0.5), (0.4,), seed=5)
+    yield "curved T1", curved, make_map(
+        degrees=(2, 2), knots_u=[0, 0, 0, 0.5, 1, 1, 1], knots_v=[0, 0, 0, 1, 1, 1],
+        transform=lambda u, v: (0.35 + 0.9 * u + 0.1 * v * v, -0.2 + 0.8 * v),
+    )
+
+
+@pytest.mark.parametrize("name, T1, T2", list(_coverage_pairs()))
+def test_cold_batched_probing_loses_no_coverage(name, T1, T2):
+    gammas = knot_iso_curves(T2) + boundary_curves(T2)
+    got = splines._inside_arcs(T1, gammas)
+    assert len(got) == len(gammas)
+    for gamma, arcs in zip(gammas, got):
+        want = reference_inside_arcs(T1, gamma)
+        assert len(arcs) == len(want), (name, arcs, want)
+        assert np.allclose(arcs, want, rtol=0.0, atol=1e-10), (name, arcs, want)
 
 
 # -- iso curves and pull-back ---------------------------------------------------
