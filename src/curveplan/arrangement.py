@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve, tangent_into_interior, signed_curvature
+from .curves import ParamCurve
 from .errors import GeometryError, OverlapError
 
 DEFAULT_TOL = 1e-7
@@ -356,23 +356,6 @@ class Edge:
         return self.v_from == self.v_to
 
 
-@dataclass(frozen=True)
-class HalfEdge:
-    """A directed view of an edge: +e forward, -e against parameterization."""
-
-    edge_id: int
-    sign: int
-    curve_id: int
-    t_lo: float
-    t_hi: float
-    origin: int
-    target: int
-
-    @property
-    def direction(self):
-        return "forward" if self.sign > 0 else "reverse"
-
-
 class Drawing:
     """A curvilinear drawing: curves, vertices, edges and path lists."""
 
@@ -383,6 +366,7 @@ class Drawing:
         self.tol = tol
         self.pi = self._build_pi()
         self._rev_geom = {}
+        self.geometry_table = None  # filled by regions.halfedge_table
 
     # -- structure ----------------------------------------------------------
 
@@ -401,25 +385,12 @@ class Drawing:
             pi[vid].sort(key=sort_key)
         return pi
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    def halfedge(self, se):
-        e = self.edges[abs(se)]
-        if se > 0:
-            return HalfEdge(e.id, 1, e.curve_id, e.t_lo, e.t_hi, e.v_from, e.v_to)
-        return HalfEdge(e.id, -1, e.curve_id, e.t_lo, e.t_hi, e.v_to, e.v_from)
-
     def origin(self, se):
         e = self.edges[abs(se)]
         return e.v_from if se > 0 else e.v_to
 
     def target(self, se):
         return self.origin(-se)
-
-    def twin(self, se):
-        return -se
 
     def oriented_geometry(self, se):
         """Edge geometry traversed from origin to target, domain [0, 1]."""
@@ -431,16 +402,6 @@ class Drawing:
             g = e.geometry.reversed()
             self._rev_geom[abs(se)] = g
         return g
-
-    def outgoing_tangent(self, se):
-        """Unit tangent of half-edge se at its origin, pointing into the edge."""
-        g = self.oriented_geometry(se)
-        return tangent_into_interior(g, 0.0, 1.0, "lo")
-
-    def outgoing_curvature(self, se):
-        """Signed curvature at the origin w.r.t. the traversal orientation."""
-        g = self.oriented_geometry(se)
-        return signed_curvature(g, 0.0)
 
     def components(self):
         """Connected components as lists of vertex ids (edge connectivity)."""

@@ -108,28 +108,38 @@ def deboor_points(knots, degree, ctrl, t):
     Each level r of the recurrence updates all points j = r..degree of all
     parameters at once, from the previous level's values, with the scalar
     code's operation order and its alpha = 0 rule for empty knot intervals.
+    ``ctrl`` may stack nets of one knot vector, shape (..., n, 2); the
+    result then has shape (..., len(t), 2).
     """
     t = np.asarray(t, dtype=float)
     first = find_spans(knots, degree, t) - degree
-    d = np.asarray(ctrl, dtype=float)[first[:, None] + np.arange(degree + 1)]
+    d = np.asarray(ctrl, dtype=float)[..., first[:, None] + np.arange(degree + 1), :]
     win = knots[first[:, None] + np.arange(2 * degree + 1)]
     tt = t[:, None]
     for r in range(1, degree + 1):
         lo = win[:, r : degree + 1]
         den = win[:, degree + 1 : 2 * degree + 2 - r] - lo
         alpha = np.divide(tt - lo, den, out=np.zeros_like(den), where=den != 0.0)[..., None]
-        d[:, r:] = (1.0 - alpha) * d[:, r - 1 : -1] + alpha * d[:, r:]
-    return d[:, degree]
+        d[..., r:, :] = (1.0 - alpha) * d[..., r - 1 : -1, :] + alpha * d[..., r:, :]
+    return d[..., degree, :]
+
+
+def _norms(r):
+    """Norms of the rows of an (n, 2) array, each the root of a BLAS dot as
+    in ``np.linalg.norm`` of one row; ``axis=1`` would round differently."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None]))[:, 0, 0]
 
 
 def derivative_data(knots, degree, ctrl):
-    """Control data of the hodograph (first derivative curve)."""
+    """Control data of the hodograph (first derivative curve); ``ctrl`` may
+    stack nets of one knot vector, shape (..., n, 2)."""
     ctrl = np.asarray(ctrl, dtype=float)
     if degree == 0:
         return np.asarray(knots, dtype=float), 0, np.zeros_like(ctrl)
-    den = knots[degree + 1 : degree + len(ctrl)] - knots[1 : len(ctrl)]
+    n = ctrl.shape[-2]
+    den = knots[degree + 1 : degree + n] - knots[1:n]
     den = np.where(den == 0.0, 1.0, den)
-    dctrl = degree * (ctrl[1:] - ctrl[:-1]) / den[:, None]
+    dctrl = degree * (ctrl[..., 1:, :] - ctrl[..., :-1, :]) / den[:, None]
     return np.asarray(knots[1:-1], dtype=float), degree - 1, dctrl
 
 
@@ -137,19 +147,17 @@ def _multiplicity(knots, t, tol):
     return int(np.sum(np.abs(knots - t) <= tol))
 
 
-def _insert_repeated(knots, degree, ctrl, t, reps):
+def _boehm_steps(kn, degree, pts, k, t, reps):
     """Insert the interior parameter t ``reps`` times in one pass (A5.1).
 
     Step q is the Boehm step on span k + q, its knots read from the input
-    vector.  Unlike A5.1, each step recomputes all ``degree`` points, also
-    those with alpha = 0 that A5.1 copies, so the full-multiplicity step
-    needs no special case and the result is bit-equal to ``reps`` single
-    Boehm insertions, signed zeros included.  Plain floats: nets are tiny.
+    list ``kn``.  Unlike A5.1, each step recomputes all ``degree`` points,
+    also those with alpha = 0 that A5.1 copies, so the full-multiplicity
+    step needs no special case and the result is bit-equal to ``reps``
+    single Boehm insertions, signed zeros included.  Plain floats: nets are
+    tiny.  Returns the refined list of points.
     """
-    k = find_span(knots, degree, t)
-    t = float(t)
-    kn = knots.tolist()
-    pts = ctrl.tolist()
+    pts = list(pts)
     for q in range(reps):
         new = []
         for i in range(k + q - degree + 1, k + q + 1):
@@ -158,8 +166,7 @@ def _insert_repeated(knots, degree, ctrl, t, reps):
             alpha = 1.0 if den == 0.0 else (t - lo) / den
             new.append([(1.0 - alpha) * a + alpha * b for a, b in zip(pts[i - 1], pts[i])])
         pts[k + q - degree + 1 : k + q] = new
-    new_knots = np.concatenate((knots[: k + 1], np.full(reps, t), knots[k + 1 :]))
-    return new_knots, np.array(pts)
+    return pts
 
 
 def split_bspline(knots, degree, ctrl, t):
@@ -173,7 +180,9 @@ def split_bspline(knots, degree, ctrl, t):
         t = near[0]
     reps = degree + 1 - _multiplicity(knots, t, snap)
     if reps > 0:
-        knots, ctrl = _insert_repeated(knots, degree, ctrl, t, reps)
+        k = find_span(knots, degree, t)
+        ctrl = np.array(_boehm_steps(knots.tolist(), degree, ctrl.tolist(), k, float(t), reps))
+        knots = np.concatenate((knots[: k + 1], np.full(reps, float(t)), knots[k + 1 :]))
     j = int(np.searchsorted(knots, t - snap, side="left"))
     while abs(knots[j] - t) > snap:
         j += 1
@@ -200,7 +209,7 @@ class ParamCurve:
         Clamped non-decreasing knot vector, required iff kind is bspline.
     """
 
-    __slots__ = ("kind", "degree", "knots", "ctrl", "reduced_continuity", "_d1", "_d2")
+    __slots__ = ("kind", "degree", "knots", "ctrl", "reduced_continuity", "_d1", "_d2", "_brk")
 
     def __init__(self, kind, control_points, degree=None, knots=None, *, _allow_c0=False):
         if kind not in KINDS:
@@ -238,14 +247,13 @@ class ParamCurve:
             if np.any(knots[: degree + 1] != knots[0]) or np.any(knots[-degree - 1 :] != knots[-1]):
                 raise SchemaError("knots must be clamped", field="knots")
             reduced = self._check_interior_continuity(knots, degree, _allow_c0)
+        self._set(kind, int(degree), knots, ctrl, reduced)
 
-        self.kind = kind
-        self.degree = int(degree)
-        self.knots = knots
-        self.ctrl = ctrl
+    def _set(self, kind, degree, knots, ctrl, reduced):
+        self.kind, self.degree, self.knots, self.ctrl = kind, degree, knots, ctrl
         self.reduced_continuity = reduced
-        self._d1 = None
-        self._d2 = None
+        self._d1 = self._d2 = self._brk = None
+        return self
 
     @staticmethod
     def _check_interior_continuity(knots, degree, allow_c0):
@@ -290,8 +298,17 @@ class ParamCurve:
 
     def breakpoints(self):
         """Unique knot values spanning the domain (polynomial piece bounds)."""
-        a, b = self.domain
-        return np.unique(np.concatenate(([a], self.interior_knots(), [b])))
+        if self._brk is None:
+            self._brk = np.unique(self.knots[self.degree : len(self.knots) - self.degree])
+            self._brk.flags.writeable = False
+        return self._brk
+
+    def spans(self):
+        """Single-polynomial-span pieces; the curve itself if it has one span."""
+        brk = self.breakpoints()
+        if len(brk) == 2:
+            return [self]
+        return [self.restricted(u0, u1) for u0, u1 in zip(brk[:-1], brk[1:])]
 
     def _check_t(self, t):
         """Refuse parameters outside the padded domain, NaN included."""
@@ -355,6 +372,10 @@ class ParamCurve:
         self._check_t(t_lo)
         self._check_t(t_hi)
         snap = _KNOT_SNAP * max(b - a, 1.0)
+        if len(self.knots) == 2 * self.degree + 2:
+            cur = self._restricted_span(float(t_lo), float(t_hi), snap)
+            if cur is not None:
+                return cur
         knots, ctrl = self.knots, self.ctrl
         if t_lo > a + snap:
             (_, _), (knots, ctrl) = split_bspline(knots, self.degree, ctrl, t_lo)
@@ -363,6 +384,23 @@ class ParamCurve:
         lo, hi = knots[0], knots[-1]
         knots = (knots - lo) / (hi - lo)
         return self._rewrap(knots, ctrl, allow_c0=self.reduced_continuity)
+
+    def _restricted_span(self, t_lo, t_hi, snap):
+        """``restricted`` of a one-span curve by the Boehm steps of
+        split_bspline on plain floats, skipping its array round trips and
+        checks; None where split_bspline would snap a split onto an end."""
+        a, b = self.domain
+        d, pts, lo = self.degree, self.ctrl.tolist(), a
+        for t, right in ((t_lo, True), (t_hi, False)):
+            if (t > a + snap) if right else (t < b - snap):
+                span_snap = _KNOT_SNAP * max(b - lo, 1.0)
+                if abs(lo - t) <= span_snap or abs(b - t) <= span_snap:
+                    return None
+                pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
+                pts, lo = (pts[d + 1 :], t) if right else (pts[: d + 1], lo)
+        knots = np.array([0.0] * (d + 1) + [1.0] * (d + 1))
+        kind = "segment" if d == 1 else "bezier"
+        return ParamCurve.__new__(ParamCurve)._set(kind, d, knots, np.array(pts), False)
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
         if len(np.unique(knots)) == 2:  # single polynomial piece
@@ -391,16 +429,11 @@ class ParamCurve:
 
     def reversed(self):
         """Same image traversed with the opposite parameterization."""
-        knots = self.knots[0] + self.knots[-1] - self.knots[::-1]
-        cur = ParamCurve.__new__(ParamCurve)
-        cur.kind = self.kind
-        cur.degree = self.degree
-        cur.knots = np.ascontiguousarray(knots)
-        cur.ctrl = np.ascontiguousarray(self.ctrl[::-1])
-        cur.reduced_continuity = self.reduced_continuity
-        cur._d1 = None
-        cur._d2 = None
-        return cur
+        knots = np.ascontiguousarray(self.knots[0] + self.knots[-1] - self.knots[::-1])
+        ctrl = np.ascontiguousarray(self.ctrl[::-1])
+        return ParamCurve.__new__(ParamCurve)._set(
+            self.kind, self.degree, knots, ctrl, self.reduced_continuity
+        )
 
     def __repr__(self):
         return f"ParamCurve({self.kind}, degree={self.degree}, n={self.n_ctrl})"

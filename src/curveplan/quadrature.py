@@ -118,9 +118,6 @@ class Tile:
         det = dpdu[..., 0] * dpdv[..., 1] - dpdu[..., 1] * dpdv[..., 0]
         return pts, det
 
-    def map(self, u, v):
-        return self.grids(u, v)[0]
-
 
 # ---------------------------------------------------------------------------
 # tiling
@@ -257,18 +254,6 @@ def probe_tiles(tiles, n=5):
             )
 
 
-def _split_at_knots(piece):
-    """Single-polynomial-span sub-pieces of one boundary piece.
-
-    Tile maps assembled from single spans are themselves polynomial, which
-    keeps tensor Gauss rules exact for polynomial integrands.
-    """
-    brk = piece.breakpoints()
-    if len(brk) == 2:
-        return [piece]
-    return [piece.restricted(u0, u1) for u0, u1 in zip(brk[:-1], brk[1:])]
-
-
 def tile_region(region, drawing, extra_split=0, wedge=False):
     """Partition an interior region into four-sided Coons tiles.
 
@@ -284,7 +269,7 @@ def tile_region(region, drawing, extra_split=0, wedge=False):
         raise GeometryError("cannot tile an empty region")
     pieces = [drawing.oriented_geometry(se) for _, se in region.trail]
     loop_like = len(pieces) == 1
-    pieces = [span for p in pieces for span in _split_at_knots(p)]
+    pieces = [span for p in pieces for span in p.spans()]
     for _ in range(int(extra_split)):
         pieces = [half for p in pieces for half in _split_mid(p)]
     if len(pieces) < 3:

@@ -3,7 +3,8 @@
 Walking from every unvisited half-edge and always continuing along the
 outgoing edge with the maximal counterclockwise angle yields each bounded
 region of the drawing as a counterclockwise closed trail and, per connected
-component, one clockwise trail around the outside.
+component, one clockwise trail around the outside.  The walk and the
+classifiers read one table of half-edge geometry, evaluated once per drawing.
 """
 
 import math
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import _norms, deboor_points, derivative_data, signed_curvature, tangent_into_interior
 from .errors import GeometryError, TieBreakError
 from .quadrature import gauss01
 
@@ -33,12 +35,6 @@ class Region:
 
     def __len__(self):
         return len(self.trail)
-
-    def vertex_ids(self):
-        return [vid for vid, _ in self.trail]
-
-    def halfedges(self):
-        return [se for _, se in self.trail]
 
 
 @dataclass
@@ -88,6 +84,112 @@ def purge_dangling_nodes(drawing):
 
 
 # ---------------------------------------------------------------------------
+# half-edge geometry table
+
+#: interior tangent samples per polynomial span for the turning number
+TURN_SAMPLES = 8
+
+
+class HalfEdgeTable:
+    """The geometry of every half-edge of one drawing, evaluated once.
+
+    By signed half-edge id: ``tangent`` (``tangent_into_interior`` at the
+    origin) and ``angle``, its atan2; ``curvature`` (``signed_curvature`` at
+    the origin); ``samples``, the tangent angles ``trail_turning`` sums: both
+    ends and TURN_SAMPLES per span, skipping vanishing derivatives.  By edge
+    id: ``area``, the Gauss-exact integral of x y' - y x' over the edge.  An
+    entry the scalar code cannot compute is None; ``_read`` re-runs it.
+    """
+
+    def __init__(self):
+        self.tangent, self.angle, self.curvature, self.samples, self.area = {}, {}, {}, {}, {}
+
+
+def halfedge_table(drawing):
+    """The drawing's HalfEdgeTable, built on first use.
+
+    Half-edges are grouped by degree and knot vector, and each group is
+    evaluated by one stacked de Boor call per quantity over its nets (a
+    twin's net is its edge's, flipped), with the per-element operations of
+    the scalar code, so every entry is bit-equal to it.  Edge geometry has
+    the domain [0, 1], so the origin is t = 0.
+    """
+    table = drawing.geometry_table
+    if table is None:
+        table = drawing.geometry_table = HalfEdgeTable()
+        groups = {}
+        for se in [s for eid in drawing.edges for s in (eid, -eid)]:
+            g = drawing.oriented_geometry(se)
+            groups.setdefault((g.degree, g.knots.tobytes()), []).append((se, g))
+        mids = {}
+        for members in groups.values():
+            mids.update(_fill_group(table, members))
+        for se, mid in mids.items():
+            t1 = table.tangent[-se]  # the twin's, reversed, ends the samples
+            ok = t1 is not None and table.angle[se] is not None
+            table.samples[se] = [table.angle[se], *mid, math.atan2(-t1[1], -t1[0])] if ok else None
+    return table
+
+
+def _fill_group(table, members):
+    """Fill the entries of (half-edge, geometry) pairs of one degree and
+    knot vector; returns their interior turning samples.  Only what has no
+    bit-equal array form runs per element: atan2, math.hypot, powers."""
+    g0 = members[0][1]
+    p, knots = g0.degree, g0.knots
+    nets = np.array([g.ctrl for _, g in members])
+    k1, p1, hodo = derivative_data(knots, p, nets)
+    k2, p2, hodo2 = derivative_data(k1, p1, hodo)
+    nodes, weights = gauss01(p + 1)
+    spans = list(zip(g0.breakpoints()[:-1], g0.breakpoints()[1:]))
+    inner = [np.linspace(u0, u1, TURN_SAMPLES + 2)[1:-1] for u0, u1 in spans]
+    ts = np.concatenate([u0 + (u1 - u0) * nodes for u0, u1 in spans])
+    m = TURN_SAMPLES * len(spans)
+    d = deboor_points(k1, p1, hodo, np.concatenate([[0.0], *inner, ts]))
+    v, dd = d[:, 0], deboor_points(k2, p2, hodo2, [0.0])[:, 0]
+    pts = deboor_points(knots, p, nets, ts)
+    w = np.concatenate([weights * (u1 - u0) for u0, u1 in spans])
+    terms = w * (pts[..., 0] * d[:, m + 1 :, 1] - pts[..., 1] * d[:, m + 1 :, 0])
+    area = sum(terms.T, 0.0)  # node by node, in the scalar loop's order
+
+    lo, hi = nets.min(axis=1), nets.max(axis=1)
+    scale = np.maximum(np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]), 1.0)
+    norm, speed = _norms(v), np.hypot(v[:, 0], v[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = v / norm[:, None]
+    cross = (v[:, 0] * dd[:, 1] - v[:, 1] * dd[:, 0]).tolist()
+    # the scalar code's tests, NaN included; powers and atan2 per element
+    ok = (~(norm <= 1e-14 * scale)).tolist()
+    live = (~(speed <= 1e-14 * scale)).tolist()
+    # a segment's hodograph is one point, so its samples are all the same
+    rep = TURN_SAMPLES if p1 == 0 and len(spans) == 1 else 1
+    floor, samples = (1e-13 * scale).tolist(), d[:, 1 : m + 2 - rep].tolist()
+    mids = {}
+    for i, ((se, _), (ux, uy)) in enumerate(zip(members, unit.tolist())):
+        table.tangent[se] = unit[i] if ok[i] else None
+        table.angle[se] = math.atan2(uy, ux) if ok[i] else None
+        table.curvature[se] = float(cross[i] / speed[i] ** 3) if live[i] else None
+        mids[se] = [math.atan2(y, x) for x, y in samples[i] if math.hypot(x, y) > floor[i]] * rep
+        if se > 0:
+            table.area[se] = area[i]
+    return mids
+
+
+def _tangent(drawing, se):
+    return tangent_into_interior(drawing.oriented_geometry(se), 0.0, 1.0, "lo")
+
+
+def _curvature(drawing, se):
+    return signed_curvature(drawing.oriented_geometry(se), 0.0)
+
+
+def _read(drawing, column, se, scalar):
+    """A table entry; a missing one re-runs ``scalar``, which raises."""
+    value = column[se]
+    return scalar(drawing, se) if value is None else value
+
+
+# ---------------------------------------------------------------------------
 # traversal
 
 
@@ -99,14 +201,20 @@ def angle_between(drawing, arrival, candidate, at=None):
     The twin of the arrival half-edge returns exactly 0.
     """
     if at is not None:
-        if drawing.target(arrival) != at or drawing.origin(candidate) != at:
-            raise GeometryError("angle_between: half-edges not incident as required")
+        _check_incident(drawing, at, arrival, [candidate])
+    return _ccw(drawing, halfedge_table(drawing), arrival, candidate)
+
+
+def _check_incident(drawing, at, arrival, candidates):
+    if drawing.target(arrival) != at or any(drawing.origin(se) != at for se in candidates):
+        raise GeometryError("angle_between: half-edges not incident as required")
+
+
+def _ccw(drawing, table, arrival, candidate):
     if candidate == -arrival:
         return 0.0
-    ta = drawing.outgoing_tangent(-arrival)  # points back into the arrival edge
-    tc = drawing.outgoing_tangent(candidate)
-    ang = (math.atan2(tc[1], tc[0]) - math.atan2(ta[1], ta[0])) % TWO_PI
-    return float(ang)
+    ta = _read(drawing, table.angle, -arrival, _tangent)  # back into the arrival edge
+    return (_read(drawing, table.angle, candidate, _tangent) - ta) % TWO_PI
 
 
 def next_halfedge(drawing, at, arrival, unvisited):
@@ -116,81 +224,60 @@ def next_halfedge(drawing, at, arrival, unvisited):
     their origin (larger leftward curvature wins); curvature ties too are a
     hard error.
     """
+    _check_incident(drawing, at, arrival, unvisited)
+    return _max_ccw(drawing, halfedge_table(drawing), at, arrival, unvisited)
+
+
+def _max_ccw(drawing, table, at, arrival, unvisited):
     if not unvisited:
         raise GeometryError(f"empty unvisited path list at vertex {at}")
-    scored = [(angle_between(drawing, arrival, se, at), se) for se in unvisited]
+    scored = [(_ccw(drawing, table, arrival, se), se) for se in unvisited]
     best = max(a for a, _ in scored)
     tied = [se for a, se in scored if best - a <= ANGLE_TIE]
     if len(tied) == 1:
         return tied[0]
-    curved = sorted(
-        ((drawing.outgoing_curvature(se), se) for se in tied), reverse=True
-    )
+    curved = [(_read(drawing, table.curvature, se, _curvature), se) for se in tied]
+    curved.sort(reverse=True)
     if curved[0][0] - curved[1][0] <= CURVATURE_TIE:
-        raise TieBreakError(
-            f"outgoing edges at vertex {at} tie in angle and curvature"
-        )
+        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
     return curved[0][1]
 
 
 def extract_regions(drawing):
     """Extract every region of the (purged) drawing as a closed trail.
 
-    The drawing is purged first.  Each half-edge is consumed exactly once
-    across all trails; classification of the trails is a separate step.
+    The drawing is purged first.  An arrival continues along the maximal-CCW
+    half-edge at its target that no trail has consumed yet: where angles
+    order every vertex (the rotation system of de Berg et al., section 2.2)
+    that is the maximal-CCW one of all, and skipping consumed ones keeps the
+    trails where a tie with the arrival's twin breaks that order.
     """
     purged = purge_dangling_nodes(drawing)
-    unvisited = {vid: list(lst) for vid, lst in purged.pi.items()}
+    table = halfedge_table(purged)
+    used = set()
     regions = []
     for vid in sorted(purged.vertices):
-        while unvisited[vid]:
-            start = unvisited[vid][0]
+        for start in purged.pi[vid]:
+            if start in used:
+                continue
             trail = [(vid, start)]
             current = start
             while True:
                 u = purged.target(current)
-                nxt = next_halfedge(purged, u, current, unvisited[u])
+                free = [se for se in purged.pi[u] if se not in used]
+                nxt = _max_ccw(purged, table, u, current, free)
                 if nxt == start:
                     break
                 trail.append((u, nxt))
-                unvisited[u].remove(nxt)
+                used.add(nxt)
                 current = nxt
-            unvisited[vid].remove(start)
+            used.add(start)
             regions.append(Region(trail=trail))
     return RegionSet(regions=regions, outer=[], drawing=purged)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _edge_area_integral(geometry):
-    """Integral of (x y' - y x') dt over the edge, exact per polynomial span."""
-    n = geometry.degree + 1
-    nodes, weights = gauss01(n)
-    total = 0.0
-    brk = geometry.breakpoints()
-    for u0, u1 in zip(brk[:-1], brk[1:]):
-        ts = u0 + (u1 - u0) * nodes
-        for p, d, w in zip(geometry.point(ts), geometry.deriv(ts), weights):
-            total += w * (u1 - u0) * (p[0] * d[1] - p[1] * d[0])
-    return total
-
-
-def _trail_direction_samples(drawing, se, m=8):
-    """Tangent angles along a half-edge: exact ends, interior span samples."""
-    g = drawing.oriented_geometry(se)
-    t0 = drawing.outgoing_tangent(se)
-    t1 = -drawing.outgoing_tangent(-se)
-    angles = [math.atan2(t0[1], t0[0])]
-    brk = g.breakpoints()
-    floor = 1e-13 * max(g.bbox_diag(), 1.0)
-    for u0, u1 in zip(brk[:-1], brk[1:]):
-        for d in g.deriv(np.linspace(u0, u1, m + 2)[1:-1]):
-            if math.hypot(d[0], d[1]) > floor:
-                angles.append(math.atan2(d[1], d[0]))
-    angles.append(math.atan2(t1[1], t1[0]))
-    return angles
 
 
 def _wrap_pi(x):
@@ -203,11 +290,12 @@ def trail_turning(drawing, trail):
     Equals +2pi for a counterclockwise region boundary and -2pi for the
     clockwise walk around a component's outside.
     """
+    table = halfedge_table(drawing)
     total = 0.0
     prev_end = None
     first_start = None
     for _, se in trail:
-        angles = _trail_direction_samples(drawing, se)
+        angles = _read(drawing, table.samples, se, lambda d, s: (_tangent(d, s), _tangent(d, -s)))
         if prev_end is None:
             first_start = angles[0]
         else:
@@ -219,17 +307,12 @@ def trail_turning(drawing, trail):
     return total
 
 
-def region_signed_area(drawing, region, _cache=None):
+def region_signed_area(drawing, region):
     """Signed area by the boundary integral (1/2) * contour(x dy - y dx)."""
+    area = halfedge_table(drawing).area
     total = 0.0
     for _, se in region.trail:
-        eid = abs(se)
-        if _cache is not None and eid in _cache:
-            term = _cache[eid]
-        else:
-            term = _edge_area_integral(drawing.edges[eid].geometry)
-            if _cache is not None:
-                _cache[eid] = term
+        term = area[abs(se)]
         total += term if se > 0 else -term
     return 0.5 * total
 
@@ -241,10 +324,9 @@ def classify_regions(region_set):
     number must agree in sign, otherwise the geometry is declared degenerate.
     """
     drawing = region_set.drawing
-    cache = {}
     interior, outer = [], []
     for region in region_set.all_regions():
-        area = region_signed_area(drawing, region, cache)
+        area = region_signed_area(drawing, region)
         turning = trail_turning(drawing, region.trail)
         rot = turning / TWO_PI
         if abs(rot - round(rot)) > 0.25 or round(rot) == 0 or (area > 0) != (rot > 0):

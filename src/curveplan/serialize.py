@@ -1,4 +1,4 @@
-"""JSON schemas for curves, drawings, regions and spline data.
+"""JSON schemas for curves, regions and spline data.
 
 All writers emit canonical JSON (sorted keys, two-space indent, trailing
 newline) so identical inputs produce byte-identical files.
@@ -30,17 +30,6 @@ def _require(data, key, kind, where):
 # -- curves -------------------------------------------------------------------
 
 
-def curve_to_dict(curve):
-    out = {
-        "kind": curve.kind,
-        "degree": int(curve.degree),
-        "points": [[float(x), float(y)] for x, y in curve.ctrl],
-    }
-    if curve.kind == "bspline":
-        out["knots"] = [float(t) for t in curve.knots]
-    return out
-
-
 def curve_from_dict(data, where="curve"):
     kind = _require(data, "kind", str, where)
     points = _require(data, "points", list, where)
@@ -55,10 +44,6 @@ def curve_from_dict(data, where="curve"):
     raise SchemaError(f"{where}: unknown curve kind {kind!r}", field="kind")
 
 
-def curves_to_json(curves):
-    return dumps_canonical({"curves": [curve_to_dict(c) for c in curves]})
-
-
 def curves_from_json(text):
     try:
         data = json.loads(text)
@@ -66,35 +51,6 @@ def curves_from_json(text):
         raise SchemaError(f"invalid JSON: {exc}") from exc
     items = _require(data, "curves", list, "curves file")
     return [curve_from_dict(c, where=f"curves[{i}]") for i, c in enumerate(items)]
-
-
-# -- drawings -----------------------------------------------------------------
-
-
-def drawing_to_dict(drawing):
-    vertices = [
-        {
-            "id": vid,
-            "x": float(v.position[0]),
-            "y": float(v.position[1]),
-            "seam": bool(v.seam),
-            "tangential": bool(v.tangential),
-        }
-        for vid, v in sorted(drawing.vertices.items())
-    ]
-    edges = [
-        {
-            "id": eid,
-            "curve": e.curve_id,
-            "t_lo": float(e.t_lo),
-            "t_hi": float(e.t_hi),
-            "from": e.v_from,
-            "to": e.v_to,
-        }
-        for eid, e in sorted(drawing.edges.items())
-    ]
-    paths = {str(vid): list(lst) for vid, lst in sorted(drawing.pi.items())}
-    return {"vertices": vertices, "edges": edges, "paths": paths}
 
 
 # -- regions ------------------------------------------------------------------
@@ -155,17 +111,6 @@ def space_from_dict(data, where="spline"):
         _require(data, "knots_u", list, where),
         _require(data, "knots_v", list, where),
     )
-
-
-def map_to_dict(T):
-    return {
-        "degrees": [T.space.du, T.space.dv],
-        "knots_u": [float(t) for t in T.space.tu],
-        "knots_v": [float(t) for t in T.space.tv],
-        "control": [
-            [[float(x), float(y)] for x, y in row] for row in T.ctrl
-        ],
-    }
 
 
 def map_from_dict(data, where="map"):

@@ -15,6 +15,7 @@ import numpy as np
 from .arrangement import build_drawing
 from .curves import (
     ParamCurve,
+    _norms,
     basis_row,
     basis_rows,
     derivative_data,
@@ -242,12 +243,6 @@ def _seed_guesses(T, pts):
         d = np.linalg.norm(T.seed_points - pts[s : s + step, None], axis=-1)
         out[s : s + step] = T.seed_params[np.argmin(d, axis=1)]
     return out
-
-
-def _norms(r):
-    """Norms of the rows of an (n, 2) array, each the root of a BLAS dot as
-    in ``np.linalg.norm`` of one row; ``axis=1`` would round differently."""
-    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None]))[:, 0, 0]
 
 
 def _newton_steps(jac, r):

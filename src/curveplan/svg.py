@@ -42,9 +42,7 @@ def _cubics_for(piece, depth=0):
 def _piece_commands(geometry):
     """SVG path commands (sans initial move) for one oriented edge."""
     cmds = []
-    brk = geometry.breakpoints()
-    for u0, u1 in zip(brk[:-1], brk[1:]):
-        piece = geometry.restricted(u0, u1)
+    for piece in geometry.spans():
         if piece.degree == 1:
             p = piece.ctrl[-1]
             cmds.append(f"L {_fmt(p[0])} {_fmt(p[1])}")

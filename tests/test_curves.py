@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curveplan.curves import (
@@ -329,3 +329,71 @@ def test_split_equals_repeated_boehm_insertion(curve_and_t):
     want = _split_reference(curve.knots, curve.degree, curve.ctrl, t)
     for (gk, gc), (wk, wc) in zip(got, want):
         assert _same_bits(gk, wk) and _same_bits(gc, wc)
+
+
+def _restricted_reference(curve, t_lo, t_hi):
+    """ParamCurve.restricted by split_bspline alone, as before the one-span
+    path: both splits, then the knots rescaled to [0, 1]."""
+    a, b = curve.domain
+    snap = 1e-12 * max(b - a, 1.0)
+    knots, ctrl = curve.knots, curve.ctrl
+    if t_lo > a + snap:
+        (_, _), (knots, ctrl) = split_bspline(knots, curve.degree, ctrl, t_lo)
+    if t_hi < b - snap:
+        (knots, ctrl), (_, _) = split_bspline(knots, curve.degree, ctrl, t_hi)
+    knots = (knots - knots[0]) / (knots[-1] - knots[0])
+    return curve._rewrap(knots, ctrl, allow_c0=curve.reduced_continuity)
+
+
+def _curve_or_error(fn, *args):
+    try:
+        c = fn(*args)
+    except (GeometryError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return c.kind, c.degree, c.knots.tobytes(), c.ctrl.tobytes(), c.reduced_continuity
+
+
+@st.composite
+def _one_span_restrictions(draw):
+    """One-span curves on shifted domains and restriction intervals with
+    ends on, near and within the knot snap of the domain ends."""
+    degree = draw(st.integers(1, 5))
+    a = draw(st.sampled_from([0.0, -1.5, 0.3]))
+    b = a + draw(st.sampled_from([1.0, 0.25, 3.0]))
+    coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    ctrl = draw(arrays(np.float64, (degree + 1, 2), elements=coords))
+    if a == 0.0 and b == 1.0 and draw(st.booleans()):
+        curve = ParamCurve("segment" if degree == 1 else "bezier", ctrl, degree=degree)
+    else:
+        curve = ParamCurve("bspline", ctrl, degree=degree, knots=[a] * (degree + 1) + [b] * (degree + 1))
+    snap = 1e-12 * max(b - a, 1.0)
+    special = [a, b, a + 0.5 * snap, b - 0.5 * snap, a + 2 * snap, b - 2 * snap]
+    ts = st.one_of(st.floats(a, b), st.sampled_from(special))
+    t_lo, t_hi = sorted(draw(st.lists(ts, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        t_hi = min(b, t_lo + draw(st.sampled_from([0.5, 2.0, 1e3])) * snap)
+    assume(t_lo < t_hi)  # the interval checks come before either path
+    return curve, t_lo, t_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_span_restrictions())
+def test_one_span_restriction_equals_split_bspline(case):
+    curve, t_lo, t_hi = case
+    got = _curve_or_error(curve.restricted, t_lo, t_hi)
+    assert got == _curve_or_error(_restricted_reference, curve, t_lo, t_hi)
+
+
+def test_breakpoints_are_cached_and_read_only():
+    c = circle_bspline(n_ctrl=12, n_samples=200)
+    a, b = c.domain
+    brk = c.breakpoints()
+    assert brk is c.breakpoints()
+    assert brk.tobytes() == np.unique(np.concatenate(([a], c.interior_knots(), [b]))).tobytes()
+    with pytest.raises(ValueError):
+        brk[0] = 1.0
+    arch = quadratic_arch()
+    assert arch.spans() == [arch]
+    pieces = c.spans()
+    assert len(pieces) == len(brk) - 1
+    assert all(len(p.breakpoints()) == 2 for p in pieces)

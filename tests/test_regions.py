@@ -1,19 +1,30 @@
 """Dangling-node purge, angle selection, face traversal and classification."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
-from curveplan.curves import ParamCurve
-from curveplan.errors import TieBreakError
+from curveplan.curves import ParamCurve, signed_curvature, tangent_into_interior
+from curveplan.errors import CurveplanError, DegenerateTangentError, TieBreakError
+from curveplan.quadrature import gauss01
 from curveplan.regions import (
+    ANGLE_TIE,
+    CURVATURE_TIE,
     angle_between,
+    classify_regions,
     extract_and_classify,
+    extract_regions,
+    halfedge_table,
     next_halfedge,
     purge_dangling_nodes,
 )
+from curveplan.serialize import curves_from_json, map_from_dict
+from curveplan.splines import build_interface_drawing
 
 from arrangement_oracle import SegmentArrangement
 from util import circle_bspline, quadratic_arch, segment, square_curves
@@ -353,3 +364,313 @@ def test_random_segment_arrangements_match_oracle():
         assert len(got) == len(want)
         assert np.allclose(got, want, atol=1e-8)
         assert len(rs.outer) == oracle.outer_count()
+
+
+# ---------------------------------------------------------------------------
+# the half-edge table and the rotation-system walk against the scalar code
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def reference_tangent(drawing, se):
+    return tangent_into_interior(drawing.oriented_geometry(se), 0.0, 1.0, "lo")
+
+
+def reference_curvature(drawing, se):
+    return signed_curvature(drawing.oriented_geometry(se), 0.0)
+
+
+def _scalar_deriv(g, ts):
+    """Derivatives one parameter at a time, on the scalar de Boor kernel."""
+    return [g.deriv(float(t)) for t in ts]
+
+
+def reference_direction_samples(drawing, se, m=8):
+    """Turning samples of one half-edge as the code computed them before
+    the table, evaluated per parameter on the scalar kernel."""
+    g = drawing.oriented_geometry(se)
+    t0 = reference_tangent(drawing, se)
+    t1 = -reference_tangent(drawing, -se)
+    angles = [math.atan2(t0[1], t0[0])]
+    brk = g.breakpoints()
+    floor = 1e-13 * max(g.bbox_diag(), 1.0)
+    for u0, u1 in zip(brk[:-1], brk[1:]):
+        for d in _scalar_deriv(g, np.linspace(u0, u1, m + 2)[1:-1]):
+            if math.hypot(d[0], d[1]) > floor:
+                angles.append(math.atan2(d[1], d[0]))
+    angles.append(math.atan2(t1[1], t1[0]))
+    return angles
+
+
+def reference_edge_area(geometry):
+    """Integral of (x y' - y x') dt over an edge, one Gauss node at a time."""
+    nodes, weights = gauss01(geometry.degree + 1)
+    total = 0.0
+    brk = geometry.breakpoints()
+    for u0, u1 in zip(brk[:-1], brk[1:]):
+        ts = u0 + (u1 - u0) * nodes
+        pts = [geometry.point(float(t)) for t in ts]
+        for p, d, w in zip(pts, _scalar_deriv(geometry, ts), weights):
+            total += w * (u1 - u0) * (p[0] * d[1] - p[1] * d[0])
+    return total
+
+
+def reference_angle(drawing, arrival, candidate):
+    if candidate == -arrival:
+        return 0.0
+    ta = reference_tangent(drawing, -arrival)
+    tc = reference_tangent(drawing, candidate)
+    return float((math.atan2(tc[1], tc[0]) - math.atan2(ta[1], ta[0])) % TWO_PI)
+
+
+def reference_next(drawing, at, arrival, unvisited):
+    scored = [(reference_angle(drawing, arrival, se), se) for se in unvisited]
+    best = max(a for a, _ in scored)
+    tied = [se for a, se in scored if best - a <= ANGLE_TIE]
+    if len(tied) == 1:
+        return tied[0]
+    curved = sorted(((reference_curvature(drawing, se), se) for se in tied), reverse=True)
+    if curved[0][0] - curved[1][0] <= CURVATURE_TIE:
+        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
+    return curved[0][1]
+
+
+def reference_extract(drawing):
+    """The face walk over per-vertex unvisited lists that the rotation-system
+    walk replaced: the trails of the purged drawing, in walk order."""
+    purged = purge_dangling_nodes(drawing)
+    unvisited = {vid: list(lst) for vid, lst in purged.pi.items()}
+    trails = []
+    for vid in sorted(purged.vertices):
+        while unvisited[vid]:
+            start = unvisited[vid][0]
+            trail = [(vid, start)]
+            current = start
+            while True:
+                u = purged.target(current)
+                nxt = reference_next(purged, u, current, unvisited[u])
+                if nxt == start:
+                    break
+                trail.append((u, nxt))
+                unvisited[u].remove(nxt)
+                current = nxt
+            unvisited[vid].remove(start)
+            trails.append(trail)
+    return trails
+
+
+def reference_turning(drawing, trail):
+    def wrap(x):
+        return (x + math.pi) % TWO_PI - math.pi
+
+    total, prev_end, first_start = 0.0, None, None
+    for _, se in trail:
+        angles = reference_direction_samples(drawing, se)
+        if prev_end is None:
+            first_start = angles[0]
+        else:
+            total += wrap(angles[0] - prev_end)
+        for a0, a1 in zip(angles[:-1], angles[1:]):
+            total += wrap(a1 - a0)
+        prev_end = angles[-1]
+    return total + wrap(first_start - prev_end)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except CurveplanError as exc:
+        return type(exc), str(exc)
+
+
+def _check_table(drawing):
+    """Every table entry is the bytes of the scalar code, or both raise."""
+    table = halfedge_table(drawing)
+    for eid, e in drawing.edges.items():
+        assert _bits(table.area[eid]) == _bits(reference_edge_area(e.geometry))
+        for se in (eid, -eid):
+            for got, ref in (
+                (table.tangent[se], reference_tangent),
+                (table.curvature[se], reference_curvature),
+                (table.samples[se], reference_direction_samples),
+            ):
+                want = _or_error(ref, drawing, se)
+                if isinstance(want, tuple):
+                    assert got is None and want[0] is DegenerateTangentError
+                else:
+                    assert got is not None and _bits(got) == _bits(want)
+            t = table.tangent[se]
+            assert table.angle[se] == (None if t is None else math.atan2(t[1], t[0]))
+
+
+def _check_walk(drawing):
+    """Same trails in the same order as the unvisited-list walk, or the same
+    error; classified areas and turning equal the scalar sums bit for bit."""
+    want = _or_error(reference_extract, drawing)
+    got = _or_error(extract_regions, drawing)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert [r.trail for r in got.regions] == want
+    purged = got.drawing
+    _check_table(purged)
+    classified = _or_error(classify_regions, got)
+    if isinstance(classified, tuple):
+        return
+    for region in classified.all_regions():
+        area = 0.0
+        for _, se in region.trail:
+            term = reference_edge_area(purged.edges[abs(se)].geometry)
+            area += term if se > 0 else -term
+        assert _bits(region.signed_area) == _bits(0.5 * area)
+        assert _bits(region.turning) == _bits(reference_turning(purged, region.trail))
+
+
+def _json_curves(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return curves_from_json(fh.read())
+
+
+def _interface(map1, map2):
+    def load(name):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def as_map(data):
+        return map_from_dict(data["map"] if "map" in data else data)
+
+    return build_interface_drawing(as_map(load(map1)), as_map(load(map2)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_drawing(_json_curves("extract_square_diagonal.json")),
+        lambda: build_drawing(_json_curves("integrate_lens.json")),
+        lambda: _interface("map_grid_2x2.json", "map_offset.json"),
+        lambda: _interface("quasi_target.json", "quasi_source.json"),
+        lambda: build_drawing(square_curves() + [segment((0, 0), (1, 1))]),
+        lambda: build_drawing([circle_bspline(n_ctrl=24, n_samples=512)]),
+        lambda: build_drawing([circle_bspline(), segment((0.5, -2), (0.5, 2))]),
+        lambda: build_drawing([quadratic_arch(), segment((0, 0), (1, 0))]),
+        lambda: build_drawing(square_curves() + square_curves(origin=(5.0, 5.0))),
+    ],
+)
+def test_walk_and_table_equal_scalar_code_on_fixtures(make):
+    _check_walk(make())
+
+
+def test_walk_equals_reference_on_oracle_segment_sets():
+    rng = np.random.default_rng(77)
+    done = 0
+    while done < 12:
+        coords = rng.integers(0, 33, size=(int(rng.integers(3, 9)), 4))
+        segs = [((int(a), int(b)), (int(c), int(d))) for a, b, c, d in coords]
+        try:
+            SegmentArrangement(segs)
+        except Exception:
+            continue
+        done += 1
+        curves = [segment((p[0] / 32, p[1] / 32), (q[0] / 32, q[1] / 32)) for p, q in segs]
+        _check_walk(build_drawing(curves))
+
+
+def _closed_bspline(cx, cy, rx, ry, phase):
+    ang = phase + np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    ctrl = np.column_stack([cx + rx * np.cos(ang), cy + ry * np.sin(ang)])
+    ctrl = np.vstack([ctrl, ctrl[:1]])
+    knots = np.concatenate([[0.0] * 4, np.linspace(0.0, 1.0, 7)[1:-1], [1.0] * 4])
+    return ParamCurve("bspline", ctrl, degree=3, knots=knots)
+
+
+def _open_bspline(pts):
+    interior = np.linspace(0.0, 1.0, len(pts) - 2)[1:-1]
+    knots = np.concatenate([[0.0] * 4, interior, [1.0] * 4])
+    return ParamCurve("bspline", pts, degree=3, knots=knots)
+
+
+_coord = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
+_point = st.tuples(_coord, _coord)
+_curve = st.one_of(
+    st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq)),
+    st.lists(_point, min_size=4, max_size=4).map(lambda pts: ParamCurve("bezier", pts)),
+    st.lists(_point, min_size=5, max_size=7).map(_open_bspline),
+    st.builds(
+        _closed_bspline,
+        _coord, _coord, st.floats(0.1, 0.4), st.floats(0.1, 0.4), st.floats(0.0, 6.0),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_curve, min_size=2, max_size=6))
+def test_walk_and_table_equal_scalar_code_on_mixed_drawings(curves):
+    drawing = _or_error(build_drawing, curves)
+    if not isinstance(drawing, tuple):
+        _check_walk(drawing)
+
+
+@st.composite
+def _wheels(draw):
+    """A hub joined by spokes to a ring of vertices, with ring loops.
+
+    Spokes are segments, or Bezier curves that leave the hub tangent to the
+    next spoke (an angle tie the curvature breaks), straight cubics (a tie
+    in curvature too) or with a vanishing tangent at the hub."""
+    n = draw(st.integers(3, 6))
+    gaps = draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n))  # each < pi
+    angles = np.cumsum(gaps) / sum(gaps) * TWO_PI + draw(st.floats(0.0, TWO_PI))
+    ring = [(math.cos(a) * r, math.sin(a) * r) for a, r in zip(angles, draw(
+        st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))]
+    hub = np.zeros(2)
+    edges = {}
+    for k, p in enumerate(ring):
+        p, nxt = np.asarray(p), np.asarray(ring[(k + 1) % n])
+        kind = draw(st.sampled_from(["segment", "tangent", "tangent", "straight", "cusp"]))
+        if kind == "segment":
+            spoke = segment(hub, p)
+        elif kind == "tangent":
+            s = draw(st.floats(0.05, 0.3))
+            spoke = ParamCurve("bezier", [hub, hub + s * nxt, p])
+        elif kind == "straight":
+            spoke = ParamCurve("bezier", [hub, p / 3, 2 * p / 3, p])
+        else:
+            spoke = ParamCurve("bezier", [hub, hub, p])
+        edges[len(edges) + 1] = (spoke, 1, k + 2)
+        edges[len(edges) + 1] = (segment(p, nxt), k + 2, (k + 1) % n + 2)
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        p = np.asarray(ring[k])
+        out = p / np.linalg.norm(p)
+        side = np.array([-out[1], out[0]])
+        loop = [p, p + out + 0.4 * side, p + out - 0.4 * side, p]
+        edges[len(edges) + 1] = (ParamCurve("bezier", loop), k + 2, k + 2)
+    vertices = {1: hub, **{k + 2: p for k, p in enumerate(ring)}}
+    return _hand_drawing(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wheels())
+def test_walk_and_table_equal_scalar_code_on_tangential_meetings(drawing):
+    _check_walk(drawing)
+
+
+def test_walk_raises_the_reference_tie_and_tangent_errors():
+    # a hub whose spokes tie in angle and curvature, and one with a cusp
+    tie_a = ParamCurve("bezier", [(0, 0), (0.5, 0), (1, 1)])
+    tie_b = ParamCurve("bezier", [(0, 0), (1.0 / 3.0, 0), (2.0 / 3.0, 1.0 / 3.0), (0.8, 1.2)])
+    ring = {2: (1, 1), 3: (0.8, 1.2), 4: (-1, 0)}
+    spokes = {1: (tie_a, 1, 2), 2: (tie_b, 1, 3), 3: (segment((0, 0), (-1, 0)), 1, 4)}
+    closing = {4: (segment((1, 1), (0.8, 1.2)), 2, 3), 5: (segment((0.8, 1.2), (-1, 0)), 3, 4),
+               6: (segment((-1, 0), (1, 1)), 4, 2)}
+    d = _hand_drawing({1: (0, 0), **ring}, {**spokes, **closing})
+    assert _or_error(reference_extract, d)[0] is TieBreakError
+    _check_walk(d)
+    cusp = ParamCurve("bezier", [(0, 0), (0, 0), (1, 1)])
+    d = _hand_drawing({1: (0, 0), **ring}, {**spokes, 1: (cusp, 1, 2), **closing})
+    assert _or_error(reference_extract, d)[0] is DegenerateTangentError
+    _check_walk(d)
