@@ -10,7 +10,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arrangement import build_drawing
 from .errors import ConvergenceError, CurveplanError, GeometryError, SchemaError
@@ -68,16 +68,9 @@ def _write_text(path, text):
 
 
 def _config(ns):
-    return JobConfig(
-        command=ns.command,
-        tol=getattr(ns, "tol", 1e-7),
-        fit_tol=getattr(ns, "fit_tol", 1e-8),
-        stop_threshold=getattr(ns, "stop_threshold", 1e-12),
-        max_level=getattr(ns, "max_level", 6),
-        keep_outer=getattr(ns, "keep_outer", False),
-        svg=getattr(ns, "svg", None),
-        out=getattr(ns, "out", None),
-    )
+    """JobConfig from the fields the subcommand parsed; the rest default."""
+    names = [f.name for f in fields(JobConfig) if hasattr(ns, f.name)]
+    return JobConfig(**{name: getattr(ns, name) for name in names})
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Tiling of regions into four-sided Coons patches and tensor Gauss rules.
+"""Tiling of regions into Coons maps and tensor Gauss rules.
 
-Each region is covered by quadrilateral patches whose boundaries are the
-exact region edges, so integrands that are polynomial on the region stay
-polynomial on every tile and tensor Gauss-Legendre rules integrate them
+Each region is covered by four-sided Coons maps whose curved sides are the
+exact region edges: one patch for a region bounded by four polynomial
+spans, otherwise one star wedge per span, apexed at a point that sees the
+whole boundary.  Integrands that are polynomial on the region stay
+polynomial on every tile, and tensor Gauss-Legendre rules integrate them
 exactly.  An adaptive loop doubles the per-direction point count until two
 consecutive totals agree to a stop threshold.
 """
@@ -127,16 +129,6 @@ def _split_mid(curve):
     return curve.restricted(0.0, 0.5), curve.restricted(0.5, 1.0)
 
 
-def _arc_midpoint_param(curve, samples=129):
-    ts = np.linspace(0.0, 1.0, samples)
-    pts = curve.point(ts)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    if cum[-1] <= 0:
-        return 0.5
-    return float(np.interp(0.5 * cum[-1], cum, ts))
-
-
 def _coons_from_cycle(pieces):
     p0, p1, p2, p3 = pieces
     return Tile(south=p0, east=p1, north=p2.reversed(), west=p3.reversed())
@@ -147,8 +139,8 @@ def _area_centroid(pieces):
 
     Uses the boundary integrals A = (1/2) contour(x dy - y dx) and
     C = (1/2A) contour(x^2 dy, -y^2 dx), Gauss-exact per polynomial span.
-    More robust as a fan anchor than the vertex centroid, which can fall
-    outside the kernel of regions with reflex corners.
+    The first star-center candidate: more robust than the vertex centroid,
+    which can fall outside the kernel of regions with reflex corners.
     """
     area = 0.0
     mx = my = 0.0
@@ -165,25 +157,6 @@ def _area_centroid(pieces):
         return np.mean(starts, axis=0)
     # mx = (1/2) contour(x^2 dy) and Cx = contour(x^2 dy) / (2A) = mx / A
     return np.array([mx, my]) / area
-
-
-def _fan_tiles(pieces):
-    """Join each edge's arc-length midpoint to the region centroid."""
-    centroid = _area_centroid(pieces)
-    mids = [_arc_midpoint_param(p) for p in pieces]
-    tiles = []
-    n = len(pieces)
-    for k in range(n):
-        prev = pieces[(k - 1) % n]
-        cur = pieces[k]
-        m_prev = prev.restricted(mids[(k - 1) % n], 1.0)
-        m_cur = cur.restricted(0.0, mids[k])
-        p_mprev = m_prev.ctrl[0]
-        p_mcur = m_cur.ctrl[-1]
-        north = ParamCurve("segment", [centroid, p_mcur])
-        west = ParamCurve("segment", [p_mprev, centroid])
-        tiles.append(Tile(south=m_prev, east=m_cur, north=north, west=west))
-    return tiles
 
 
 def _sees_boundary(pieces, center, samples_per_span=24):
@@ -226,8 +199,8 @@ def _wedge_tiles(pieces):
 
     The wedge map is C + u * (piece(v) - C); its Jacobian u * ((p - C) x p')
     is strictly positive at every Gauss node when the center sees the
-    boundary, even across straight-through piece junctions where the
-    ordinary quad fan folds.
+    boundary, even across straight-through piece junctions and reflex
+    corners where a four-sided Coons patch folds.
     """
     center = _wedge_center(pieces)
     tiles = []
@@ -254,48 +227,41 @@ def probe_tiles(tiles, n=5):
             )
 
 
-def tile_region(region, drawing, extra_split=0, wedge=False):
-    """Partition an interior region into four-sided Coons tiles.
-
-    Boundary pieces are first split at their interior knots so every tile
-    map is polynomial.  Four pieces give a single Coons patch; one- and
-    two-sided boundaries are split at parametric midpoints first; other
-    counts are fanned from edge arc-midpoints to the region centroid.
-    Single-edge loops (and the ``wedge`` retry mode) use centroid-apexed
-    wedges instead, which tolerate straight-through junctions.
-    ``extra_split`` pre-splits every boundary piece once.
-    """
-    if not region.trail:
-        raise GeometryError("cannot tile an empty region")
-    pieces = [drawing.oriented_geometry(se) for _, se in region.trail]
-    loop_like = len(pieces) == 1
-    pieces = [span for p in pieces for span in p.spans()]
-    for _ in range(int(extra_split)):
-        pieces = [half for p in pieces for half in _split_mid(p)]
-    if len(pieces) < 3:
-        pieces = [half for p in pieces for half in _split_mid(p)]
-    if wedge or loop_like:
-        tiles = _wedge_tiles(pieces)
-    elif len(pieces) == 4:
-        tiles = [_coons_from_cycle(pieces)]
-    else:
-        tiles = _fan_tiles(pieces)
-    probe_tiles(tiles)
+def _probed(tiles, probes):
+    for n in probes:
+        probe_tiles(tiles, n)
     return tiles
 
 
 def region_tiles(region, drawing, probe_n=None):
-    """Tiles for a region, retrying once with wedges and extra subdivision."""
-    last = None
-    for extra, wedge in ((0, False), (1, True)):
+    """Tiles covering an interior region, each map with exact boundaries.
+
+    The boundary is split into polynomial spans, and at parametric
+    midpoints when fewer than three remain, so every tile map is
+    polynomial.  A cycle of exactly four spans, other than a single-edge
+    loop, is one Coons patch, kept when its Jacobian is positive on the
+    probe grids (n = 5 and ``probe_n``).  Every other region, and every
+    Coons patch that folds, gets one star wedge per span.  Wedges are
+    probed the same way; a region with no star center raises TileError.
+    """
+    if not region.trail:
+        raise GeometryError("cannot tile an empty region")
+    edges = [drawing.oriented_geometry(se) for _, se in region.trail]
+    pieces = [span for p in edges for span in p.spans()]
+    if len(pieces) < 3:
+        pieces = [half for p in pieces for half in _split_mid(p)]
+    probes = (5,) if probe_n is None else (5, probe_n)
+    if len(pieces) == 4 and len(edges) > 1:
         try:
-            tiles = tile_region(region, drawing, extra_split=extra, wedge=wedge)
-            if probe_n is not None:
-                probe_tiles(tiles, probe_n)
-            return tiles
-        except (TileError, JacobianError) as exc:
-            last = exc
-    raise last
+            return _probed([_coons_from_cycle(pieces)], probes)
+        except TileError:
+            pass
+    return _probed(_wedge_tiles(pieces), probes)
+
+
+def tile_region(region, drawing):
+    """Tiles of an interior region, probed at n = 5 (see ``region_tiles``)."""
+    return region_tiles(region, drawing)
 
 
 # ---------------------------------------------------------------------------

@@ -86,15 +86,6 @@ class TensorSplineSpace:
         iv = np.clip(np.searchsorted(bv, np.add(v, tol), side="right") - 1, 0, len(bv) - 2)
         return (int(iu), int(iv)) if np.ndim(iu) == 0 else (iu, iv)
 
-    def support(self, i, j):
-        """Parameter rectangle supporting basis function (i, j)."""
-        return (
-            float(self.tu[i]),
-            float(self.tu[i + self.du + 1]),
-            float(self.tv[j]),
-            float(self.tv[j + self.dv + 1]),
-        )
-
     def basis_u(self, t):
         return basis_row(self.tu, self.du, float(t))
 

@@ -14,7 +14,7 @@ from curveplan.quadrature import (
 )
 from curveplan.regions import extract_and_classify
 
-from util import quadratic_arch, segment, square_curves
+from util import circle_bspline, quadratic_arch, segment, square_curves
 
 
 def _square_regions():
@@ -33,6 +33,25 @@ def _triangle_regions():
 def _bigon_regions():
     curves = [quadratic_arch(), segment((0, 0), (1, 0))]
     return extract_and_classify(build_drawing(curves))
+
+
+#: a concave four-sided region: its bilinear Coons patch folds at (0.5, 1)
+ARROWHEAD = [(0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (0.5, 1.0)]
+
+
+def _polygon_regions(corners):
+    n = len(corners)
+    curves = [segment(corners[k], corners[(k + 1) % n]) for k in range(n)]
+    return extract_and_classify(build_drawing(curves))
+
+
+def _pentagon_regions():
+    angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    return _polygon_regions([(np.cos(a), np.sin(a)) for a in angles])
+
+
+def _loop_regions():
+    return extract_and_classify(build_drawing([circle_bspline(n_ctrl=12, n_samples=200)]))
 
 
 def test_rule_weights():
@@ -69,6 +88,24 @@ def test_bigon_single_tile_after_midpoint_split():
     assert len(tiles) == 1  # two boundary pieces split at midpoints -> 4 sides
     area = integrate_region(rs.regions[0], lambda x, y: 1.0, 4, drawing=rs.drawing)
     assert abs(area - 1.0 / 3.0) < 1e-9
+
+
+def test_concave_quad_falls_back_to_wedges():
+    rs = _polygon_regions(ARROWHEAD)
+    region, drawing = rs.regions[0], rs.drawing
+    tiles = tile_region(region, drawing)
+    assert len(tiles) == 4
+    for tile in tiles:  # a wedge's west side is its apex, a point
+        assert np.array_equal(tile.west.ctrl[0], tile.west.ctrl[-1])
+    # shoelace area and first moment of x
+    xs, ys = np.array(ARROWHEAD).T
+    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
+    area = cross.sum() / 2
+    moment_x = ((xs + np.roll(xs, -1)) * cross).sum() / 6
+    got_area = integrate_region(region, lambda x, y: 1.0, 4, drawing=drawing)
+    got_x = integrate_region(region, lambda x, y: x, 4, drawing=drawing)
+    assert abs(got_area - area) < 1e-12
+    assert abs(got_x - moment_x) < 1e-12
 
 
 def test_integrate_region_examples():
@@ -137,7 +174,8 @@ def test_csv_shape():
 def test_tile_partition_matches_boundary_area():
     # quadrature of 1 over the tiles must reproduce the classifier's
     # boundary-integral area for every tiling strategy
-    fixtures = [_square_regions(), _triangle_regions(), _bigon_regions()]
+    fixtures = [_square_regions(), _triangle_regions(), _bigon_regions(),
+                _pentagon_regions(), _polygon_regions(ARROWHEAD), _loop_regions()]
     curves = square_curves() + [segment((0.3, -0.1), (0.3, 1.1)),
                                 segment((-0.1, 0.6), (1.1, 0.6))]
     fixtures.append(extract_and_classify(build_drawing(curves)))
