@@ -75,11 +75,10 @@ def region_element_table(region_set, space, probe_n=2, tol=1e-12):
     space (the containment guarantee of interface drawings); a straddling
     region signals an upstream extraction problem.
     """
-    u, _ = gauss01(probe_n)
     out = {}
     for k, region in enumerate(region_set.regions):
         tiles = region_tiles(region, region_set.drawing)
-        pts = np.concatenate([tile.grids(u, u)[0].reshape(-1, 2) for tile in tiles])
+        pts = np.concatenate([tile.gauss_grids(probe_n)[0].reshape(-1, 2) for tile in tiles])
         ids = set(zip(*space.element_of(pts[:, 0], pts[:, 1], tol=tol)))
         if len(ids) != 1:
             raise GeometryError(
@@ -130,12 +129,12 @@ def _element_moments_regions(f, space, table, n):
     with their own tiles so kinks of f along region boundaries are safe.
     All tile nodes go through one call of f.
     """
-    nodes, w = gauss01(n)
+    _, w = gauss01(n)
     ww = np.outer(w, w).ravel()
     owners, grids = [], []
     for _, (element, tiles) in sorted(table.items()):
         owners += [element] * len(tiles)
-        grids += [tile.grids(nodes, nodes) for tile in tiles]
+        grids += [tile.gauss_grids(n) for tile in tiles]
     if not grids:
         return {}
     pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])

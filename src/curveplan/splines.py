@@ -541,31 +541,15 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     exact up to inversion and pull-back tolerances.  Regions outside the
     image of T2 contribute zero (zero extension).
     """
-    from .quadrature import gauss01, region_tiles
+    from .quadrature import integrate_tiles, region_tiles
 
-    drawing = region_set.drawing
-    u, w = gauss01(n)
-    ww = np.outer(w, w)
-    grids = []
+    tiles = []
     for region in region_set.regions:
-        tiles = region_tiles(region, drawing, probe_n=n)
-        if region_covered_by(region, tiles, T1, T2):
-            grids += [tile.grids(u, u) for tile in tiles]
-    if not grids:
-        return 0.0
-    pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
-    uv, ok = invert_points(T2, T1.point_pairs(pts))
-    if not ok.all():
-        raise InversionError(
-            "inversion failed inside a region marked covered; "
-            "pull-back accuracy insufficient"
-        )
-    s2_vals = s2.value(uv[:, 0], uv[:, 1]).reshape(len(grids), n, n)
-    total = 0.0
-    for (p, det), s2_tile in zip(grids, s2_vals):
-        s1_vals = s1.value(p[..., 0], p[..., 1])
-        total += float(np.sum(ww * s1_vals * s2_tile * det))
-    return total
+        covering = region_tiles(region, region_set.drawing, probe_n=n)
+        if region_covered_by(region, covering, T1, T2):
+            tiles += covering
+    field = composed_field(s2, T1, T2, strict=True)
+    return integrate_tiles(tiles, lambda u, v: s1.value(u, v) * field(u, v), n)
 
 
 def composed_field(s2, T1, T2, outside_value=0.0, strict=False):

@@ -117,6 +117,22 @@ def test_overlap_exit_3(tmp_path, capsys):
     assert err["error"]["kind"] == "OverlapError"
 
 
+def test_non_star_region_exit_3_names_its_vertex(tmp_path, capsys):
+    # a C-shaped polygon: no point sees both inner edges of its arms
+    corners = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
+    sides = [[corners[k], corners[(k + 1) % 8]] for k in range(8)]
+    src = tmp_path / "c_shape.json"
+    src.write_text(json.dumps({"curves": [{"kind": "segment", "points": s} for s in sides]}))
+    regions = tmp_path / "regions.json"
+    assert run(["extract", "--input", str(src), "--out", str(regions)]) == 0
+    vertex = json.loads(regions.read_text())["regions"][0]["trail"][0]["vertex"]
+    code = run(["integrate", "--input", str(src), "--f", "1", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "TileError"
+    assert f"region at vertex {vertex}: no star center found" in err["message"]
+
+
 def test_bad_option_exit_2(tmp_path, capsys):
     code = run([
         "integrate", "--input", f"{FIXTURES}/integrate_lens.json",

@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
-from curveplan.errors import GeometryError
+from curveplan.curves import ParamCurve
+from curveplan.errors import GeometryError, JacobianError, TileError
 from curveplan.quadrature import (
+    Tile,
+    Wedge,
+    bernstein_table,
     gauss01,
     integrate_adaptive,
     integrate_region,
+    integrate_tiles,
+    probe_tiles,
     tensor_rule,
     tile_region,
 )
@@ -202,3 +209,200 @@ def test_max_level_validation():
     rs = _square_regions()
     with pytest.raises(GeometryError):
         integrate_adaptive(rs, lambda x, y: 1.0, max_level=0)
+
+
+def test_cached_rules_are_read_only():
+    u, w = gauss01(7)
+    nodes = u.copy()
+    with pytest.raises(ValueError):
+        u *= 2.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        bernstein_table(3, 7)[0, 0] = 1.0
+    assert np.array_equal(gauss01(7)[0], nodes)
+
+
+def test_tile_refuses_multi_span_side():
+    square = square_curves()
+    two_spans = ParamCurve("bspline", [(0, 0), (0.3, 0), (0.7, 0), (1, 0)], degree=2,
+                           knots=[0, 0, 0, 0.5, 1, 1, 1])
+    with pytest.raises(TileError, match="one polynomial span"):
+        Tile(two_spans, square[1], square[2].reversed(), square[3].reversed())
+
+
+def test_jacobian_error_names_region_and_n():
+    # the arrowhead's bilinear patch folds; integrate it without a probe
+    a, b, c, d = ARROWHEAD
+    tile = Tile(segment(a, b), segment(b, c), segment(d, c), segment(a, d))
+    tile.region = 7
+    with pytest.raises(JacobianError, match=r"region at vertex 7: .*n=4"):
+        integrate_tiles([tile], lambda x, y: 1.0, 4)
+
+
+def test_tile_error_names_region():
+    rs = _polygon_regions(C_SHAPE)
+    vid = rs.regions[0].trail[0][0]
+    with pytest.raises(TileError, match=f"region at vertex {vid}: no star center"):
+        tile_region(rs.regions[0], rs.drawing)
+
+
+#: a C-shaped polygon: its two inner edges face apart, so no point sees both
+C_SHAPE = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Bernstein evaluation and the Jacobian certificate against references
+
+
+def _reference_grids(tile, u, v):
+    """Coons points and Jacobian from de Boor evaluation of the four sides:
+    the per-tile path the cached Bernstein tables replaced."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    s, n = tile.south.point(u), tile.north.point(u)
+    w, e = tile.west.point(v), tile.east.point(v)
+    ds, dn = tile.south.deriv(u), tile.north.deriv(u)
+    dw, de = tile.west.deriv(v), tile.east.deriv(v)
+    uu = u[:, None, None]
+    vv = v[None, :, None]
+    c00, c10, c11, c01 = (c[None, None, :] for c in tile.corners())
+    blend = (1 - uu) * (1 - vv) * c00 + uu * (1 - vv) * c10 + (1 - uu) * vv * c01 + uu * vv * c11
+    pts = (1 - vv) * s[:, None, :] + vv * n[:, None, :] + (1 - uu) * w[None, :, :] \
+        + uu * e[None, :, :] - blend
+    dpdu = (1 - vv) * ds[:, None, :] + vv * dn[:, None, :] + (e - w)[None, :, :] \
+        - ((1 - vv) * (c10 - c00) + vv * (c11 - c01))
+    dpdv = (n - s)[:, None, :] + (1 - uu) * dw[None, :, :] + uu * de[None, :, :] \
+        - ((1 - uu) * (c01 - c00) + uu * (c11 - c10))
+    return pts, dpdu[..., 0] * dpdv[..., 1] - dpdu[..., 1] * dpdv[..., 0]
+
+
+def _reference_min_det(tile, n):
+    """Smallest det on the full n x n Gauss grid: the probe before
+    certificates, for one tile."""
+    u, _ = gauss01(min(n, 512))
+    return float(np.min(_reference_grids(tile, u, u)[1]))
+
+
+def _accepts(probe, tile, n):
+    try:
+        probe(tile, n)
+    except TileError:
+        return False
+    return True
+
+
+def _reference_probe(tile, n):
+    if _reference_min_det(tile, n) <= 0.0:
+        raise TileError("non-positive Jacobian in tile probe")
+
+
+def _jitter(size):
+    return st.floats(-size, size, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near(draw, point, size):
+    return (point[0] + draw(_jitter(size)), point[1] + draw(_jitter(size)))
+
+
+@st.composite
+def _side(draw, start, end):
+    """A segment, quadratic or cubic side whose inner control points lie
+    near the chord."""
+    d = draw(st.integers(1, 3))
+    chord = [np.add(start, (np.subtract(end, start)) * k / d) for k in range(1, d)]
+    inner = [draw(_near(q, 0.4)) for q in chord]
+    return ParamCurve("bezier", [start, *inner, end]) if inner else segment(start, end)
+
+
+@st.composite
+def _coons_tiles(draw):
+    """Coons patches on a jittered unit square: most are valid, and large
+    corner moves give folded and arrowhead patches."""
+    c00, c10, c11, c01 = (draw(_near(c, 0.6)) for c in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    return Tile(
+        south=draw(_side(c00, c10)), east=draw(_side(c10, c11)),
+        north=draw(_side(c01, c11)), west=draw(_side(c00, c01)),
+    )
+
+
+@st.composite
+def _wedges(draw):
+    """A span seen from a center near it; the center may fall behind it."""
+    p0, p1 = draw(_near((1, -1), 0.8)), draw(_near((1, 1), 0.8))
+    return Wedge(np.array(draw(_near((0, 0), 1.2))), draw(_side(p0, p1)))
+
+
+_tiles = st.one_of(_coons_tiles(), _wedges())
+
+#: a quadrilateral with its Coons patch folded at (0.5, 1)
+_ARROWHEAD_TILE = Tile(
+    segment(ARROWHEAD[0], ARROWHEAD[1]), segment(ARROWHEAD[1], ARROWHEAD[2]),
+    segment(ARROWHEAD[3], ARROWHEAD[2]), segment(ARROWHEAD[0], ARROWHEAD[3]),
+)
+
+
+def _scale(tile):
+    nets = [side.ctrl for side in (tile.south, tile.east, tile.north, tile.west)]
+    return max(1.0, float(np.abs(np.concatenate(nets)).max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiles, st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20))
+@example(_ARROWHEAD_TILE, [])
+def test_certified_tiles_have_positive_jacobian(tile, params):
+    assume(tile.certified)
+    u, _ = gauss01(64)
+    assert np.min(_reference_grids(tile, u, u)[1]) > 0.0
+    # on the closed square, corners and sides included; a wedge's det is
+    # u * g, zero on u = 0, so its certificate is about g alone
+    wedge = isinstance(tile, Wedge)
+    for a, b in params + [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
+        a = 1.0 if wedge else a
+        assert _reference_grids(tile, [a], [b])[1][0, 0] > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiles)
+@example(_ARROWHEAD_TILE)
+def test_probe_decisions_match_full_grid_reference(tile):
+    scale = _scale(tile)
+    for n in (5, 16, 128):
+        # a grid minimum within roundoff of zero is too close to call
+        assume(abs(_reference_min_det(tile, n)) > 1e-12 * scale**2)
+        got = _accepts(lambda t, k: probe_tiles([t], k), tile, n)
+        assert got == _accepts(_reference_probe, tile, n)
+
+
+def test_arrowhead_patch_is_rejected_at_every_probe_size():
+    assert not _ARROWHEAD_TILE.certified
+    for n in (5, 16, 128):
+        with pytest.raises(TileError):
+            probe_tiles([_ARROWHEAD_TILE], n)
+
+
+def test_coefficient_under_the_margin_is_not_certified():
+    # the west side leaves (0, 0) 1e-12 rad off the south side: det > 0 on
+    # the closed square, but its corner coefficient 2e-12 is under the
+    # margin, so the grid probe decides
+    west = ParamCurve("bezier", [(0, 0), (0.4, 1e-12), (0, 1)])
+    tile = Tile(segment((0, 0), (1, 0)), segment((1, 0), (1, 1)), segment((0, 1), (1, 1)), west)
+    corners = [0.0, 1.0]
+    assert np.min(_reference_grids(tile, corners, corners)[1]) > 0.0
+    assert not tile.certified
+    probe_tiles([tile], 128)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tiles, st.integers(1, 40), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_bernstein_grids_match_de_boor(tile, n, params):
+    scale = _scale(tile)
+    u, _ = gauss01(n)
+    for (pts, det), (ref_pts, ref_det) in [
+        (tile.gauss_grids(n), _reference_grids(tile, u, u)),
+        (tile.gauss_grids(n, slice(1, None, 2)), _reference_grids(tile, u[1::2], u)),
+        (tile.grids(params, params[::-1]), _reference_grids(tile, params, params[::-1])),
+    ]:
+        assert np.max(np.abs(pts - ref_pts), initial=0.0) <= 1e-14 * scale
+        assert np.max(np.abs(det - ref_det), initial=0.0) <= 1e-14 * scale**2
