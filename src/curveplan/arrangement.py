@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import ParamCurve, project_points
 from .errors import GeometryError, OverlapError
 
 DEFAULT_TOL = 1e-7
 
 _MAX_CANDIDATES = 256
 _MAX_STACK = 20000
+_MAX_STEPS = 50000
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,13 @@ class IntersectionHit:
 def intersect_curve_pair(a, b, tol=DEFAULT_TOL):
     """All discrete intersections of two curves (or of one with itself).
 
-    Transversal intersections are found by bounding-box subdivision followed
-    by Newton refinement; near-tangential solutions are kept and flagged.
-    Curves coincident over an interval raise OverlapError.
+    Two segments meet in closed form.  Otherwise every pair of single-span
+    Bézier nets (``ParamCurve.nets``) whose boxes meet is narrowed by Bézier
+    clipping, halving where a clip stalls, down to candidate parameter pairs
+    that damped Newton refines; near-tangential solutions are kept and
+    flagged.  A self-intersection runs the same loop on pairs of spans and
+    of halves of non-injective spans.  Curves coincident over an interval
+    raise OverlapError; a search that exceeds its budget raises GeometryError.
     """
     if tol <= 0:
         raise GeometryError("intersection tolerance must be positive")
@@ -48,7 +53,7 @@ def intersect_curve_pair(a, b, tol=DEFAULT_TOL):
         return _self_intersections(a, tol)
     if a.kind == "segment" and b.kind == "segment":
         return _segment_segment(a, b, tol)
-    return _generic_intersections(a, b, tol)
+    return _clip_intersections(a, b, _span_pairs(a.nets(), b.nets(), tol), tol)
 
 
 def _cross(u, v):
@@ -95,47 +100,6 @@ def _segment_segment(a, b, tol):
     return [IntersectionHit(s, t, 0.5 * (pa + pb))]
 
 
-class _Piece:
-    """A restricted stretch of one curve, tracked in original parameters."""
-
-    __slots__ = ("knots", "ctrl", "lo", "hi", "degree")
-
-    def __init__(self, knots, ctrl, degree, lo, hi):
-        self.knots = knots
-        self.ctrl = ctrl
-        self.degree = degree
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def whole(cls, curve):
-        a, b = curve.domain
-        return cls(curve.knots, curve.ctrl, curve.degree, a, b)
-
-    def bounds(self):
-        return self.ctrl.min(axis=0), self.ctrl.max(axis=0)
-
-    def width(self):
-        lo, hi = self.bounds()
-        return float(max(hi - lo))
-
-    def split(self):
-        from .curves import split_bspline
-
-        tm = 0.5 * (self.lo + self.hi)
-        (k1, c1), (k2, c2) = split_bspline(self.knots, self.degree, self.ctrl, tm)
-        return (
-            _Piece(k1, c1, self.degree, self.lo, tm),
-            _Piece(k2, c2, self.degree, tm, self.hi),
-        )
-
-
-def _boxes_disjoint(pa, pb, tol):
-    la, ha = pa.bounds()
-    lb, hb = pb.bounds()
-    return bool(np.any(la > hb + tol) or np.any(lb > ha + tol))
-
-
 def _newton_refine(a, b, s, t, scale):
     """Damped Gauss-Newton for a(s) = b(t); returns refined (s, t, residual)."""
     (a0, a1), (b0, b1) = a.domain, b.domain
@@ -163,24 +127,8 @@ def _newton_refine(a, b, s, t, scale):
 
 
 def _coincidence_fraction(a, b, tol):
-    ts = np.linspace(*a.domain, 33)
-    dense = np.linspace(*b.domain, 257)
-    bp = b.point(dense)
-    inside = 0
-    for t in ts:
-        p = a.point(t)
-        i = int(np.argmin(np.linalg.norm(bp - p, axis=1)))
-        tb = float(dense[i])
-        for _ in range(8):  # polish the projection
-            d1 = b.deriv(tb)
-            g = float(np.dot(b.point(tb) - p, d1))
-            h = float(np.dot(d1, d1) + np.dot(b.point(tb) - p, b.deriv(tb, 2)))
-            if h <= 0:
-                break
-            tb = float(np.clip(tb - g / h, b.domain[0], b.domain[1]))
-        if np.linalg.norm(b.point(tb) - p) <= tol:
-            inside += 1
-    return inside / len(ts)
+    _, dist = project_points(b, a.point(np.linspace(*a.domain, 33)), 257)
+    return float(np.count_nonzero(dist <= tol)) / len(dist)
 
 
 def _blowup(a, b, tol, where):
@@ -195,30 +143,6 @@ def _is_tangential(a, b, s, t):
     if na == 0 or nb == 0:
         return True
     return abs(_cross(da, db)) <= 1e-6 * na * nb
-
-
-def _generic_intersections(a, b, tol):
-    scale = max(a.bbox_diag(), b.bbox_diag(), 1e-12)
-    floor = max(tol, 1e-5 * scale)
-    stack = [(_Piece.whole(a), _Piece.whole(b))]
-    candidates = []
-    while stack:
-        if len(stack) > _MAX_STACK or len(candidates) > _MAX_CANDIDATES:
-            _blowup(a, b, tol, "pair")
-        pa, pb = stack.pop()
-        if _boxes_disjoint(pa, pb, tol):
-            continue
-        wa, wb = pa.width(), pb.width()
-        if max(wa, wb) <= floor:
-            candidates.append((0.5 * (pa.lo + pa.hi), 0.5 * (pb.lo + pb.hi)))
-            continue
-        if wa >= wb:
-            for half in pa.split():
-                stack.append((half, pb))
-        else:
-            for half in pb.split():
-                stack.append((pa, half))
-    return _candidates_to_hits(a, b, candidates, tol, scale)
 
 
 def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
@@ -261,6 +185,9 @@ def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
         ss = [g[0] for g in grp]
         ts = [g[1] for g in grp]
         s, t = float(np.mean(ss)), float(np.mean(ts))
+        if len(grp) > 1 and np.linalg.norm(a.point(s) - b.point(t)) > tol:
+            # a smeared run whose mean parameters miss: report its best root
+            s, t = min(grp, key=lambda g: float(np.linalg.norm(a.point(g[0]) - b.point(g[1]))))
         pt = 0.5 * (a.point(s) + b.point(t))
         smeared = max(ss) - min(ss) > 1e-5 * span_a or max(ts) - min(ts) > 1e-5 * span_b
         hits.append(
@@ -270,62 +197,166 @@ def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
     return hits
 
 
-def _piece_injective(piece):
-    """Sufficient test: hodograph control vectors in an open half-plane."""
-    from .curves import derivative_data
-
-    _, _, q = derivative_data(piece.knots, piece.degree, piece.ctrl)
-    if len(q) == 0:
-        return True
-    u = q.sum(axis=0)
-    n = np.linalg.norm(u)
-    if n == 0:
-        return False
-    return bool(np.all(q @ (u / n) > 1e-12))
-
-
 def _self_intersections(c, tol):
-    if c.kind == "segment":
+    if c.kind == "segment" or _injective(c.ctrl.tolist()):
         return []
-    scale = max(c.bbox_diag(), 1e-12)
+    gap = 1e-3 * (c.domain[1] - c.domain[0])  # self-hits closer than this in parameter are ignored
+    pairs = _span_pairs(c.nets(), c.nets(), tol, self_pair=True)
+    stack = list(c.nets())
+    while stack:  # halve every span until its pieces are injective or short
+        lo, hi, net = stack.pop()
+        if not _injective(net) and hi - lo > gap:
+            mid, (left, right) = 0.5 * (lo + hi), _split(net, 0.5)
+            pairs.append((lo, mid, left, mid, hi, right))
+            stack += [(lo, mid, left), (mid, hi, right)]
+    return _clip_intersections(c, c, pairs, tol, gap)
+
+
+def _injective(net):
+    """Sufficient test: the control polygon's differences (the directions
+    of the hodograph's control vectors) lie in an open half-plane."""
+    d = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(net, net[1:])]
+    ux, uy = sum(dx for dx, _ in d), sum(dy for _, dy in d)
+    n = math.hypot(ux, uy)
+    return n > 0.0 and all(dx * ux + dy * uy > 1e-12 * n for dx, dy in d)
+
+
+def _box(net):
+    xs, ys = zip(*net)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _apart(bp, bq, tol):
+    return bp[0] > bq[2] + tol or bp[1] > bq[3] + tol or bq[0] > bp[2] + tol or bq[1] > bp[3] + tol
+
+
+def _span_pairs(nets_a, nets_b, tol, self_pair=False):
+    """(s0, s1, p, t0, t1, q) for the span nets p of a and q of b whose
+    ``tol``-padded boxes meet; for a self pair only spans i < j."""
+    boxes_a, boxes_b = [_box(p) for _, _, p in nets_a], [_box(q) for _, _, q in nets_b]
+    return [
+        (s0, s1, p, t0, t1, q)
+        for i, (s0, s1, p) in enumerate(nets_a)
+        for j, (t0, t1, q) in enumerate(nets_b)
+        if (j > i or not self_pair) and not _apart(boxes_a[i], boxes_b[j], tol)
+    ]
+
+
+def _split(net, u):
+    """de Casteljau at local parameter u: the nets of [0, u] and [u, 1]."""
+    v = 1.0 - u
+    left, right, pts = [net[0]], [net[-1]], net
+    while len(pts) > 1:
+        pts = [(v * x0 + u * x1, v * y0 + u * y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        left.append(pts[0])
+        right.append(pts[-1])
+    return left, right[::-1]
+
+
+def _clip(p, q, pad):
+    """Local parameter interval (u0, u1) of net p outside which p keeps
+    farther than ``pad`` from q (empty when u0 > u1), and p's net on it.
+
+    q lies in its fat line, the band along its chord that holds its control
+    points.  p's signed distance to the chord is a Bézier function with
+    coefficients d_i, inside the convex hull of the points (i/n, d_i); the
+    interval is that hull's extent within the padded band, over every point
+    and every pair of points."""
+    (x0, y0), (x1, y1) = q[0], q[-1]
+    nx, ny = y0 - y1, x1 - x0
+    norm = math.hypot(nx, ny)
+    if norm == 0.0:
+        return 0.0, 1.0, p  # no chord direction, no clip
+    nx, ny = nx / norm, ny / norm
+    dq = [(x - x0) * nx + (y - y0) * ny for x, y in q]
+    lo, hi = min(dq) - pad, max(dq) + pad
+    n = len(p) - 1
+    hull = [(i / n, (x - x0) * nx + (y - y0) * ny) for i, (x, y) in enumerate(p)]
+    u0, u1 = 1.0, 0.0
+    for i, (ui, di) in enumerate(hull):
+        if lo <= di <= hi:
+            u0, u1 = min(u0, ui), max(u1, ui)
+        for uj, dj in hull[i + 1 :]:
+            for level in (lo, hi):
+                if (di - level) * (dj - level) < 0.0:
+                    u = ui + (uj - ui) * (level - di) / (dj - di)
+                    u0, u1 = min(u0, u), max(u1, u)
+    u0, u1 = max(u0, 0.0), min(u1, 1.0)
+    if u0 <= u1 and u1 < 1.0:
+        p = _split(p, u1)[0]
+    if 0.0 < u0 <= u1:
+        p = _split(p, u0 / u1)[1]
+    return u0, u1, p
+
+
+def _distinct_candidates(a, b, candidates, tol, scale):
+    """The candidates less those that Newton refines to a transversal root
+    already reached from an earlier one, or to a residual above ``tol``.
+
+    A shallow crossing whose curves stay within ``tol`` of each other for a
+    while yields a run of floor-sized pairs that all refine to one root.
+    Tangential and coincident stretches keep every candidate."""
+    ptol = 1e-7 * max(a.domain[1] - a.domain[0], 1.0)
+    kept, roots = [], []
+    for s0, t0 in candidates:
+        s, t, res = _newton_refine(a, b, s0, t0, scale)
+        if res > tol or any(abs(s - rs) <= ptol and abs(t - rt) <= ptol for rs, rt in roots):
+            continue
+        kept.append((s0, t0))
+        if not _is_tangential(a, b, s, t):
+            roots.append((s, t))
+    return kept
+
+
+def _clip_intersections(a, b, pairs, tol, gap=None):
+    """Intersections of a and b from pairs of their span nets, by Bézier
+    clipping (Sederberg & Nishita, CAD 22(9), 1990).
+
+    ``pairs`` holds (s0, s1, p, t0, t1, q): a net p of a on [s0, s1] and a
+    net q of b on [t0, t1].  Each step clips p against q's fat line, then q
+    against p's, and halves the wider net when neither clip removes 20 %.
+    A pair whose clipped nets' boxes are both at most ``floor`` wide is a
+    Newton candidate.  With ``gap`` (a self pair, s1 <= t0) pairs and
+    candidates closer than ``gap`` in parameter are dropped.
+    """
+    scale = max(a.bbox_diag(), b.bbox_diag(), 1e-12)
     floor = max(tol, 1e-5 * scale)
-    span = c.domain[1] - c.domain[0]
-    gap = 1e-3 * span  # self-hits closer than this in parameter are ignored
-    stack = [_Piece.whole(c)]
-    pairs = []
-    candidates = []
+    where = "pair" if gap is None else "self"
+    stack, candidates, steps, squeezed = pairs, [], 0, False
     while stack:
-        piece = stack.pop()
-        if _piece_injective(piece):
-            continue
-        if piece.hi - piece.lo <= gap:
-            continue
-        one, two = piece.split()
-        pairs.append((one, two))
-        stack.extend([one, two])
-    while pairs:
-        if len(pairs) > _MAX_STACK or len(candidates) > _MAX_CANDIDATES:
-            _blowup(c, c, tol, "self")
-        pa, pb = pairs.pop()
-        if pa.lo > pb.lo:
-            pa, pb = pb, pa
-        if pb.hi - pa.lo <= gap:
+        steps += 1
+        if len(candidates) > _MAX_CANDIDATES and not squeezed:
+            candidates, squeezed = _distinct_candidates(a, b, candidates, tol, scale), True
+        if len(candidates) > _MAX_CANDIDATES or steps > _MAX_STEPS or len(stack) > _MAX_STACK:
+            _blowup(a, b, tol, where)
+        s0, s1, p, t0, t1, q = stack.pop()
+        if gap is not None and t1 - s0 <= gap:
             continue  # any candidate here would be parameter-adjacent
-        if _boxes_disjoint(pa, pb, tol):
+        if _apart(_box(p), _box(q), tol):
             continue
-        wa, wb = pa.width(), pb.width()
-        if max(wa, wb) <= floor:
-            sa, sb = 0.5 * (pa.lo + pa.hi), 0.5 * (pb.lo + pb.hi)
-            if abs(sa - sb) > gap:
-                candidates.append((sa, sb))
+        u0, u1, p = _clip(p, q, tol)
+        if u0 > u1:
             continue
-        if wa >= wb:
-            for half in pa.split():
-                pairs.append((half, pb))
+        s0, s1 = s0 + u0 * (s1 - s0), s0 + u1 * (s1 - s0)
+        v0, v1, q = _clip(q, p, tol)
+        if v0 > v1:
+            continue
+        t0, t1 = t0 + v0 * (t1 - t0), t0 + v1 * (t1 - t0)
+        bp, bq = _box(p), _box(q)
+        wp, wq = max(bp[2] - bp[0], bp[3] - bp[1]), max(bq[2] - bq[0], bq[3] - bq[1])
+        if max(wp, wq) <= floor:
+            s, t = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+            if gap is None or t - s > gap:
+                candidates.append((s, t))
+        elif u1 - u0 <= 0.8 or v1 - v0 <= 0.8:
+            stack.append((s0, s1, p, t0, t1, q))
+        elif wp >= wq:
+            sm, (p1, p2) = 0.5 * (s0 + s1), _split(p, 0.5)
+            stack += [(s0, sm, p1, t0, t1, q), (sm, s1, p2, t0, t1, q)]
         else:
-            for half in pb.split():
-                pairs.append((pa, half))
-    return _candidates_to_hits(c, c, candidates, tol, scale, self_pair=True)
+            tm, (q1, q2) = 0.5 * (t0 + t1), _split(q, 0.5)
+            stack += [(s0, s1, p, t0, tm, q1), (s0, s1, p, tm, t1, q2)]
+    return _candidates_to_hits(a, b, candidates, tol, scale, self_pair=gap is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +493,8 @@ class _UnionFind:
 
 
 def _box_pairs(curves, tol):
-    """Ascending pairs (i, j), i < j, whose control-point boxes pass
-    ``not _boxes_disjoint``: a sort-and-sweep on the boxes' xmin."""
+    """Ascending pairs (i, j), i < j, whose control-point boxes, padded by
+    ``tol``, meet: a sort-and-sweep on the boxes' xmin."""
     boxes = [(*c.ctrl.min(axis=0).tolist(), *c.ctrl.max(axis=0).tolist()) for c in curves]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
     pairs = []

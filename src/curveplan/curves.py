@@ -209,7 +209,9 @@ class ParamCurve:
         Clamped non-decreasing knot vector, required iff kind is bspline.
     """
 
-    __slots__ = ("kind", "degree", "knots", "ctrl", "reduced_continuity", "_d1", "_d2", "_brk")
+    __slots__ = (
+        "kind", "degree", "knots", "ctrl", "reduced_continuity", "_d1", "_d2", "_brk", "_nets"
+    )
 
     def __init__(self, kind, control_points, degree=None, knots=None, *, _allow_c0=False):
         if kind not in KINDS:
@@ -252,7 +254,7 @@ class ParamCurve:
     def _set(self, kind, degree, knots, ctrl, reduced):
         self.kind, self.degree, self.knots, self.ctrl = kind, degree, knots, ctrl
         self.reduced_continuity = reduced
-        self._d1 = self._d2 = self._brk = None
+        self._d1 = self._d2 = self._brk = self._nets = None
         return self
 
     @staticmethod
@@ -309,6 +311,17 @@ class ParamCurve:
         if len(brk) == 2:
             return [self]
         return [self.restricted(u0, u1) for u0, u1 in zip(brk[:-1], brk[1:])]
+
+    def nets(self):
+        """Per span, ``(u0, u1, net)``: its parameter bounds and its Bézier
+        control net as a tuple of ``(x, y)`` float pairs; computed once."""
+        if self._nets is None:
+            brk = self.breakpoints().tolist()
+            self._nets = tuple(
+                (u0, u1, tuple(map(tuple, span.ctrl.tolist())))
+                for u0, u1, span in zip(brk[:-1], brk[1:], self.spans())
+            )
+        return self._nets
 
     def _check_t(self, t):
         """Refuse parameters outside the padded domain, NaN included."""
@@ -510,6 +523,24 @@ def signed_curvature(curve, t):
     if speed <= 1e-14 * max(curve.bbox_diag(), 1.0):
         raise DegenerateTangentError(f"curvature undefined at t={t}: |c'| = 0")
     return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed**3)
+
+
+def project_points(curve, pts, presamples):
+    """Closest-point parameters and distances ``(t, dist)`` of points (m, 2)
+    on a curve: the nearest of ``presamples`` uniform samples, then up to 8
+    Newton steps on |c(t) - p|^2 for all points at once.  A point stops for
+    good at the first step whose second derivative is not positive."""
+    a, b = curve.domain
+    ts = np.linspace(a, b, presamples)
+    t = ts[np.argmin(np.linalg.norm(curve.point(ts) - pts[:, None, :], axis=2), axis=1)]
+    live = np.ones(len(t), dtype=bool)
+    for _ in range(8):
+        r, d1 = curve.point(t) - pts, curve.deriv(t)
+        g = np.sum(r * d1, axis=1)
+        h = np.sum(d1 * d1, axis=1) + np.sum(r * curve.deriv(t, 2), axis=1)
+        live &= h > 0
+        t = np.where(live, np.clip(t - g / np.where(live, h, 1.0), a, b), t)
+    return t, _norms(curve.point(t) - pts)
 
 
 def fit_bspline(params, points, degree, knots, fix_ends=False):

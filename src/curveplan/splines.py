@@ -20,6 +20,7 @@ from .curves import (
     basis_rows,
     derivative_data,
     fit_bspline,
+    project_points,
     uniform_arclength_knots,
 )
 from .errors import FitError, GeometryError, InversionError, SchemaError
@@ -466,27 +467,13 @@ def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
 # interface drawing
 
 
-def _point_curve_distance(p, curve, presamples=65):
-    ts = np.linspace(*curve.domain, presamples)
-    pts = curve.point(ts)
-    i = int(np.argmin(np.linalg.norm(pts - p, axis=1)))
-    t = float(ts[i])
-    a, b = curve.domain
-    for _ in range(8):
-        d1 = curve.deriv(t)
-        g = float(np.dot(curve.point(t) - p, d1))
-        h = float(np.dot(d1, d1) + np.dot(curve.point(t) - p, curve.deriv(t, 2)))
-        if h <= 0:
-            break
-        t = float(np.clip(t - g / h, a, b))
-    return float(np.linalg.norm(curve.point(t) - p))
-
-
 def _coincident(candidate, existing, tol):
-    ts = np.linspace(*candidate.domain, 17)
-    return all(
-        _point_curve_distance(candidate.point(t), existing) <= tol for t in ts
-    )
+    pts = candidate.point(np.linspace(*candidate.domain, 17))
+    lo, hi = existing.bbox()
+    if np.any(pts < lo - tol) or np.any(pts > hi + tol):
+        return False  # a sample lies farther than tol from existing's control hull
+    _, dist = project_points(existing, pts, 65)
+    return bool(np.all(dist <= tol))
 
 
 def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8, sample_count=65):

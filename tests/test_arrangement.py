@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from curveplan import arrangement
 from curveplan.arrangement import DEFAULT_TOL, build_drawing, intersect_curve_pair
-from curveplan.curves import ParamCurve
-from curveplan.errors import CurveplanError, OverlapError
+from curveplan.curves import ParamCurve, derivative_data, split_bspline
+from curveplan.errors import CurveplanError, GeometryError, OverlapError
 
 from arrangement_oracle import SegmentArrangement
 from util import quadratic_arch, segment, square_curves, circle_bspline
@@ -263,12 +263,13 @@ def _curve_lists(draw, max_size):
 
 
 def _brute_pairs(curves, tol):
-    whole = [arrangement._Piece.whole(c) for c in curves]
+    """Every pair whose control-point min/max boxes, padded by tol, meet."""
+    boxes = [(c.ctrl.min(axis=0), c.ctrl.max(axis=0)) for c in curves]
     return [
         (i, j)
-        for i in range(len(curves))
-        for j in range(i + 1, len(curves))
-        if not arrangement._boxes_disjoint(whole[i], whole[j], tol)
+        for i, (la, ha) in enumerate(boxes)
+        for j, (lb, hb) in enumerate(boxes)
+        if i < j and not (np.any(la > hb + tol) or np.any(lb > ha + tol))
     ]
 
 
@@ -367,3 +368,247 @@ def test_build_drawing_equals_all_pairs_reference(case):
     ):
         want = _snapshot(_drawing_or_error(curves, tol))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Bézier clipping against the bounding-box subdivision it replaced
+
+
+def _ellipse_fit(phase):
+    """Closed cubic B-spline through 8 control points (the first repeated
+    last) on the ellipse with semi-axes 0.28 and 0.05, rotated by phase."""
+    ang = phase + np.linspace(0.0, 2.0 * np.pi, 8)
+    ctrl = np.column_stack([0.28 * np.cos(ang), 0.05 * np.sin(ang)])
+    ctrl[-1] = ctrl[0]
+    knots = np.concatenate([[0.0] * 4, np.linspace(0.0, 1.0, 6)[1:-1], [1.0] * 4])
+    return ParamCurve("bspline", ctrl, degree=3, knots=knots)
+
+
+def _polyline_crossings(p, q):
+    """Proper crossings of two polylines given as (n, 2) vertex arrays."""
+    count = 0
+    e = q[1:] - q[:-1]
+    for p0, p1 in zip(p[:-1], p[1:]):
+        d = p1 - p0
+        off = q[:-1] - p0
+        den = d[0] * e[:, 1] - d[1] * e[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (off[:, 0] * e[:, 1] - off[:, 1] * e[:, 0]) / den
+            v = (off[:, 0] * d[1] - off[:, 1] * d[0]) / den
+        count += int(np.sum((u >= 0) & (u < 1) & (v >= 0) & (v < 1)))
+    return count
+
+
+@pytest.mark.parametrize("phase, expected", [(0.05, 6), (0.1, 6), (0.28, 6), (0.5, 6), (1.0, 4)])
+def test_near_tangent_ellipse_fits_cross_where_polylines_do(phase, expected):
+    # two fits of one thin ellipse lie close and cross at shallow angles;
+    # box subdivision overflowed on four of these five phases
+    a, b = _ellipse_fit(0.0), _ellipse_fit(phase)
+    dense = np.linspace(0.0, 1.0, 4001)
+    assert _polyline_crossings(a.point(dense), b.point(dense)) == expected
+    hits = intersect_curve_pair(a, b)
+    assert len(hits) == expected
+    scale = max(a.bbox_diag(), b.bbox_diag())
+    for h in hits:
+        assert np.linalg.norm(a.point(h.t_a) - b.point(h.t_b)) <= 1e-12 * scale
+
+
+class _Piece:
+    """A restricted stretch of one curve, tracked in original parameters."""
+
+    __slots__ = ("knots", "ctrl", "lo", "hi", "degree")
+
+    def __init__(self, knots, ctrl, degree, lo, hi):
+        self.knots = knots
+        self.ctrl = ctrl
+        self.degree = degree
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def whole(cls, curve):
+        a, b = curve.domain
+        return cls(curve.knots, curve.ctrl, curve.degree, a, b)
+
+    def bounds(self):
+        return self.ctrl.min(axis=0), self.ctrl.max(axis=0)
+
+    def width(self):
+        lo, hi = self.bounds()
+        return float(max(hi - lo))
+
+    def split(self):
+        tm = 0.5 * (self.lo + self.hi)
+        (k1, c1), (k2, c2) = split_bspline(self.knots, self.degree, self.ctrl, tm)
+        return (
+            _Piece(k1, c1, self.degree, self.lo, tm),
+            _Piece(k2, c2, self.degree, tm, self.hi),
+        )
+
+
+def _boxes_disjoint(pa, pb, tol):
+    la, ha = pa.bounds()
+    lb, hb = pb.bounds()
+    return bool(np.any(la > hb + tol) or np.any(lb > ha + tol))
+
+
+def _reference_generic_intersections(a, b, tol):
+    """Bounding-box subdivision of whole curves, as before clipping."""
+    scale = max(a.bbox_diag(), b.bbox_diag(), 1e-12)
+    floor = max(tol, 1e-5 * scale)
+    stack = [(_Piece.whole(a), _Piece.whole(b))]
+    candidates = []
+    while stack:
+        if len(stack) > arrangement._MAX_STACK or len(candidates) > arrangement._MAX_CANDIDATES:
+            arrangement._blowup(a, b, tol, "pair")
+        pa, pb = stack.pop()
+        if _boxes_disjoint(pa, pb, tol):
+            continue
+        wa, wb = pa.width(), pb.width()
+        if max(wa, wb) <= floor:
+            candidates.append((0.5 * (pa.lo + pa.hi), 0.5 * (pb.lo + pb.hi)))
+            continue
+        if wa >= wb:
+            for half in pa.split():
+                stack.append((half, pb))
+        else:
+            for half in pb.split():
+                stack.append((pa, half))
+    return arrangement._candidates_to_hits(a, b, candidates, tol, scale)
+
+
+def _piece_injective(piece):
+    """Sufficient test: hodograph control vectors in an open half-plane."""
+    _, _, q = derivative_data(piece.knots, piece.degree, piece.ctrl)
+    if len(q) == 0:
+        return True
+    u = q.sum(axis=0)
+    n = np.linalg.norm(u)
+    if n == 0:
+        return False
+    return bool(np.all(q @ (u / n) > 1e-12))
+
+
+def _reference_self_intersections(c, tol):
+    if c.kind == "segment":
+        return []
+    scale = max(c.bbox_diag(), 1e-12)
+    floor = max(tol, 1e-5 * scale)
+    span = c.domain[1] - c.domain[0]
+    gap = 1e-3 * span  # self-hits closer than this in parameter are ignored
+    stack = [_Piece.whole(c)]
+    pairs = []
+    candidates = []
+    while stack:
+        piece = stack.pop()
+        if _piece_injective(piece):
+            continue
+        if piece.hi - piece.lo <= gap:
+            continue
+        one, two = piece.split()
+        pairs.append((one, two))
+        stack.extend([one, two])
+    while pairs:
+        if len(pairs) > arrangement._MAX_STACK or len(candidates) > arrangement._MAX_CANDIDATES:
+            arrangement._blowup(c, c, tol, "self")
+        pa, pb = pairs.pop()
+        if pa.lo > pb.lo:
+            pa, pb = pb, pa
+        if pb.hi - pa.lo <= gap:
+            continue  # any candidate here would be parameter-adjacent
+        if _boxes_disjoint(pa, pb, tol):
+            continue
+        wa, wb = pa.width(), pb.width()
+        if max(wa, wb) <= floor:
+            sa, sb = 0.5 * (pa.lo + pa.hi), 0.5 * (pb.lo + pb.hi)
+            if abs(sa - sb) > gap:
+                candidates.append((sa, sb))
+            continue
+        if wa >= wb:
+            for half in pa.split():
+                pairs.append((half, pb))
+        else:
+            for half in pb.split():
+                pairs.append((pa, half))
+    return arrangement._candidates_to_hits(c, c, candidates, tol, scale, self_pair=True)
+
+
+def _open_bspline(pts, degree, knot_ticks):
+    interior = sorted(knot_ticks)[: len(pts) - degree - 1]
+    knots = np.concatenate([[0.0] * (degree + 1), np.array(interior) / 20, [1.0] * (degree + 1)])
+    return ParamCurve("bspline", pts, degree=degree, knots=knots)
+
+
+def _closed_random_bspline(pts):
+    ctrl = np.vstack([pts, pts[:1]])
+    n = len(ctrl)
+    knots = np.concatenate([[0.0] * 4, np.linspace(0.0, 1.0, n - 2)[1:-1], [1.0] * 4])
+    return ParamCurve("bspline", ctrl, degree=3, knots=knots)
+
+
+_net = st.lists(_point, min_size=5, max_size=8)
+_ticks = st.lists(st.integers(1, 19), min_size=5, max_size=5, unique=True)
+_spline_curve = st.one_of(
+    st.lists(_point, min_size=3, max_size=4).map(_bezier),
+    st.builds(_open_bspline, _net, st.sampled_from([2, 3]), _ticks),
+    st.builds(_closed_random_bspline, st.lists(_point, min_size=4, max_size=7)),
+    st.builds(
+        _closed_bspline,
+        _coord, _coord,
+        st.floats(0.05, 0.4), st.floats(0.05, 0.4), st.floats(0.0, 6.0),
+    ),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return exc
+
+
+def _check_against_reference(a, b, got, want, tol):
+    if isinstance(want, OverlapError) and a is not b:
+        assert isinstance(got, OverlapError)
+        return
+    if isinstance(got, GeometryError):
+        # only where the reference overflowed too; on a self pair that reads
+        # OverlapError, because a curve always coincides with itself
+        assert type(got) is type(want)
+        return
+    for h in got:
+        assert np.linalg.norm(a.point(h.t_a) - b.point(h.t_b)) <= tol
+    if isinstance(want, list) and not any(h.tangential for h in want):
+        points = [h.point for h in want]
+        if all(np.linalg.norm(p - q) > tol for i, p in enumerate(points) for q in points[:i]):
+            assert len(got) == len(want)
+            for h in got:
+                assert min(np.linalg.norm(h.point - p) for p in points) <= tol
+
+
+@st.composite
+def _curve_pairs(draw):
+    a = draw(_spline_curve)
+    if draw(st.integers(0, 9)) == 0:  # b shares a stretch of a
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        b = a.restricted(lo, hi) if hi - lo > 0.05 else a.reversed()
+    else:
+        b = draw(_spline_curve)
+    return a, b, draw(st.sampled_from([DEFAULT_TOL, 1e-4]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_curve_pairs())
+def test_clipping_matches_subdivision_on_pairs(case):
+    a, b, tol = case
+    want = _outcome(_reference_generic_intersections, a, b, tol)
+    got = _outcome(intersect_curve_pair, a, b, tol)
+    _check_against_reference(a, b, got, want, tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spline_curve, st.sampled_from([DEFAULT_TOL, 1e-4]))
+def test_clipping_matches_subdivision_on_self_intersections(c, tol):
+    want = _outcome(_reference_self_intersections, c, tol)
+    got = _outcome(intersect_curve_pair, c, c, tol)
+    _check_against_reference(c, c, got, want, tol)

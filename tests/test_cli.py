@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from curveplan.cli import main
 from curveplan.serialize import region_set_from_json, region_set_to_json
@@ -155,6 +156,19 @@ def test_mesh_intersect(tmp_path):
     total = sum(r["signed_area"] for r in data["regions"])
     assert abs(total - 1.0) < 1e-8  # regions partition the parameter square
     assert len(data["regions"]) > 4
+
+
+@pytest.mark.parametrize("name, count", [("map_grid_2x2", 4), ("map_offset", 1)])
+def test_mesh_intersect_of_a_map_with_itself_keeps_its_elements(tmp_path, name, count):
+    # every pulled-back curve coincides with one of the map's own lines and
+    # is dropped, so the regions are the map's knot elements
+    regions = tmp_path / "regions.json"
+    code = run([
+        "mesh-intersect", "--map1", f"{FIXTURES}/{name}.json",
+        "--map2", f"{FIXTURES}/{name}.json", "--regions", str(regions),
+    ])
+    assert code == 0
+    assert len(json.loads(regions.read_text())["regions"]) == count
 
 
 def test_quasi_interp_llm_and_levelset(tmp_path):

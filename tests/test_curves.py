@@ -11,6 +11,7 @@ from curveplan.curves import (
     derivative,
     evaluate,
     find_span,
+    project_points,
     restrict,
     signed_curvature,
     split_bspline,
@@ -397,3 +398,48 @@ def test_breakpoints_are_cached_and_read_only():
     pieces = c.spans()
     assert len(pieces) == len(brk) - 1
     assert all(len(p.breakpoints()) == 2 for p in pieces)
+
+
+def test_nets_are_the_spans_control_nets_and_cached():
+    c = circle_bspline(n_ctrl=12, n_samples=200)
+    nets = c.nets()
+    assert nets is c.nets()
+    brk = c.breakpoints()
+    assert [(u0, u1) for u0, u1, _ in nets] == list(zip(brk[:-1], brk[1:]))
+    for (_, _, net), span in zip(nets, c.spans()):
+        assert np.array(net).tobytes() == span.ctrl.tobytes()
+    arch = quadratic_arch()
+    assert arch.nets() == ((0.0, 1.0, tuple(map(tuple, arch.ctrl.tolist()))),)
+
+
+def _scalar_projection(p, curve, presamples):
+    """One point at a time, as the two projection sites did before
+    ``project_points``: nearest presample, then up to 8 Newton steps."""
+    ts = np.linspace(*curve.domain, presamples)
+    pts = curve.point(ts)
+    i = int(np.argmin(np.linalg.norm(pts - p, axis=1)))
+    t = float(ts[i])
+    a, b = curve.domain
+    for _ in range(8):
+        d1 = curve.deriv(t)
+        g = float(np.dot(curve.point(t) - p, d1))
+        h = float(np.dot(d1, d1) + np.dot(curve.point(t) - p, curve.deriv(t, 2)))
+        if h <= 0:
+            break
+        t = float(np.clip(t - g / h, a, b))
+    return t, float(np.linalg.norm(curve.point(t) - p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _clamped_curves(),
+    st.lists(st.tuples(st.floats(-120, 120), st.floats(-120, 120)), min_size=1, max_size=20),
+    st.sampled_from([65, 257]),
+)
+def test_project_points_matches_scalar_projection(curve, points, presamples):
+    pts = np.array(points, dtype=float)
+    t, dist = project_points(curve, pts, presamples)
+    for k, p in enumerate(pts):
+        want_t, want_d = _scalar_projection(p, curve, presamples)
+        assert abs(t[k] - want_t) <= 1e-9 * (curve.domain[1] - curve.domain[0])
+        assert abs(dist[k] - want_d) <= 1e-9 * (1.0 + want_d)
