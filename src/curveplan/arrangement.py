@@ -132,7 +132,7 @@ def _coincidence_fraction(a, b, tol):
 
 
 def _blowup(a, b, tol, where):
-    if _coincidence_fraction(a, b, tol) >= 0.9:
+    if a is not b and _coincidence_fraction(a, b, tol) >= 0.9:
         raise OverlapError("curves coincide over an interval; intersections not discrete")
     raise GeometryError(f"intersection subdivision overflow ({where})")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import build_drawing
+from .arrangement import build_drawing, intersect_curve_pair
 from .curves import (
     ParamCurve,
     _norms,
@@ -33,6 +33,8 @@ SEED_GRID = 7
 _BLOCK = 512
 #: Newton step scales tried in turn: 1, 1/2, ..., 1/2048
 _LINE_SEARCH = 0.5 ** np.arange(12)
+#: Chebyshev samples a pull-back inverts and fits
+PULL_BACK_SAMPLES = 65
 
 
 class TensorSplineSpace:
@@ -308,13 +310,6 @@ def invert(T, p, guess=None):
     )
 
 
-def _try_invert(T, p, guess=None):
-    try:
-        return invert(T, p, guess=guess)
-    except InversionError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # iso-curve extraction and pull-back
 
@@ -367,64 +362,58 @@ def _chebyshev_lobatto(a, b, m):
     return a + (b - a) * 0.5 * (x + 1.0)
 
 
-def _inside_arcs(T1, gammas, probes=129):
+def _inside_arcs(T1, gammas):
     """Maximal parameter ranges of each curve lying inside the image of T1.
 
-    The probes of all curves are inverted in one batch; the arc ends are
-    then refined together by bisection on the inversion-success predicate.
+    Each curve is cut at its breakpoints and where its spans cross the spans
+    of T1's boundary curves, found by ``intersect_curve_pair`` at T1's
+    inversion tolerance.  Two polynomial spans cross finitely often, so a
+    pair whose search raises runs together within tolerance; the curve is
+    then cut where the boundary span's ends project onto it.  A span equal
+    to a boundary span (maps that share a boundary) needs no cut beyond its
+    own ends and skips the search.  The midpoints of all pieces are
+    inverted in one batch, and consecutive inside pieces join into one arc.
     """
-    ts = [np.linspace(*gamma.domain, probes) for gamma in gammas]
-    uv, ok = invert_points(T1, np.concatenate([g.point(t) for g, t in zip(gammas, ts)]))
-    uv, ok = uv.reshape(len(gammas), probes, 2), ok.reshape(len(gammas), probes)
-
-    arcs, ends = [], []  # runs of inside probes per curve; bisections of their ends
-    for c, (gamma, t) in enumerate(zip(gammas, ts)):
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], ok[c], [0])).astype(int)))
-        firsts, lasts = edges[::2], edges[1::2] - 1
-        arcs.append([[t[i], t[j]] for i, j in zip(firsts, lasts)])
-        for run, i, j in zip(arcs[-1], firsts, lasts):
-            if i > 0:
-                ends.append((run, 0, gamma, t[i - 1], t[i], uv[c, i]))
-            if j + 1 < probes:
-                ends.append((run, 1, gamma, t[j + 1], t[j], uv[c, j]))
-    for (run, side, *_), t in zip(ends, _bisect_boundaries(T1, [e[2:] for e in ends])):
-        run[side] = t
-    return [
-        [(float(lo), float(hi)) for lo, hi in runs if hi - lo > 1e-9 * (t[-1] - t[0])]
-        for t, runs in zip(ts, arcs)
-    ]
-
-
-def _bisect_boundaries(T1, jobs, tol=1e-10):
-    """Last inside parameters of curve stretches, all bisected at once.
-
-    Each job is (gamma, t_out, t_in, solution at t_in), with gamma(t_out)
-    outside the image of T1 and gamma(t_in) inside.  Each step inverts the
-    midpoint from the last inside solution; the parameters move until they
-    are within tol.
-    """
-    t_out = np.array([job[1] for job in jobs])
-    t_in = np.array([job[2] for job in jobs])
-    warm = np.array([job[3] for job in jobs]).reshape(-1, 2)
-    live = np.flatnonzero(np.abs(t_in - t_out) > tol)
-    while len(live):
-        mid = 0.5 * (t_out[live] + t_in[live])
-        pts = np.array([jobs[k][0].point(t) for k, t in zip(live, mid)])
-        sol, good = invert_points(T1, pts, warm[live])
-        t_in[live[good]], warm[live[good]] = mid[good], sol[good]
-        t_out[live[~good]] = mid[~good]
-        live = live[np.abs(t_in[live] - t_out[live]) > tol]
-    return t_in
+    tol = T1.invert_tol
+    walls = [w for c in boundary_curves(T1) for w in c.spans()]
+    cuts = []
+    for gamma in gammas:
+        ts = list(gamma.breakpoints())
+        for (u0, u1, _), span in zip(gamma.nets(), gamma.spans()):
+            s0, s1 = span.domain
+            for wall in walls:
+                if np.array_equal(wall.ctrl, span.ctrl) or np.array_equal(wall.ctrl, span.ctrl[::-1]):
+                    continue
+                try:
+                    local = [h.t_a for h in intersect_curve_pair(span, wall, tol)]
+                except GeometryError:  # the spans run together within tol
+                    local, dist = project_points(span, wall.point(np.array(wall.domain)), 65)
+                    local = local[dist <= tol]
+                ts += [u0 + (t - s0) * ((u1 - u0) / (s1 - s0)) for t in local]
+        cuts.append(np.unique(ts))
+    mids = [g.point(0.5 * (t[:-1] + t[1:])) for g, t in zip(gammas, cuts)]
+    ok = np.split(invert_points(T1, np.concatenate(mids))[1], np.cumsum([len(m) for m in mids]))
+    arcs = []
+    for gamma, t, inside in zip(gammas, cuts, ok):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], inside, [0])).astype(int)))
+        a, b = gamma.domain
+        arcs.append([
+            (float(t[i]), float(t[j]))
+            for i, j in zip(edges[::2], edges[1::2])
+            if t[j] - t[i] > 1e-9 * (b - a)
+        ])
+    return arcs
 
 
-def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
+def pull_back(T1, gamma, fit_tol=1e-8, arc=None):
     """Pull a physical curve back into T1's parameter square.
 
-    Samples at Chebyshev-distributed parameters, inverts them in one batch,
-    and fits a B-spline of degree max(3, deg gamma) with
-    uniform-arc-length knots.  One escalation (double samples and knots) is
-    attempted before failing; the FitError then carries the curve parameter
-    of the sample with the largest residual as ``worst_sample``.
+    Samples PULL_BACK_SAMPLES Chebyshev-distributed parameters of the arc
+    (by default the longest one inside T1's image), inverts them in one
+    batch, and fits a B-spline of degree max(3, deg gamma) with
+    uniform-arc-length knots.  A fit off by more than ``fit_tol`` raises
+    FitError carrying the curve parameter of the sample with the largest
+    residual as ``worst_sample``.
     """
     a, b = gamma.domain
     if arc is None:
@@ -436,31 +425,28 @@ def pull_back(T1, gamma, sample_count=65, fit_tol=1e-8, arc=None):
     trimmed = lo > a + 1e-12 or hi < b - 1e-12
 
     degree = max(3, gamma.degree)
-    m = max(sample_count, 2 * degree + 3)
+    m = max(PULL_BACK_SAMPLES, 2 * degree + 3)
+    ts = _chebyshev_lobatto(lo, hi, m)
+    params = (ts - lo) / (hi - lo)
+    inverted, ok = invert_points(T1, gamma.point(ts))
+    if not ok.all():
+        raise InversionError(
+            f"inversion failed inside a trimmed arc at parameter {ts[np.argmin(ok)]:.6g}"
+        )
     n_ctrl = max(degree + 1, min(12, m // 5))
-    for attempt in range(2):
-        ts = _chebyshev_lobatto(lo, hi, m)
-        params = (ts - lo) / (hi - lo)
-        inverted, ok = invert_points(T1, gamma.point(ts))
-        if not ok.all():
-            raise InversionError(
-                f"inversion failed inside a trimmed arc at parameter {ts[np.argmin(ok)]:.6g}"
-            )
-        knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
-        ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
-        fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
-        errs = _norms(T1.point_pairs(fit.point(params)) - gamma.point(ts))
-        worst = int(np.argmax(errs))
-        residual = float(errs[worst])
-        if residual <= fit_tol:
-            return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
-        m = 2 * m - 1
-        n_ctrl = min(2 * n_ctrl, m - 2)
-    raise FitError(
-        f"pull-back fit residual {residual:.2e} exceeds tolerance {fit_tol:.2e}",
-        worst_sample=float(ts[worst]),
-        residual=residual,
-    )
+    knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
+    ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
+    fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
+    errs = _norms(T1.point_pairs(fit.point(params)) - gamma.point(ts))
+    worst = int(np.argmax(errs))
+    residual = float(errs[worst])
+    if residual > fit_tol:
+        raise FitError(
+            f"pull-back fit residual {residual:.2e} exceeds tolerance {fit_tol:.2e}",
+            worst_sample=float(ts[worst]),
+            residual=residual,
+        )
+    return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +462,7 @@ def _coincident(candidate, existing, tol):
     return bool(np.all(dist <= tol))
 
 
-def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8, sample_count=65):
+def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
     """The interface drawing on T1's parameter square.
 
     Combines the square boundary, T1's interior knot lines, and pull-backs
@@ -497,7 +483,7 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8, sample_count=65):
 
     gammas = knot_iso_curves(T2) + boundary_curves(T2)
     pulled = [
-        pull_back(T1, gamma, sample_count=sample_count, fit_tol=fit_tol, arc=arc)
+        pull_back(T1, gamma, fit_tol=fit_tol, arc=arc)
         for gamma, arcs in zip(gammas, _inside_arcs(T1, gammas))
         for arc in arcs
     ]
@@ -517,7 +503,7 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8, sample_count=65):
 def region_covered_by(region, tiles, T1, T2):
     """Whether a region maps into the image of T2 (zero-extension test)."""
     rep = tiles[0].grids(np.array([0.5]), np.array([0.5]))[0][0, 0]
-    return _try_invert(T2, T1.point_pairs(rep)) is not None
+    return bool(invert_points(T2, T1.point_pairs(rep))[1][0])
 
 
 def integrate_spline_product(s1, s2, T1, T2, region_set, n):

@@ -91,6 +91,15 @@ def test_self_intersection_alpha_curve():
     assert abs(hits[0].t_b - hi) < 1e-9
 
 
+def test_self_intersection_overflow_is_not_an_overlap(monkeypatch):
+    # a curve coincides with itself, so only a distinct pair may read as one
+    alpha = ParamCurve("bezier", [(-1, 0), (3, 4), (-3, 4), (1, 0)])
+    monkeypatch.setattr(arrangement, "_MAX_STEPS", 3)
+    with pytest.raises(GeometryError) as info:
+        intersect_curve_pair(alpha, alpha)
+    assert type(info.value) is GeometryError
+
+
 def test_square_drawing_counts():
     d = build_drawing(square_curves())
     assert len(d.vertices) == 4
@@ -572,8 +581,8 @@ def _check_against_reference(a, b, got, want, tol):
         assert isinstance(got, OverlapError)
         return
     if isinstance(got, GeometryError):
-        # only where the reference overflowed too; on a self pair that reads
-        # OverlapError, because a curve always coincides with itself
+        # only where the reference overflowed too, with the same error: a
+        # self pair's overflow is never read as a coincidence
         assert type(got) is type(want)
         return
     for h in got:

@@ -571,6 +571,15 @@ def test_pull_back_trims_to_image():
     assert abs(lo - 0.25) < 1e-8 and abs(hi - 0.75) < 1e-8
 
 
+def test_pull_back_finds_inside_stretch_shorter_than_any_sampling():
+    # x = 600t - 300.5 and y dips to 0.8, so only t in [300.5/600, 301.5/600]
+    # lies in the unit square: less than 1/128 of the curve
+    gamma = ParamCurve("bezier", [(-300.5, 1.2), (-0.5, 0.4), (299.5, 1.2)])
+    pb = pull_back(make_map(), gamma)
+    assert pb.trimmed
+    assert np.allclose(pb.source_range, (300.5 / 600, 301.5 / 600), rtol=0.0, atol=1e-12)
+
+
 def test_pull_back_fit_error_names_worst_sample(monkeypatch):
     # T1 is bilinear on 2x2 elements with its centre moved, so T1^-1 kinks
     # where the segment crosses T1's knot lines and no cubic fits it to 1e-8
@@ -623,6 +632,16 @@ def test_interface_offset_map_splits_square():
     areas = sorted(r.signed_area for r in rs.regions)
     assert len(areas) == 2
     assert abs(areas[0] - 0.25) < 1e-8 and abs(areas[1] - 0.75) < 1e-8
+
+
+def test_interface_short_shared_boundary_stretch():
+    # T2's bottom and top run along T1's for 0.02 of T1's side, 1/51 of T2's
+    T1 = make_map()
+    T2 = make_map(transform=lambda u, v: (0.98 + 1.02 * u, v))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    areas = sorted(r.signed_area for r in rs.regions)
+    assert len(areas) == 2
+    assert abs(areas[0] - 0.02) < 1e-9 and abs(areas[1] - 0.98) < 1e-9
 
 
 def test_interface_rotated_map_area_conserved():
