@@ -528,8 +528,9 @@ def signed_curvature(curve, t):
 def project_points(curve, pts, presamples):
     """Closest-point parameters and distances ``(t, dist)`` of points (m, 2)
     on a curve: the nearest of ``presamples`` uniform samples, then up to 8
-    Newton steps on |c(t) - p|^2 for all points at once.  A point stops for
-    good at the first step whose second derivative is not positive."""
+    Newton steps on |c(t) - p|^2 for all points at once, ending once a step
+    moves no point (the rest would repeat it).  A point stops for good at
+    the first step whose second derivative is not positive."""
     a, b = curve.domain
     ts = np.linspace(a, b, presamples)
     t = ts[np.argmin(np.linalg.norm(curve.point(ts) - pts[:, None, :], axis=2), axis=1)]
@@ -539,7 +540,9 @@ def project_points(curve, pts, presamples):
         g = np.sum(r * d1, axis=1)
         h = np.sum(d1 * d1, axis=1) + np.sum(r * curve.deriv(t, 2), axis=1)
         live &= h > 0
-        t = np.where(live, np.clip(t - g / np.where(live, h, 1.0), a, b), t)
+        t, last = np.where(live, np.clip(t - g / np.where(live, h, 1.0), a, b), t), t
+        if np.array_equal(t, last):
+            break
     return t, _norms(curve.point(t) - pts)
 
 

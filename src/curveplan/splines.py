@@ -35,6 +35,8 @@ _BLOCK = 512
 _LINE_SEARCH = 0.5 ** np.arange(12)
 #: Chebyshev samples a pull-back inverts and fits
 PULL_BACK_SAMPLES = 65
+#: uniform samples that seed a projection onto a curve
+_PRESAMPLES = 65
 
 
 class TensorSplineSpace:
@@ -362,33 +364,46 @@ def _chebyshev_lobatto(a, b, m):
     return a + (b - a) * 0.5 * (x + 1.0)
 
 
+def _shared_cuts(span, wall, tol):
+    """The parameters on span of wall's ends if the spans run together within
+    tol between two of their ends (those in the other's padded box, not all
+    at one point), over a stretch longer than tol, else None."""
+    ends = [wall.ctrl[[0, -1]], span.ctrl[[0, -1]]]
+    near = [np.all((p >= c.ctrl.min(axis=0) - tol) & (p <= c.ctrl.max(axis=0) + tol), axis=1)
+            for p, c in zip(ends, (span, wall))]
+    pts = np.concatenate([p[m] for p, m in zip(ends, near)])
+    if len(pts) < 2 or np.all(_norms(pts - pts[0]) <= tol):
+        return None
+    t, dist = project_points(span, ends[0][near[0]], _PRESAMPLES)
+    _, back = project_points(wall, ends[1][near[1]], _PRESAMPLES)
+    on = np.concatenate([t[dist <= tol], np.array(span.domain)[near[1]][back <= tol]])
+    if len(on) < 2 or _norms(np.diff(span.point(np.array([on.min(), on.max()])), axis=0))[0] <= tol:
+        return None
+    return t[dist <= tol] if _coincident(span.restricted(on.min(), on.max()), wall, tol) else None
+
+
 def _inside_arcs(T1, gammas):
     """Maximal parameter ranges of each curve lying inside the image of T1.
 
-    Each curve is cut at its breakpoints and where its spans cross the spans
-    of T1's boundary curves, found by ``intersect_curve_pair`` at T1's
-    inversion tolerance.  Two polynomial spans cross finitely often, so a
-    pair whose search raises runs together within tolerance; the curve is
-    then cut where the boundary span's ends project onto it.  A span equal
-    to a boundary span (maps that share a boundary) needs no cut beyond its
-    own ends and skips the search.  The midpoints of all pieces are
-    inverted in one batch, and consecutive inside pieces join into one arc.
+    Each curve is cut at its breakpoints and where its spans meet the spans
+    of T1's boundary curves: at the ends of a stretch where they run
+    together (``_shared_cuts``, maps that share a boundary), else at the
+    hits of ``intersect_curve_pair`` at T1's inversion tolerance, whose
+    errors propagate.  The midpoints of all pieces are inverted in one
+    batch, and consecutive inside pieces join into one arc.
     """
     tol = T1.invert_tol
     walls = [w for c in boundary_curves(T1) for w in c.spans()]
     cuts = []
     for gamma in gammas:
-        ts = list(gamma.breakpoints())
-        for (u0, u1, _), span in zip(gamma.nets(), gamma.spans()):
+        brk = gamma.breakpoints()
+        ts = list(brk)
+        for u0, u1, span in zip(brk[:-1], brk[1:], gamma.spans()):
             s0, s1 = span.domain
             for wall in walls:
-                if np.array_equal(wall.ctrl, span.ctrl) or np.array_equal(wall.ctrl, span.ctrl[::-1]):
-                    continue
-                try:
+                local = _shared_cuts(span, wall, tol)
+                if local is None:
                     local = [h.t_a for h in intersect_curve_pair(span, wall, tol)]
-                except GeometryError:  # the spans run together within tol
-                    local, dist = project_points(span, wall.point(np.array(wall.domain)), 65)
-                    local = local[dist <= tol]
                 ts += [u0 + (t - s0) * ((u1 - u0) / (s1 - s0)) for t in local]
         cuts.append(np.unique(ts))
     mids = [g.point(0.5 * (t[:-1] + t[1:])) for g, t in zip(gammas, cuts)]
@@ -458,7 +473,7 @@ def _coincident(candidate, existing, tol):
     lo, hi = existing.bbox()
     if np.any(pts < lo - tol) or np.any(pts > hi + tol):
         return False  # a sample lies farther than tol from existing's control hull
-    _, dist = project_points(existing, pts, 65)
+    _, dist = project_points(existing, pts, _PRESAMPLES)
     return bool(np.all(dist <= tol))
 
 
@@ -469,17 +484,10 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
     of T2's knot iso-curves and boundary curves (clipped to the image
     overlap, duplicates of already-present curves dropped).
     """
-    sq = [
-        ParamCurve("segment", [(0.0, 0.0), (1.0, 0.0)]),
-        ParamCurve("segment", [(1.0, 0.0), (1.0, 1.0)]),
-        ParamCurve("segment", [(1.0, 1.0), (0.0, 1.0)]),
-        ParamCurve("segment", [(0.0, 1.0), (0.0, 0.0)]),
-    ]
-    curves = list(sq)
-    for ubar in T1.space.interior_knots_u():
-        curves.append(ParamCurve("segment", [(ubar, 0.0), (ubar, 1.0)]))
-    for vbar in T1.space.interior_knots_v():
-        curves.append(ParamCurve("segment", [(0.0, vbar), (1.0, vbar)]))
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    curves = [ParamCurve("segment", [p, q]) for p, q in zip(corners, corners[1:] + corners[:1])]
+    curves += [ParamCurve("segment", [(u, 0.0), (u, 1.0)]) for u in T1.space.interior_knots_u()]
+    curves += [ParamCurve("segment", [(0.0, v), (1.0, v)]) for v in T1.space.interior_knots_v()]
 
     gammas = knot_iso_curves(T2) + boundary_curves(T2)
     pulled = [

@@ -2,13 +2,14 @@
 
 import json
 import os
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from curveplan import splines
+from curveplan import arrangement, splines
 from curveplan.curves import ParamCurve, basis_row, basis_rows, derivative_data, find_span
 from curveplan.errors import FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01
@@ -580,6 +581,51 @@ def test_pull_back_finds_inside_stretch_shorter_than_any_sampling():
     assert np.allclose(pb.source_range, (300.5 / 600, 301.5 / 600), rtol=0.0, atol=1e-12)
 
 
+def _bezier_graph(f, degree):
+    """The graph of a polynomial f of the given degree on [0, 1], exactly
+    as a Bézier curve (its y net solves the interpolation at degree+1 points)."""
+    x = np.linspace(0.0, 1.0, degree + 1)
+    basis = [[comb(degree, i) * t**i * (1 - t) ** (degree - i) for i in range(degree + 1)] for t in x]
+    return ParamCurve("bezier", np.column_stack([x, np.linalg.solve(basis, f(x))]))
+
+
+def _sheared_map():
+    """T1(u, v) = (u, v + u^2 - u): its bottom is the parabola y = x^2 - x."""
+    bottom = _bezier_graph(lambda x: x * x - x, 2).ctrl
+    return SplineMap2D(unit_space((2, 1)), np.stack([bottom, bottom + (0.0, 1.0)], axis=1))
+
+
+def _touch_and_cross():
+    # y = x^2 - x + 2 (x - 0.3)^2 (x - 0.8) touches T1's bottom from outside
+    # at x = 0.3 and crosses it into T1's image at x = 0.8
+    return _bezier_graph(lambda x: x * x - x + 2 * (x - 0.3) ** 2 * (x - 0.8), 3)
+
+
+def test_pull_back_span_touching_and_crossing_curved_boundary():
+    pb = pull_back(_sheared_map(), _touch_and_cross())
+    assert np.allclose(pb.source_range, (0.8, 1.0), rtol=0.0, atol=1e-12)
+    assert splines._inside_arcs(_sheared_map(), [_touch_and_cross()]) == [[pb.source_range]]
+
+
+def test_shared_cuts_need_a_stretch_along_the_wall():
+    wall = ParamCurve("bezier", [(-1.0, 0.0), (0.5, 0.0), (2.0, 0.0)])
+    along = ParamCurve("bezier", [(-2.0, 0.0), (0.5, 0.0), (3.0, 0.0)])  # x = 5t - 2
+    assert np.allclose(splines._shared_cuts(along, wall, 1e-9), (0.2, 0.8), rtol=0.0, atol=1e-12)
+    arch = ParamCurve("bezier", [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)])  # both ends on the wall
+    assert splines._shared_cuts(arch, wall, 1e-9) is None
+    # it starts within tol of the wall's end and crosses the wall later on
+    corner = ParamCurve("bezier", [(2.0 + 1e-11, 0.0), (0.5, 1.0), (0.0, -1.0)])
+    assert splines._shared_cuts(corner, wall, 1e-9) is None
+
+
+def test_inside_arcs_raise_where_a_crossing_search_fails(monkeypatch):
+    # a failed search on a pair that does not run together loses no cut
+    monkeypatch.setattr(arrangement, "_MAX_STEPS", 3)
+    with pytest.raises(GeometryError, match="overflow") as info:
+        splines._inside_arcs(_sheared_map(), [_touch_and_cross()])
+    assert type(info.value) is GeometryError
+
+
 def test_pull_back_fit_error_names_worst_sample(monkeypatch):
     # T1 is bilinear on 2x2 elements with its centre moved, so T1^-1 kinks
     # where the segment crosses T1's knot lines and no cubic fits it to 1e-8
@@ -642,6 +688,26 @@ def test_interface_short_shared_boundary_stretch():
     areas = sorted(r.signed_area for r in rs.regions)
     assert len(areas) == 2
     assert abs(areas[0] - 0.02) < 1e-9 and abs(areas[1] - 0.98) < 1e-9
+
+
+def _bent_map(interior_knots):
+    """(u, v) -> (u, v + 0.2 u (1 - u)) exactly, degree 2 both ways, with the
+    same interior knots both ways; the coefficients are blossoms."""
+    knots = [0.0] * 3 + list(interior_knots) + [1.0] * 3
+    pairs = list(zip(knots[1:-2], knots[2:-1]))
+    ctrl = [[(a + b) / 2, (c + d) / 2 + 0.2 * ((a + b) / 2 - a * b)] for a, b in pairs for c, d in pairs]
+    return SplineMap2D(unit_space((2, 2), interior_knots, interior_knots), np.reshape(ctrl, (len(pairs), len(pairs), 2)))
+
+
+@pytest.mark.parametrize("knots2", [(0.5,), (0.3, 0.7)])
+def test_interface_curved_shared_boundary(knots2):
+    # T2 is T1 with the same image and curved boundary, on the same or other
+    # knots: every boundary span pair runs together over a stretch
+    rs = extract_and_classify(build_interface_drawing(_bent_map((0.5,)), _bent_map(knots2)))
+    cuts = sorted({0.0, 0.5, 1.0, *knots2})
+    widths = np.diff(cuts)
+    want = sorted(float(a * b) for a in widths for b in widths)
+    assert np.allclose(sorted(r.signed_area for r in rs.regions), want, rtol=0.0, atol=1e-9)
 
 
 def test_interface_rotated_map_area_conserved():
