@@ -372,8 +372,9 @@ class ParamCurve:
         return float(np.hypot(*(hi - lo)))
 
     def is_closed(self, tol=1e-9):
-        a, b = self.domain
-        return bool(np.linalg.norm(self.point(a) - self.point(b)) <= tol)
+        """Whether the ends meet within ``tol``: a clamped curve starts and
+        ends at its end control points, which ``deboor_point`` returns."""
+        return bool(np.linalg.norm(self.ctrl[-1] - self.ctrl[0]) <= tol)
 
     # -- reparameterizing operations ----------------------------------------
 

@@ -16,6 +16,11 @@ from .errors import GeometryError
 from .quadrature import gauss01, region_tiles
 from .splines import SplineFunc2D, composed_field, region_covered_by
 
+#: Gauss points per tile direction whose knot element locates a region
+ELEMENT_PROBE_N = 2
+#: tolerance of that knot-element lookup
+ELEMENT_TOL = 1e-12
+
 
 @dataclass
 class LocalProblem:
@@ -68,7 +73,7 @@ def _local_gram_1d(span_blocks, lo, hi, dof_lo, dof_hi):
     return gram
 
 
-def region_element_table(region_set, space, probe_n=2, tol=1e-12):
+def region_element_table(region_set, space):
     """Knot element of every interior region plus its cached tiles.
 
     Every tile quadrature node of a region must land in one element of the
@@ -78,8 +83,8 @@ def region_element_table(region_set, space, probe_n=2, tol=1e-12):
     out = {}
     for k, region in enumerate(region_set.regions):
         tiles = region_tiles(region, region_set.drawing)
-        pts = np.concatenate([tile.gauss_grids(probe_n)[0].reshape(-1, 2) for tile in tiles])
-        ids = set(zip(*space.element_of(pts[:, 0], pts[:, 1], tol=tol)))
+        pts = np.concatenate([t.gauss_grids(ELEMENT_PROBE_N)[0].reshape(-1, 2) for t in tiles])
+        ids = set(zip(*space.element_of(pts[:, 0], pts[:, 1], tol=ELEMENT_TOL)))
         if len(ids) != 1:
             raise GeometryError(
                 f"region {k} spans knot elements {sorted(ids)}; "

@@ -194,11 +194,12 @@ def _read(drawing, column, se, scalar):
 
 
 def angle_between(drawing, arrival, candidate, at=None):
-    """Counterclockwise angle in [0, 2pi) between interior tangents.
+    """Counterclockwise angle in [0, 2pi] between interior tangents.
 
     Measured at the vertex where ``arrival`` ends and ``candidate`` starts,
     from the arrival edge's interior-pointing tangent to the candidate's.
-    The twin of the arrival half-edge returns exactly 0.
+    The twin of the arrival half-edge returns exactly 0; a candidate along
+    the twin returns 0 if it curves left of the twin and 2pi if right.
     """
     if at is not None:
         _check_incident(drawing, at, arrival, [candidate])
@@ -214,15 +215,28 @@ def _ccw(drawing, table, arrival, candidate):
     if candidate == -arrival:
         return 0.0
     ta = _read(drawing, table.angle, -arrival, _tangent)  # back into the arrival edge
-    return (_read(drawing, table.angle, candidate, _tangent) - ta) % TWO_PI
+    a = (_read(drawing, table.angle, candidate, _tangent) - ta) % TWO_PI
+    if a <= ANGLE_TIE or TWO_PI - a <= ANGLE_TIE:  # leaves along the twin
+        left = _leftmost(drawing, table, drawing.target(arrival), [candidate, -arrival])
+        return 0.0 if left == candidate else TWO_PI
+    return a
+
+
+def _leftmost(drawing, table, at, tied):
+    """Of half-edges leaving ``at`` in one direction, the one with the
+    largest signed curvature there; a curvature tie is a hard error."""
+    k = table.curvature
+    curved = sorted(((_read(drawing, k, se, _curvature), se) for se in tied), reverse=True)
+    if curved[0][0] - curved[1][0] <= CURVATURE_TIE:
+        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
+    return curved[0][1]
 
 
 def next_halfedge(drawing, at, arrival, unvisited):
-    """The unvisited half-edge at ``at`` with maximal CCW angle from arrival.
-
-    Exact angle ties fall back to the signed curvature of the candidates at
-    their origin (larger leftward curvature wins); curvature ties too are a
-    hard error.
+    """The half-edge of ``unvisited`` at ``at`` with maximal CCW angle from
+    the arrival's twin, as ``angle_between`` scores it.  Angle ties fall
+    back to the signed curvature of the candidates at their origin (larger
+    leftward curvature wins); curvature ties too are a hard error.
     """
     _check_incident(drawing, at, arrival, unvisited)
     return _max_ccw(drawing, halfedge_table(drawing), at, arrival, unvisited)
@@ -234,23 +248,18 @@ def _max_ccw(drawing, table, at, arrival, unvisited):
     scored = [(_ccw(drawing, table, arrival, se), se) for se in unvisited]
     best = max(a for a, _ in scored)
     tied = [se for a, se in scored if best - a <= ANGLE_TIE]
-    if len(tied) == 1:
-        return tied[0]
-    curved = [(_read(drawing, table.curvature, se, _curvature), se) for se in tied]
-    curved.sort(reverse=True)
-    if curved[0][0] - curved[1][0] <= CURVATURE_TIE:
-        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
-    return curved[0][1]
+    return tied[0] if len(tied) == 1 else _leftmost(drawing, table, at, tied)
 
 
 def extract_regions(drawing):
     """Extract every region of the (purged) drawing as a closed trail.
 
-    The drawing is purged first.  An arrival continues along the maximal-CCW
-    half-edge at its target that no trail has consumed yet: where angles
-    order every vertex (the rotation system of de Berg et al., section 2.2)
-    that is the maximal-CCW one of all, and skipping consumed ones keeps the
-    trails where a tie with the arrival's twin breaks that order.
+    The drawing is purged first.  The successor of an arrival is the
+    maximal-CCW half-edge at its target.  Angles, and on the twin's
+    direction the side of the twin a half-edge curves to, order the
+    half-edges around every vertex (the rotation system of de Berg et al.,
+    section 2.2), so successors are a permutation and every trail is one
+    of its cycles, followed from its first half-edge in vertex order.
     """
     purged = purge_dangling_nodes(drawing)
     table = halfedge_table(purged)
@@ -260,18 +269,14 @@ def extract_regions(drawing):
         for start in purged.pi[vid]:
             if start in used:
                 continue
-            trail = [(vid, start)]
-            current = start
-            while True:
-                u = purged.target(current)
-                free = [se for se in purged.pi[u] if se not in used]
-                nxt = _max_ccw(purged, table, u, current, free)
-                if nxt == start:
-                    break
-                trail.append((u, nxt))
-                used.add(nxt)
-                current = nxt
-            used.add(start)
+            trail, at, se = [], vid, start
+            while se not in used:
+                used.add(se)
+                trail.append((at, se))
+                at = purged.target(se)
+                se = _max_ccw(purged, table, at, se, purged.pi[at])
+            if se != start:
+                raise GeometryError(f"no rotation order at vertex {at}: half-edge {se} recurs")
             regions.append(Region(trail=trail))
     return RegionSet(regions=regions, outer=[], drawing=purged)
 
@@ -291,20 +296,27 @@ def trail_turning(drawing, trail):
     clockwise walk around a component's outside.
     """
     table = halfedge_table(drawing)
-    total = 0.0
-    prev_end = None
-    first_start = None
+    total, prev = 0.0, None
     for _, se in trail:
         angles = _read(drawing, table.samples, se, lambda d, s: (_tangent(d, s), _tangent(d, -s)))
-        if prev_end is None:
+        if prev is None:
             first_start = angles[0]
         else:
-            total += _wrap_pi(angles[0] - prev_end)
+            total += _corner(drawing, table, prev, se, angles[0] - prev_end)
         for a0, a1 in zip(angles[:-1], angles[1:]):
             total += _wrap_pi(a1 - a0)
-        prev_end = angles[-1]
-    total += _wrap_pi(first_start - prev_end)
-    return total
+        prev, prev_end = se, angles[-1]
+    return total + _corner(drawing, table, prev, trail[0][1], first_start - prev_end)
+
+
+def _corner(drawing, table, arrival, departure, turn):
+    """The turning ``turn`` at a corner, wrapped; a departure along the
+    arrival's twin turns +pi if it curves right of the twin, else -pi."""
+    turn = _wrap_pi(turn)
+    if abs(turn) < math.pi - 2 * ANGLE_TIE:  # too far from the twin to tie
+        return turn
+    score = _ccw(drawing, table, arrival, departure)
+    return math.pi if score == TWO_PI else -math.pi if score == 0.0 else turn
 
 
 def region_signed_area(drawing, region):

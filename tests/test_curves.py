@@ -278,6 +278,17 @@ def test_batched_point_and_deriv_equal_scalar_de_boor(curve_and_params):
         assert _same_bits(curve.deriv(ts, order), scalar)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_clamped_curves(), st.floats(0.0, 300.0))
+def test_clamped_curves_start_and_end_at_their_end_control_points(curve, tol):
+    # what lets is_closed compare control points instead of evaluating;
+    # values, not bits: de Boor may turn a -0.0 coordinate into 0.0
+    a, b = curve.domain
+    start, end = curve.point(a), curve.point(b)
+    assert np.array_equal(start, curve.ctrl[0]) and np.array_equal(end, curve.ctrl[-1])
+    assert curve.is_closed(tol) == bool(np.linalg.norm(start - end) <= tol)
+
+
 def _insert_knot_reference(knots, degree, ctrl, t):
     """One Boehm knot insertion step; returns the refined (knots, ctrl)."""
     knots = np.asarray(knots, dtype=float)

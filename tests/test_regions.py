@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve, signed_curvature, tangent_into_interior
-from curveplan.errors import CurveplanError, DegenerateTangentError, TieBreakError
+from curveplan.errors import CurveplanError, DegenerateTangentError, GeometryError, TieBreakError
 from curveplan.quadrature import gauss01
 from curveplan.regions import (
     ANGLE_TIE,
@@ -149,6 +149,23 @@ def test_next_halfedge_twin_when_sole():
     assert next_halfedge(d, v, arrive, [-arrive]) == -arrive
 
 
+def test_next_halfedge_ranks_a_candidate_along_the_twin_by_its_side():
+    # the arrival runs from (1, 0) into the vertex, so its twin leaves along
+    # +x, and so does a quadratic: curving right of the twin it is the first
+    # half-edge clockwise from it, ahead of the segment up; curving left it
+    # is the last, behind the segment
+    twin = segment((0, 0), (1, 0))
+    up = segment((0, 0), (0, 1))
+    for end, chosen in (((1, -1), 2), ((1, 1), 3)):
+        bend = ParamCurve("bezier", [(0, 0), (0.5, 0), end])
+        d = _hand_drawing(
+            {1: (0, 0), 2: (1, 0), 3: end, 4: (0, 1)},
+            {1: (twin, 1, 2), 2: (bend, 1, 3), 3: (up, 1, 4)},
+        )
+        assert next_halfedge(d, 1, -1, d.pi[1]) == chosen
+        assert angle_between(d, -1, 2, 1) == (TWO_PI if chosen == 2 else 0.0)
+
+
 def _hand_drawing(vertex_positions, edge_specs):
     """Assemble a Drawing directly from exact vertex/edge data.
 
@@ -193,6 +210,24 @@ def test_curvature_tie_unresolvable_raises():
     )
     with pytest.raises(TieBreakError):
         next_halfedge(d, 1, 3, [1, 2])
+
+
+def test_walk_raises_where_near_tangent_edges_have_no_rotation_order():
+    # three half-edges leave the vertex 0.7e-9 apart, each within ANGLE_TIE
+    # of the next but not of the one after: the first-clockwise rule then
+    # sends two arrivals to the middle one, and the walk must say so
+    def quad(angle, end):
+        return ParamCurve("bezier", [(0, 0), (0.5 * math.cos(angle), 0.5 * math.sin(angle)), end])
+
+    ends = {2: (1, 0.5), 3: (1, 0.0), 4: (1, -0.5)}
+    edges = {k - 1: (quad((k - 2) * 0.7e-9, p), 1, k) for k, p in ends.items()}
+    edges[4] = (segment((1, 0.5), (1, 0)), 2, 3)
+    edges[5] = (segment((1, 0), (1, -0.5)), 3, 4)
+    edges[6] = (segment((1, -0.5), (-1, -1)), 4, 5)
+    edges[7] = (segment((-1, -1), (0, 0)), 5, 1)
+    d = _hand_drawing({1: (0, 0), 5: (-1, -1), **ends}, edges)
+    with pytest.raises(GeometryError, match="no rotation order at vertex 1"):
+        extract_regions(d)
 
 
 # -- extraction --------------------------------------------------------------
@@ -517,18 +552,29 @@ def _check_walk(drawing):
         return
     assert not isinstance(got, tuple), got
     assert [r.trail for r in got.regions] == want
-    purged = got.drawing
+    classified = _check_trails_and_areas(got)
+    for region in [] if classified is None else classified.all_regions():
+        assert _bits(region.turning) == _bits(reference_turning(got.drawing, region.trail))
+
+
+def _check_trails_and_areas(region_set):
+    """Every half-edge of the purged drawing lies on exactly one trail, the
+    table holds the scalar code's bits, and classified areas are the scalar
+    sums bit for bit.  Returns the classified set, None if it raises."""
+    purged = region_set.drawing
+    on_trails = sorted(se for r in region_set.regions for _, se in r.trail)
+    assert on_trails == sorted(se for eid in purged.edges for se in (eid, -eid))
     _check_table(purged)
-    classified = _or_error(classify_regions, got)
+    classified = _or_error(classify_regions, region_set)
     if isinstance(classified, tuple):
-        return
+        return None
     for region in classified.all_regions():
         area = 0.0
         for _, se in region.trail:
             term = reference_edge_area(purged.edges[abs(se)].geometry)
             area += term if se > 0 else -term
         assert _bits(region.signed_area) == _bits(0.5 * area)
-        assert _bits(region.turning) == _bits(reference_turning(purged, region.trail))
+    return classified
 
 
 def _json_curves(name):
@@ -620,43 +666,69 @@ def _wheels(draw):
     """A hub joined by spokes to a ring of vertices, with ring loops.
 
     Spokes are segments, or Bezier curves that leave the hub tangent to the
-    next spoke (an angle tie the curvature breaks), straight cubics (a tie
-    in curvature too) or with a vanishing tangent at the hub."""
+    next spoke: quadratics (an angle tie that curvature breaks), cubics
+    without curvature there (a tie in curvature too where the next spoke is
+    a segment) or with a vanishing tangent at the hub (a cusp).  Returns the
+    drawing, the spoke kinds, the ring and the loops' areas."""
     n = draw(st.integers(3, 6))
     gaps = draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n))  # each < pi
     angles = np.cumsum(gaps) / sum(gaps) * TWO_PI + draw(st.floats(0.0, TWO_PI))
     ring = [(math.cos(a) * r, math.sin(a) * r) for a, r in zip(angles, draw(
         st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))]
     hub = np.zeros(2)
-    edges = {}
+    edges, kinds = {}, []
     for k, p in enumerate(ring):
         p, nxt = np.asarray(p), np.asarray(ring[(k + 1) % n])
-        kind = draw(st.sampled_from(["segment", "tangent", "tangent", "straight", "cusp"]))
-        if kind == "segment":
+        kinds.append(draw(st.sampled_from(["segment", "tangent", "tangent", "straight", "cusp"])))
+        s = draw(st.floats(0.05, 0.3))
+        if kinds[-1] == "segment":
             spoke = segment(hub, p)
-        elif kind == "tangent":
-            s = draw(st.floats(0.05, 0.3))
+        elif kinds[-1] == "tangent":
             spoke = ParamCurve("bezier", [hub, hub + s * nxt, p])
-        elif kind == "straight":
-            spoke = ParamCurve("bezier", [hub, p / 3, 2 * p / 3, p])
+        elif kinds[-1] == "straight":
+            spoke = ParamCurve("bezier", [hub, hub + s * nxt, hub + 2 * s * nxt, p])
         else:
             spoke = ParamCurve("bezier", [hub, hub, p])
         edges[len(edges) + 1] = (spoke, 1, k + 2)
         edges[len(edges) + 1] = (segment(p, nxt), k + 2, (k + 1) % n + 2)
+    loop_areas = []
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
         p = np.asarray(ring[k])
         out = p / np.linalg.norm(p)
         side = np.array([-out[1], out[0]])
-        loop = [p, p + out + 0.4 * side, p + out - 0.4 * side, p]
-        edges[len(edges) + 1] = (ParamCurve("bezier", loop), k + 2, k + 2)
+        loop = ParamCurve("bezier", [p, p + out + 0.4 * side, p + out - 0.4 * side, p])
+        loop_areas.append(abs(0.5 * reference_edge_area(loop)))  # drawn clockwise
+        edges[len(edges) + 1] = (loop, k + 2, k + 2)
     vertices = {1: hub, **{k + 2: p for k, p in enumerate(ring)}}
-    return _hand_drawing(vertices, edges)
+    return _hand_drawing(vertices, edges), kinds, np.asarray(ring), loop_areas
 
 
 @settings(max_examples=150, deadline=None)
 @given(_wheels())
-def test_walk_and_table_equal_scalar_code_on_tangential_meetings(drawing):
-    _check_walk(drawing)
+def test_tangential_wheels_give_every_sector_and_loop(wheel):
+    drawing, kinds, ring, loop_areas = wheel
+    n = len(kinds)
+    errors = set()
+    if "cusp" in kinds:
+        errors.add(DegenerateTangentError)
+    if any(kinds[k - 1] == "straight" and kinds[k] == "segment" for k in range(n)):
+        errors.add(TieBreakError)
+    got = _or_error(extract_regions, drawing)
+    if errors:
+        # the scalar reference raises these too, where it meets them
+        assert isinstance(got, tuple) and got[0] in errors, got
+        want = _or_error(reference_extract, drawing)
+        assert not isinstance(want, tuple) or want[0] in errors
+        return
+    assert not isinstance(got, tuple), got
+    classified = _check_trails_and_areas(got)
+    assert classified is not None
+    assert len(classified.regions) == n + len(loop_areas) and len(classified.outer) == 1
+    x, y = ring[:, 0], ring[:, 1]
+    polygon = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    assert abs(sum(r.signed_area for r in classified.regions) - polygon - sum(loop_areas)) < 1e-9
+    assert all(abs(r.turning - TWO_PI) < 1e-6 for r in classified.regions)
+    assert abs(classified.outer[0].turning + TWO_PI) < 1e-6
 
 
 def test_walk_raises_the_reference_tie_and_tangent_errors():
