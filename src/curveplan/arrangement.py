@@ -8,7 +8,9 @@ parameterization, -e against it.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,10 +43,12 @@ def intersect_curve_pair(a, b, tol=DEFAULT_TOL):
 
     Two segments meet in closed form.  Otherwise every pair of single-span
     Bézier nets (``ParamCurve.nets``) whose boxes meet is narrowed by Bézier
-    clipping, halving where a clip stalls, down to candidate parameter pairs
-    that damped Newton refines; near-tangential solutions are kept and
-    flagged.  A self-intersection runs the same loop on pairs of spans and
-    of halves of non-injective spans.  Curves coincident over an interval
+    clipping, halving where a clip stalls, down to candidate parameter pairs.
+    Damped Newton on the same nets refines each candidate once; roots that
+    are one intersection, modulo the period on a closed curve, give one
+    hit, and near-tangential ones are kept and flagged.  A self-intersection
+    runs the same loop on pairs of spans and of halves of non-injective
+    spans.  Curves coincident over an interval
     raise OverlapError; a search that exceeds its budget raises GeometryError.
     """
     if tol <= 0:
@@ -100,28 +104,60 @@ def _segment_segment(a, b, tol):
     return [IntersectionHit(s, t, 0.5 * (pa + pb))]
 
 
+def _eval(curve, s):
+    """Point and derivative of ``curve`` at s as float pairs: de Casteljau on
+    the span net (``ParamCurve.nets``) that ``find_span``'s right-hand rule
+    picks, down to two points, whose difference times degree / span is the
+    derivative."""
+    nets = curve.nets()
+    u0, u1, pts = nets[max(bisect_right(nets, s, key=itemgetter(0)) - 1, 0)]
+    n, u = len(pts) - 1, (s - u0) / (u1 - u0)
+    v = 1.0 - u
+    while len(pts) > 2:
+        pts = [(v * x0 + u * x1, v * y0 + u * y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    (x0, y0), (x1, y1) = pts
+    h = u1 - u0
+    return (v * x0 + u * x1, v * y0 + u * y1), (n * (x1 - x0) / h, n * (y1 - y0) / h)
+
+
+def _gap(a, b, s, t):
+    (xa, ya), _ = _eval(a, s)
+    (xb, yb), _ = _eval(b, t)
+    return math.hypot(xa - xb, ya - yb)
+
+
 def _newton_refine(a, b, s, t, scale):
-    """Damped Gauss-Newton for a(s) = b(t); returns refined (s, t, residual)."""
+    """Damped Gauss-Newton for a(s) = b(t) on the span nets; returns refined
+    (s, t, residual).  The 2x2 step is solved in closed form; where the
+    Jacobian is singular to working precision it is the rank-one
+    minimum-norm step."""
     (a0, a1), (b0, b1) = a.domain, b.domain
     target = 1e-12 * max(scale, 1e-12)
-    fa = a.point(s) - b.point(t)
-    res = float(np.linalg.norm(fa))
+    ((xa, ya), da), ((xb, yb), db) = _eval(a, s), _eval(b, t)
+    fx, fy = xa - xb, ya - yb
+    res = math.hypot(fx, fy)
     for _ in range(60):
         if res <= target:
             break
-        jac = np.column_stack([a.deriv(s), -b.deriv(t)])
-        step, *_ = np.linalg.lstsq(jac, -fa, rcond=None)
-        lam, improved = 1.0, False
+        # the Jacobian [a'(s), -b'(t)]: its determinant and squared norm
+        det = db[0] * da[1] - da[0] * db[1]
+        norm2 = da[0] ** 2 + da[1] ** 2 + db[0] ** 2 + db[1] ** 2
+        if abs(det) > 1e-14 * norm2:
+            ds, dt = (fx * db[1] - db[0] * fy) / det, (fx * da[1] - da[0] * fy) / det
+        elif norm2 > 0.0:  # -J^T f / |J|^2
+            ds, dt = -(da[0] * fx + da[1] * fy) / norm2, (db[0] * fx + db[1] * fy) / norm2
+        else:
+            break
+        lam = 1.0
         while lam > 1.0 / 4096:
-            s2 = float(np.clip(s + lam * step[0], a0, a1))
-            t2 = float(np.clip(t + lam * step[1], b0, b1))
-            f2 = a.point(s2) - b.point(t2)
-            r2 = float(np.linalg.norm(f2))
+            s2, t2 = min(max(s + lam * ds, a0), a1), min(max(t + lam * dt, b0), b1)
+            ((xa, ya), da2), ((xb, yb), db2) = _eval(a, s2), _eval(b, t2)
+            r2 = math.hypot(xa - xb, ya - yb)
             if r2 < res:
-                s, t, fa, res, improved = s2, t2, f2, r2, True
+                s, t, fx, fy, res, da, db = s2, t2, xa - xb, ya - yb, r2, da2, db2
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
     return s, t, res
 
@@ -137,62 +173,83 @@ def _blowup(a, b, tol, where):
     raise GeometryError(f"intersection subdivision overflow ({where})")
 
 
-def _is_tangential(a, b, s, t):
-    da, db = a.deriv(s), b.deriv(t)
-    na, nb = np.linalg.norm(da), np.linalg.norm(db)
-    if na == 0 or nb == 0:
-        return True
-    return abs(_cross(da, db)) <= 1e-6 * na * nb
+def _is_tangential(da, db):
+    """Whether two derivative vectors are parallel, or one of them is zero."""
+    return abs(_cross(da, db)) <= 1e-6 * math.hypot(*da) * math.hypot(*db)
+
+
+def _near(x, ref, period):
+    """x moved by ``period`` (a closed curve's; 0 otherwise) toward ref
+    where that brings it nearer."""
+    return x - math.copysign(period, x - ref) if abs(x - ref) > 0.5 * period > 0 else x
+
+
+def _into(x, lo, period):
+    """x moved by at most one period into [lo, lo + period]."""
+    return x + period if x < lo else x - period if x > lo + period else x
 
 
 def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
-    span_a = a.domain[1] - a.domain[0]
-    span_b = b.domain[1] - b.domain[0]
-    ptol = 1e-7 * max(span_a, 1.0)
-    roots = []
-    for s0, t0 in candidates:
-        s, t, res = _newton_refine(a, b, s0, t0, scale)
+    """Hits from candidate parameter pairs, each refined once."""
+    roots = [_newton_refine(a, b, s, t, scale) for s, t in candidates]
+    return _roots_to_hits(a, b, roots, tol, self_pair)
+
+
+def _roots_to_hits(a, b, roots, tol, self_pair=False):
+    """Hits from refined roots (s, t, residual) within ``tol``, one per
+    intersection.  A closed curve's parameters compare modulo its period."""
+    (a0, a1), (b0, b1) = a.domain, b.domain
+    per_a, per_b = (a1 - a0) * a.is_closed(tol), (b1 - b0) * b.is_closed(tol)  # 0: open
+    ptol = 1e-7 * max(a1 - a0, 1.0)
+    kept = []
+    for s, t, res in roots:
         if res > tol:
             continue
         if self_pair:
             if s > t:
                 s, t = t, s
-            if t - s <= 1e-3 * span_a:
+            if t - s <= 1e-3 * (a1 - a0):
                 continue
-            if a.is_closed(tol) and s <= a.domain[0] + ptol and t >= a.domain[1] - ptol:
+            if per_a and s <= a0 + ptol and t >= a1 - ptol:
                 continue  # the seam of a closed curve is not a self-intersection
-        roots.append((s, t))
-    roots.sort()
+        kept.append((s, t))
+    kept.sort()
 
     # Consecutive roots whose connecting midpoint still meets the tolerance
     # are tol-indistinguishable duplicates of one intersection (near-tangent
-    # touches smear into short runs of accepted parameters).
+    # touches smear into short runs of accepted parameters); on a closed
+    # curve the last run may continue the first across the seam.
+    def same(prev, root):
+        ps, pt_ = prev
+        s, t = _near(root[0], ps, per_a), _near(root[1], pt_, per_b)
+        if abs(s - ps) <= ptol and abs(t - pt_) <= ptol:
+            return True
+        if abs(s - ps) > 0.05 * (a1 - a0) or abs(t - pt_) > 0.05 * (b1 - b0):
+            return False
+        sm, tm = _into(0.5 * (s + ps), a0, per_a), _into(0.5 * (t + pt_), b0, per_b)
+        return _gap(a, b, sm, tm) <= tol
+
     groups = []
-    for s, t in roots:
-        if groups:
-            ps, pt_ = groups[-1][-1]
-            dup = abs(s - ps) <= ptol and abs(t - pt_) <= ptol
-            if not dup and abs(s - ps) <= 0.05 * span_a and abs(t - pt_) <= 0.05 * span_b:
-                sm, tm = 0.5 * (s + ps), 0.5 * (t + pt_)
-                dup = np.linalg.norm(a.point(sm) - b.point(tm)) <= tol
-            if dup:
-                groups[-1].append((s, t))
-                continue
-        groups.append([(s, t)])
+    for root in kept:
+        if groups and same(groups[-1][-1], root):
+            groups[-1].append(root)
+        else:
+            groups.append([root])
+    if (per_a or per_b) and len(groups) > 1 and same(groups[-1][-1], groups[0][0]):
+        groups[0] = groups.pop() + groups[0]
 
     hits = []
     for grp in groups:
-        ss = [g[0] for g in grp]
-        ts = [g[1] for g in grp]
-        s, t = float(np.mean(ss)), float(np.mean(ts))
-        if len(grp) > 1 and np.linalg.norm(a.point(s) - b.point(t)) > tol:
+        ss = [_near(g[0], grp[0][0], per_a) for g in grp]
+        ts = [_near(g[1], grp[0][1], per_b) for g in grp]
+        s, t = _into(float(np.mean(ss)), a0, per_a), _into(float(np.mean(ts)), b0, per_b)
+        if len(grp) > 1 and _gap(a, b, s, t) > tol:
             # a smeared run whose mean parameters miss: report its best root
-            s, t = min(grp, key=lambda g: float(np.linalg.norm(a.point(g[0]) - b.point(g[1]))))
-        pt = 0.5 * (a.point(s) + b.point(t))
-        smeared = max(ss) - min(ss) > 1e-5 * span_a or max(ts) - min(ts) > 1e-5 * span_b
-        hits.append(
-            IntersectionHit(s, t, pt, tangential=smeared or _is_tangential(a, b, s, t))
-        )
+            s, t = min(grp, key=lambda g: _gap(a, b, *g))
+        ((xa, ya), da), ((xb, yb), db) = _eval(a, s), _eval(b, t)
+        smeared = max(ss) - min(ss) > 1e-5 * (a1 - a0) or max(ts) - min(ts) > 1e-5 * (b1 - b0)
+        tangential = smeared or _is_tangential(da, db)
+        hits.append(IntersectionHit(s, t, np.array([0.5 * (xa + xb), 0.5 * (ya + yb)]), tangential))
     hits.sort(key=lambda h: (h.t_a, h.t_b))
     return hits
 
@@ -289,22 +346,21 @@ def _clip(p, q, pad):
     return u0, u1, p
 
 
-def _distinct_candidates(a, b, candidates, tol, scale):
-    """The candidates less those that Newton refines to a transversal root
-    already reached from an earlier one, or to a residual above ``tol``.
+def _distinct_roots(a, b, roots, tol):
+    """The refined roots less those above ``tol`` and those that repeat a
+    transversal root already kept.
 
     A shallow crossing whose curves stay within ``tol`` of each other for a
     while yields a run of floor-sized pairs that all refine to one root.
-    Tangential and coincident stretches keep every candidate."""
+    Tangential and coincident stretches keep every root."""
     ptol = 1e-7 * max(a.domain[1] - a.domain[0], 1.0)
-    kept, roots = [], []
-    for s0, t0 in candidates:
-        s, t, res = _newton_refine(a, b, s0, t0, scale)
-        if res > tol or any(abs(s - rs) <= ptol and abs(t - rt) <= ptol for rs, rt in roots):
+    kept, transversal = [], []
+    for s, t, res in roots:
+        if res > tol or any(abs(s - rs) <= ptol and abs(t - rt) <= ptol for rs, rt in transversal):
             continue
-        kept.append((s0, t0))
-        if not _is_tangential(a, b, s, t):
-            roots.append((s, t))
+        kept.append((s, t, res))
+        if not _is_tangential(_eval(a, s)[1], _eval(b, t)[1]):
+            transversal.append((s, t))
     return kept
 
 
@@ -316,18 +372,19 @@ def _clip_intersections(a, b, pairs, tol, gap=None):
     net q of b on [t0, t1].  Each step clips p against q's fat line, then q
     against p's, and halves the wider net when neither clip removes 20 %.
     A pair whose clipped nets' boxes are both at most ``floor`` wide is a
-    Newton candidate.  With ``gap`` (a self pair, s1 <= t0) pairs and
-    candidates closer than ``gap`` in parameter are dropped.
+    candidate, which Newton refines once, when it is found.  With ``gap``
+    (a self pair, s1 <= t0) pairs and candidates closer than ``gap`` in
+    parameter are dropped.
     """
     scale = max(a.bbox_diag(), b.bbox_diag(), 1e-12)
     floor = max(tol, 1e-5 * scale)
     where = "pair" if gap is None else "self"
-    stack, candidates, steps, squeezed = pairs, [], 0, False
+    stack, roots, steps, squeezed = pairs, [], 0, False
     while stack:
         steps += 1
-        if len(candidates) > _MAX_CANDIDATES and not squeezed:
-            candidates, squeezed = _distinct_candidates(a, b, candidates, tol, scale), True
-        if len(candidates) > _MAX_CANDIDATES or steps > _MAX_STEPS or len(stack) > _MAX_STACK:
+        if len(roots) > _MAX_CANDIDATES and not squeezed:
+            roots, squeezed = _distinct_roots(a, b, roots, tol), True
+        if len(roots) > _MAX_CANDIDATES or steps > _MAX_STEPS or len(stack) > _MAX_STACK:
             _blowup(a, b, tol, where)
         s0, s1, p, t0, t1, q = stack.pop()
         if gap is not None and t1 - s0 <= gap:
@@ -347,7 +404,7 @@ def _clip_intersections(a, b, pairs, tol, gap=None):
         if max(wp, wq) <= floor:
             s, t = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
             if gap is None or t - s > gap:
-                candidates.append((s, t))
+                roots.append(_newton_refine(a, b, s, t, scale))
         elif u1 - u0 <= 0.8 or v1 - v0 <= 0.8:
             stack.append((s0, s1, p, t0, t1, q))
         elif wp >= wq:
@@ -356,7 +413,7 @@ def _clip_intersections(a, b, pairs, tol, gap=None):
         else:
             tm, (q1, q2) = 0.5 * (t0 + t1), _split(q, 0.5)
             stack += [(s0, s1, p, t0, tm, q1), (s0, s1, p, tm, t1, q2)]
-    return _candidates_to_hits(a, b, candidates, tol, scale, self_pair=gap is not None)
+    return _roots_to_hits(a, b, roots, tol, self_pair=gap is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +673,8 @@ def build_drawing(curves, tol=DEFAULT_TOL):
             has_start = merged[0][0] <= a + ptol
             has_end = merged[-1][0] >= b - ptol
             if has_start or has_end:
-                # a vertex sits on the seam: list it at both domain ends
+                # a vertex sits on the seam: list it at both domain ends, here
+                # and among its hits
                 vid = merged[0][1] if has_start else merged[-1][1]
                 if has_start and has_end and merged[0][1] != merged[-1][1]:
                     raise GeometryError(
@@ -630,6 +688,7 @@ def build_drawing(curves, tol=DEFAULT_TOL):
                     merged[-1] = (b, vid)
                 else:
                     merged.append((b, vid))
+                vertices[vid].hits = sorted({*vertices[vid].hits, (ci, a), (ci, b)})
             else:
                 needs_wrap = True
 

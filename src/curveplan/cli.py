@@ -7,6 +7,7 @@ geometric degeneracies 3, convergence failures 4.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -196,7 +197,9 @@ def _add_common(sp, fit_tol=False):
                     help="include outer (clockwise) regions in outputs")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="curveplan",
         description="Region extraction for curvilinear drawings and "

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from curveplan.cli import main
+from curveplan.cli import build_parser, main
 from curveplan.serialize import region_set_from_json, region_set_to_json
 
 FIXTURES = "fixtures"
@@ -43,6 +43,24 @@ def test_extract_keep_outer(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["outer"]) == 1
     assert data["outer"][0]["orientation"] == "outer"
+
+
+def test_calls_in_one_process_parse_their_own_argv(tmp_path):
+    # the parser is built once per process; no flag, default or subcommand
+    # of one call may carry over to the next
+    assert build_parser() is build_parser()
+    square = f"{FIXTURES}/extract_square_diagonal.json"
+    first, second, table = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "t.csv"
+    assert run(["extract", "--input", square, "--out", str(first), "--keep-outer"]) == 0
+    assert run([
+        "integrate", "--input", f"{FIXTURES}/integrate_lens.json",
+        "--f", "1", "--max-level", "2", "--out", str(table),
+    ]) == 0
+    assert run(["extract", "--input", square, "--out", str(second)]) == 0
+    assert len(json.loads(first.read_text())["outer"]) == 1
+    assert "outer" not in json.loads(second.read_text())
+    rows = table.read_text().strip().split("\n")
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
 
 
 def test_integrate_constant_gives_area(tmp_path):
