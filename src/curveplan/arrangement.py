@@ -48,8 +48,8 @@ def intersect_curve_pair(a, b, tol=DEFAULT_TOL):
     are one intersection, modulo the period on a closed curve, give one
     hit, and near-tangential ones are kept and flagged.  A self-intersection
     runs the same loop on pairs of spans and of halves of non-injective
-    spans.  Curves coincident over an interval
-    raise OverlapError; a search that exceeds its budget raises GeometryError.
+    spans.  Curves coincident over an interval raise OverlapError; a search
+    that exceeds its budget raises GeometryError.
     """
     if tol <= 0:
         raise GeometryError("intersection tolerance must be positive")
