@@ -65,43 +65,55 @@ def _cross(u, v):
 
 
 def _segment_segment(a, b, tol):
-    p0, p1 = a.ctrl
-    q0, q1 = b.ctrl
-    d1, d2 = p1 - p0, q1 - q0
-    l1, l2 = np.linalg.norm(d1), np.linalg.norm(d2)
-    denom = _cross(d1, d2)
+    """Closed-form meeting of two segments, on their float nets.  A segment
+    of zero length is a point: farther than ``tol`` from the other segment
+    it meets nothing, nearer it has no parameter to report (GeometryError)."""
+    ((p0x, p0y), (p1x, p1y)), ((q0x, q0y), (q1x, q1y)) = a.nets()[0][2], b.nets()[0][2]
+    d1x, d1y, d2x, d2y = p1x - p0x, p1y - p0y, q1x - q0x, q1y - q0y
+    l1, l2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
+    if l1 == 0.0 or l2 == 0.0:
+        if l1 == 0.0:
+            gap = _point_gap(p0x, p0y, q0x, q0y, d2x, d2y)
+        else:
+            gap = _point_gap(q0x, q0y, p0x, p0y, d1x, d1y)
+        if gap > tol:
+            return []
+        raise GeometryError("a segment of zero length meets another segment")
+    ox, oy = q0x - p0x, q0y - p0y
+    denom = d1x * d2y - d1y * d2x
     if abs(denom) <= 1e-14 * max(l1 * l2, 1e-300):
         # parallel; coincident iff the offset is parallel too
-        off = q0 - p0
-        if abs(_cross(d1, off)) > tol * l1:  # perpendicular distance > tol
+        if abs(d1x * oy - d1y * ox) > tol * l1:  # perpendicular distance > tol
             return []
-        u = d1 / (l1 * l1)
-        s0, s1 = float(np.dot(q0 - p0, u)), float(np.dot(q1 - p0, u))
-        lo, hi = min(s0, s1), max(s0, s1)
-        olo, ohi = max(lo, 0.0), min(hi, 1.0)
-        if ohi - olo > tol / max(l1, 1e-300):
+        ux, uy = d1x / (l1 * l1), d1y / (l1 * l1)
+        s0, s1 = ox * ux + oy * uy, (q1x - p0x) * ux + (q1y - p0y) * uy
+        olo, ohi = max(min(s0, s1), 0.0), min(max(s0, s1), 1.0)
+        if ohi - olo > tol / l1:
             raise OverlapError("collinear segments overlap over an interval")
-        if ohi < olo - tol / max(l1, 1e-300):
+        if ohi < olo - tol / l1:
             return []
         s = 0.5 * (olo + ohi)
         t = (s - s0) / (s1 - s0)
-        pt = p0 + s * d1
-        if np.linalg.norm(pt - (q0 + t * d2)) > tol:
+        ax, ay = p0x + s * d1x, p0y + s * d1y
+        if math.hypot(ax - (q0x + t * d2x), ay - (q0y + t * d2y)) > tol:
             return []
-        return [IntersectionHit(s, float(np.clip(t, 0, 1)), pt, tangential=True)]
-    off = q0 - p0
-    s = _cross(off, d2) / denom
-    t = _cross(off, d1) / denom
-    slack_s = tol / max(l1, 1e-300)
-    slack_t = tol / max(l2, 1e-300)
-    if not (-slack_s <= s <= 1 + slack_s and -slack_t <= t <= 1 + slack_t):
+        return [IntersectionHit(s, min(max(t, 0.0), 1.0), np.array([ax, ay]), tangential=True)]
+    s = (ox * d2y - oy * d2x) / denom
+    t = (ox * d1y - oy * d1x) / denom
+    if not (-tol / l1 <= s <= 1 + tol / l1 and -tol / l2 <= t <= 1 + tol / l2):
         return []
-    s = float(np.clip(s, 0.0, 1.0))
-    t = float(np.clip(t, 0.0, 1.0))
-    pa, pb = p0 + s * d1, q0 + t * d2
-    if np.linalg.norm(pa - pb) > tol:
+    s, t = min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
+    ax, ay, bx, by = p0x + s * d1x, p0y + s * d1y, q0x + t * d2x, q0y + t * d2y
+    if math.hypot(ax - bx, ay - by) > tol:
         return []
-    return [IntersectionHit(s, t, 0.5 * (pa + pb))]
+    return [IntersectionHit(s, t, np.array([0.5 * (ax + bx), 0.5 * (ay + by)]))]
+
+
+def _point_gap(px, py, sx, sy, dx, dy):
+    """Distance from (px, py) to the segment from (sx, sy) along (dx, dy)."""
+    dd = dx * dx + dy * dy
+    u = 0.0 if dd == 0.0 else min(max(((px - sx) * dx + (py - sy) * dy) / dd, 0.0), 1.0)
+    return math.hypot(sx + u * dx - px, sy + u * dy - py)
 
 
 def _eval(curve, s):
@@ -467,7 +479,7 @@ class Drawing:
         def sort_key(se):
             e = self.edges[abs(se)]
             t = e.t_lo if se > 0 else e.t_hi
-            return (e.curve_id, t, -np.sign(se))
+            return (e.curve_id, t, -1 if se > 0 else 1)
 
         for vid in pi:
             pi[vid].sort(key=sort_key)
@@ -552,7 +564,7 @@ class _UnionFind:
 def _box_pairs(curves, tol):
     """Ascending pairs (i, j), i < j, whose control-point boxes, padded by
     ``tol``, meet: a sort-and-sweep on the boxes' xmin."""
-    boxes = [(*c.ctrl.min(axis=0).tolist(), *c.ctrl.max(axis=0).tolist()) for c in curves]
+    boxes = [_box(c.ctrl.tolist()) for c in curves]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
     pairs = []
     for k, i in enumerate(order):
@@ -623,7 +635,7 @@ def build_drawing(curves, tol=DEFAULT_TOL):
     next_vid = 1
     for lab in sorted(clusters, key=first_seen.get):
         recs = clusters[lab]
-        pos = np.mean([r[4] for r in recs], axis=0)
+        pos = recs[0][4] if len(recs) == 1 else np.mean([r[4] for r in recs], axis=0)
         hits = []
         for ci, ti, cj, tj, _, _ in recs:
             hits.append((ci, float(ti)))
@@ -648,10 +660,12 @@ def build_drawing(curves, tol=DEFAULT_TOL):
         next_eid += 1
 
     for ci, curve in enumerate(curves):
+        hits = sorted(per_curve[ci])
+        closed = curve.is_closed(tol)
+        if not (hits or closed):
+            continue
         a, b = curve.domain
         ptol = _param_tol(curve, tol)
-        closed = curve.is_closed(tol)
-        hits = sorted(per_curve[ci])
 
         merged = []
         for t, vid in hits:
@@ -660,12 +674,11 @@ def build_drawing(curves, tol=DEFAULT_TOL):
             else:
                 merged.append((t, vid))
 
-        if not merged:
-            if closed:
-                sv = Vertex(next_vid, curve.point(a).copy(), [(ci, a), (ci, b)], seam=True)
-                vertices[next_vid] = sv
-                next_vid += 1
-                add_edge(ci, a, b, sv.id, sv.id, curve.restricted(a, b))
+        if not merged:  # closed, without hits: one loop from a seam vertex
+            sv = Vertex(next_vid, curve.point(a).copy(), [(ci, a), (ci, b)], seam=True)
+            vertices[next_vid] = sv
+            next_vid += 1
+            add_edge(ci, a, b, sv.id, sv.id, curve.restricted(a, b))
             continue
 
         needs_wrap = False

@@ -6,6 +6,8 @@ exact on polynomial pieces.  Curves are immutable; every operation returns
 plain numpy data or a new curve.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateTangentError, GeometryError, SchemaError
@@ -191,6 +193,15 @@ def split_bspline(knots, degree, ctrl, t):
     return left, right
 
 
+@functools.cache
+def _bezier_knots(degree):
+    """The clamped knot vector of a degree-``degree`` Bézier on [0, 1],
+    shared and read-only."""
+    knots = np.array([0.0] * (degree + 1) + [1.0] * (degree + 1))
+    knots.flags.writeable = False
+    return knots
+
+
 # ---------------------------------------------------------------------------
 # curve type
 
@@ -210,7 +221,8 @@ class ParamCurve:
     """
 
     __slots__ = (
-        "kind", "degree", "knots", "ctrl", "reduced_continuity", "_d1", "_d2", "_brk", "_nets"
+        "kind", "degree", "knots", "ctrl", "domain", "reduced_continuity",
+        "_d1", "_d2", "_brk", "_nets", "_diag",
     )
 
     def __init__(self, kind, control_points, degree=None, knots=None, *, _allow_c0=False):
@@ -227,7 +239,7 @@ class ParamCurve:
             if len(ctrl) != 2:
                 raise SchemaError("segment needs exactly 2 control points", field="points")
             degree = 1
-            knots = np.array([0.0, 0.0, 1.0, 1.0])
+            knots = _bezier_knots(1)
         elif kind == "bezier":
             if degree is None:
                 degree = len(ctrl) - 1
@@ -235,7 +247,7 @@ class ParamCurve:
                 raise SchemaError("bezier needs degree+1 control points", field="points")
             if degree < 1:
                 raise SchemaError("bezier degree must be >= 1", field="degree")
-            knots = np.array([0.0] * (degree + 1) + [1.0] * (degree + 1))
+            knots = _bezier_knots(int(degree))
         else:
             if degree is None or knots is None:
                 raise SchemaError("bspline needs degree and knots", field="knots")
@@ -251,10 +263,12 @@ class ParamCurve:
             reduced = self._check_interior_continuity(knots, degree, _allow_c0)
         self._set(kind, int(degree), knots, ctrl, reduced)
 
-    def _set(self, kind, degree, knots, ctrl, reduced):
+    def _set(self, kind, degree, knots, ctrl, reduced, nets=None):
         self.kind, self.degree, self.knots, self.ctrl = kind, degree, knots, ctrl
+        self.domain = float(knots[degree]), float(knots[-degree - 1])
         self.reduced_continuity = reduced
-        self._d1 = self._d2 = self._brk = self._nets = None
+        self._d1 = self._d2 = self._brk = self._diag = None
+        self._nets = nets
         return self
 
     @staticmethod
@@ -288,10 +302,6 @@ class ParamCurve:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def domain(self):
-        return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
-
-    @property
     def n_ctrl(self):
         return len(self.ctrl)
 
@@ -301,7 +311,10 @@ class ParamCurve:
     def breakpoints(self):
         """Unique knot values spanning the domain (polynomial piece bounds)."""
         if self._brk is None:
-            self._brk = np.unique(self.knots[self.degree : len(self.knots) - self.degree])
+            brk = self.knots[self.degree : len(self.knots) - self.degree]
+            # one span (2 degree + 2 knots): the two domain ends are unique
+            one = len(brk) == 2 and brk[0] < brk[1]
+            self._brk = brk.copy() if one else np.unique(brk)
             self._brk.flags.writeable = False
         return self._brk
 
@@ -368,8 +381,10 @@ class ParamCurve:
         return self.ctrl.min(axis=0), self.ctrl.max(axis=0)
 
     def bbox_diag(self):
-        lo, hi = self.bbox()
-        return float(np.hypot(*(hi - lo)))
+        if self._diag is None:
+            lo, hi = self.bbox()
+            self._diag = float(np.hypot(*(hi - lo)))
+        return self._diag
 
     def is_closed(self, tol=1e-9):
         """Whether the ends meet within ``tol``: a clamped curve starts and
@@ -383,8 +398,10 @@ class ParamCurve:
         a, b = self.domain
         if not (t_lo < t_hi):
             raise GeometryError("restriction interval is inverted or empty")
-        self._check_t(t_lo)
-        self._check_t(t_hi)
+        pad = 1e-12 * max(b - a, 1.0)
+        if not (a - pad <= t_lo and t_hi <= b + pad):
+            self._check_t(t_lo)
+            self._check_t(t_hi)
         snap = _KNOT_SNAP * max(b - a, 1.0)
         if len(self.knots) == 2 * self.degree + 2:
             cur = self._restricted_span(float(t_lo), float(t_hi), snap)
@@ -401,10 +418,11 @@ class ParamCurve:
 
     def _restricted_span(self, t_lo, t_hi, snap):
         """``restricted`` of a one-span curve by the Boehm steps of
-        split_bspline on plain floats, skipping its array round trips and
-        checks; None where split_bspline would snap a split onto an end."""
+        split_bspline on its float net, skipping its array round trips and
+        checks; None where split_bspline would snap a split onto an end.
+        The piece keeps its net."""
         a, b = self.domain
-        d, pts, lo = self.degree, self.ctrl.tolist(), a
+        d, pts, lo = self.degree, self.nets()[0][2], a
         for t, right in ((t_lo, True), (t_hi, False)):
             if (t > a + snap) if right else (t < b - snap):
                 span_snap = _KNOT_SNAP * max(b - lo, 1.0)
@@ -412,9 +430,11 @@ class ParamCurve:
                     return None
                 pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
                 pts, lo = (pts[d + 1 :], t) if right else (pts[: d + 1], lo)
-        knots = np.array([0.0] * (d + 1) + [1.0] * (d + 1))
-        kind = "segment" if d == 1 else "bezier"
-        return ParamCurve.__new__(ParamCurve)._set(kind, d, knots, np.array(pts), False)
+        net = tuple(map(tuple, pts))
+        return ParamCurve.__new__(ParamCurve)._set(
+            "segment" if d == 1 else "bezier", d, _bezier_knots(d), np.array(net), False,
+            ((0.0, 1.0, net),),
+        )
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
         if len(np.unique(knots)) == 2:  # single polynomial piece

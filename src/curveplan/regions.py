@@ -110,20 +110,27 @@ def halfedge_table(drawing):
 
     Half-edges are grouped by degree and knot vector, and each group is
     evaluated by one stacked de Boor call per quantity over its nets (a
-    twin's net is its edge's, flipped), with the per-element operations of
-    the scalar code, so every entry is bit-equal to it.  Edge geometry has
-    the domain [0, 1], so the origin is t = 0.
+    twin's net is its edge's, flipped, on the knots ``reversed`` gives),
+    with the per-element operations of the scalar code, so every entry is
+    bit-equal to it.  Edge geometry has the domain [0, 1], so the origin is
+    t = 0.
     """
     table = drawing.geometry_table
     if table is None:
         table = drawing.geometry_table = HalfEdgeTable()
-        groups = {}
-        for se in [s for eid in drawing.edges for s in (eid, -eid)]:
-            g = drawing.oriented_geometry(se)
-            groups.setdefault((g.degree, g.knots.tobytes()), []).append((se, g))
+        groups, flipped = {}, {}
+        for eid, e in drawing.edges.items():
+            g = e.geometry
+            key = g.knots.tobytes()
+            if key not in flipped:
+                rk = g.knots[0] + g.knots[-1] - g.knots[::-1]
+                flipped[key] = rk, rk.tobytes()
+            rk, rkey = flipped[key]
+            groups.setdefault((g.degree, key), (g.knots, []))[1].append((eid, g.ctrl))
+            groups.setdefault((g.degree, rkey), (rk, []))[1].append((-eid, g.ctrl[::-1]))
         mids = {}
-        for members in groups.values():
-            mids.update(_fill_group(table, members))
+        for (p, _), (knots, members) in groups.items():
+            mids.update(_fill_group(table, p, knots, members))
         for se, mid in mids.items():
             t1 = table.tangent[-se]  # the twin's, reversed, ends the samples
             ok = t1 is not None and table.angle[se] is not None
@@ -131,17 +138,16 @@ def halfedge_table(drawing):
     return table
 
 
-def _fill_group(table, members):
-    """Fill the entries of (half-edge, geometry) pairs of one degree and
+def _fill_group(table, p, knots, members):
+    """Fill the entries of (half-edge, control net) pairs of degree p on one
     knot vector; returns their interior turning samples.  Only what has no
     bit-equal array form runs per element: atan2, math.hypot, powers."""
-    g0 = members[0][1]
-    p, knots = g0.degree, g0.knots
-    nets = np.array([g.ctrl for _, g in members])
+    nets = np.array([ctrl for _, ctrl in members])
     k1, p1, hodo = derivative_data(knots, p, nets)
     k2, p2, hodo2 = derivative_data(k1, p1, hodo)
     nodes, weights = gauss01(p + 1)
-    spans = list(zip(g0.breakpoints()[:-1], g0.breakpoints()[1:]))
+    brk = np.unique(knots[p : len(knots) - p])
+    spans = list(zip(brk[:-1], brk[1:]))
     inner = [np.linspace(u0, u1, TURN_SAMPLES + 2)[1:-1] for u0, u1 in spans]
     ts = np.concatenate([u0 + (u1 - u0) * nodes for u0, u1 in spans])
     m = TURN_SAMPLES * len(spans)
@@ -160,7 +166,7 @@ def _fill_group(table, members):
     cross = (v[:, 0] * dd[:, 1] - v[:, 1] * dd[:, 0]).tolist()
     # the scalar code's tests, NaN included; powers and atan2 per element
     ok = (~(norm <= 1e-14 * scale)).tolist()
-    live = (~(speed <= 1e-14 * scale)).tolist()
+    live, speed = (~(speed <= 1e-14 * scale)).tolist(), speed.tolist()
     # a segment's hodograph is one point, so its samples are all the same
     rep = TURN_SAMPLES if p1 == 0 and len(spans) == 1 else 1
     floor, samples = (1e-13 * scale).tolist(), d[:, 1 : m + 2 - rep].tolist()
@@ -168,7 +174,7 @@ def _fill_group(table, members):
     for i, ((se, _), (ux, uy)) in enumerate(zip(members, unit.tolist())):
         table.tangent[se] = unit[i] if ok[i] else None
         table.angle[se] = math.atan2(uy, ux) if ok[i] else None
-        table.curvature[se] = float(cross[i] / speed[i] ** 3) if live[i] else None
+        table.curvature[se] = cross[i] / speed[i] ** 3 if live[i] else None
         mids[se] = [math.atan2(y, x) for x, y in samples[i] if math.hypot(x, y) > floor[i]] * rep
         if se > 0:
             table.area[se] = area[i]
@@ -303,8 +309,9 @@ def trail_turning(drawing, trail):
             first_start = angles[0]
         else:
             total += _corner(drawing, table, prev, se, angles[0] - prev_end)
-        for a0, a1 in zip(angles[:-1], angles[1:]):
-            total += _wrap_pi(a1 - a0)
+        for a0, a1 in zip(angles, angles[1:]):
+            if a1 != a0:  # a repeated sample turns by exactly 0
+                total += _wrap_pi(a1 - a0)
         prev, prev_end = se, angles[-1]
     return total + _corner(drawing, table, prev, trail[0][1], first_start - prev_end)
 

@@ -40,7 +40,11 @@ def curve_from_dict(data, where="curve"):
     if kind == "bezier":
         return ParamCurve("bezier", points, degree=data.get("degree"))
     if kind == "segment":
-        return ParamCurve("segment", points)
+        curve = ParamCurve("segment", points)
+        start, end = curve.ctrl.tolist()
+        if start == end:
+            raise SchemaError(f"{where}: segment end points coincide", field="points")
+        return curve
     raise SchemaError(f"{where}: unknown curve kind {kind!r}", field="kind")
 
 
@@ -76,11 +80,32 @@ def region_from_dict(data, where="region"):
     )
 
 
+#: one trail entry of a region in the canonical layout
+_TRAIL_ENTRY = '\n        {\n          "edge": %d,\n          "vertex": %d\n        }'
+
+
+def _regions_json(regions):
+    """``dumps_canonical`` of a list of ``region_to_dict`` forms at nesting
+    depth 1, written directly: sorted keys, two-space indent."""
+    items = [
+        '\n    {\n      "orientation": %s,\n      "signed_area": %s,\n      "trail": %s\n    }'
+        % (
+            json.dumps(r.orientation),
+            json.dumps(float(r.signed_area)),
+            "[%s\n      ]" % ",".join([_TRAIL_ENTRY % (se, vid) for vid, se in r.trail])
+            if r.trail else "[]",
+        )
+        for r in regions
+    ]
+    return "[%s\n  ]" % ",".join(items) if items else "[]"
+
+
 def region_set_to_json(region_set, keep_outer=False):
-    out = {"regions": [region_to_dict(r) for r in region_set.regions]}
-    if keep_outer:
-        out["outer"] = [region_to_dict(r) for r in region_set.outer]
-    return dumps_canonical(out)
+    """The regions file: ``dumps_canonical`` of ``{"regions": [...]}`` (and
+    ``"outer"``) in ``region_to_dict`` form, written without the
+    pure-Python indenting encoder."""
+    outer = f'\n  "outer": {_regions_json(region_set.outer)},' if keep_outer else ""
+    return f'{{{outer}\n  "regions": {_regions_json(region_set.regions)}\n}}\n'
 
 
 def region_set_from_json(text):

@@ -39,41 +39,48 @@ def _cubics_for(piece, depth=0):
     return _cubics_for(left, depth + 1) + _cubics_for(right, depth + 1)
 
 
-def _piece_commands(geometry):
-    """SVG path commands (sans initial move) for one oriented edge."""
+def _points(pts):
+    return " ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+
+
+def _start(ctrl, degree):
+    """``point(0.0)`` of a clamped curve from its float control points: at
+    the domain start every alpha of the de Boor recurrence is 0, so it is
+    ctrl[0] plus zero terms, which can turn -0.0 into 0.0."""
+    d = ctrl[: degree + 1]
+    for r in range(1, degree + 1):
+        d = d[:r] + [(x0 + 0.0 * x1, y0 + 0.0 * y1) for (x0, y0), (x1, y1) in zip(d[r - 1 :], d[r:])]
+    return d[degree]
+
+
+def _piece_commands(nets):
+    """SVG path commands (sans initial move) for the Bézier span nets of
+    one oriented edge."""
     cmds = []
-    for piece in geometry.spans():
-        if piece.degree == 1:
-            p = piece.ctrl[-1]
-            cmds.append(f"L {_fmt(p[0])} {_fmt(p[1])}")
-        elif piece.degree == 2:
-            c, p = piece.ctrl[1], piece.ctrl[2]
-            cmds.append(f"Q {_fmt(c[0])} {_fmt(c[1])} {_fmt(p[0])} {_fmt(p[1])}")
-        elif piece.degree == 3:
-            c1, c2, p = piece.ctrl[1], piece.ctrl[2], piece.ctrl[3]
-            cmds.append(
-                f"C {_fmt(c1[0])} {_fmt(c1[1])} {_fmt(c2[0])} {_fmt(c2[1])} "
-                f"{_fmt(p[0])} {_fmt(p[1])}"
-            )
+    for net in nets:
+        if len(net) <= 4:
+            cmds.append(f"{'LQC'[len(net) - 2]} {_points(net[1:])}")
         else:
-            for ctrl in _cubics_for(piece):
-                cmds.append(
-                    f"C {_fmt(ctrl[1][0])} {_fmt(ctrl[1][1])} "
-                    f"{_fmt(ctrl[2][0])} {_fmt(ctrl[2][1])} "
-                    f"{_fmt(ctrl[3][0])} {_fmt(ctrl[3][1])}"
-                )
+            cmds.extend(f"C {_points(ctrl[1:])}" for ctrl in _cubics_for(ParamCurve("bezier", net)))
     return cmds
+
+
+def _oriented_nets(drawing, se):
+    """The span nets of a half-edge: its edge's, or for a twin the edge's
+    in reverse order, each reversed."""
+    nets = [net for _, _, net in drawing.edges[abs(se)].geometry.nets()]
+    return nets if se > 0 else [net[::-1] for net in reversed(nets)]
 
 
 def region_path(drawing, region):
     """Closed SVG path data for one region boundary."""
-    parts = []
-    for k, (_, se) in enumerate(region.trail):
-        g = drawing.oriented_geometry(se)
-        if k == 0:
-            start = g.point(0.0)
-            parts.append(f"M {_fmt(start[0])} {_fmt(start[1])}")
-        parts.extend(_piece_commands(g))
+    se = region.trail[0][1]
+    g = drawing.edges[abs(se)].geometry
+    ctrl = g.ctrl.tolist()
+    x, y = _start(ctrl if se > 0 else ctrl[::-1], g.degree)
+    parts = [f"M {_fmt(x)} {_fmt(y)}"]
+    for _, se in region.trail:
+        parts.extend(_piece_commands(_oriented_nets(drawing, se)))
     parts.append("Z")
     return " ".join(parts)
 
@@ -85,10 +92,8 @@ def regions_svg(region_set, include_outer=False, stroke="#333333", stroke_width=
     if len(pts) == 0:
         lo, hi = np.zeros(2), np.ones(2)
     else:
+        pts = np.vstack([pts, *(e.geometry.ctrl for e in drawing.edges.values())])
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        for e in drawing.edges.values():
-            blo, bhi = e.geometry.bbox()
-            lo, hi = np.minimum(lo, blo), np.maximum(hi, bhi)
     span = np.maximum(hi - lo, 1e-9)
     pad = 0.05 * float(max(span))
     width, height = span + 2 * pad

@@ -44,6 +44,29 @@ def test_line_against_arch():
     assert abs(pts[1][0] - t_high) < 1e-10 and abs(pts[1][1] - 0.25) < 1e-10
 
 
+@pytest.mark.parametrize("point_first", [True, False])
+def test_zero_length_segment_meets_with_a_typed_error(point_first):
+    # a point on the other segment has no parameter to report; one 0.3 away
+    # meets nothing (the parent gave NaN hits or divided by zero)
+    point = segment((0.5, 0.3), (0.5, 0.3))
+    for other, touches in (
+        (segment((0.2, 0.3), (0.6, 0.3)), True),
+        (segment((0.5 + 0.5 * DEFAULT_TOL, 0.3), (0.5, 1.0)), True),
+        (segment((0.2, 0.0), (0.6, 0.0)), False),
+        (segment((0.5, 0.3 + 2 * DEFAULT_TOL), (0.5, 1.0)), False),
+    ):
+        a, b = (point, other) if point_first else (other, point)
+        if touches:
+            with pytest.raises(GeometryError, match="zero length"):
+                intersect_curve_pair(a, b)
+        else:
+            assert intersect_curve_pair(a, b) == []
+    twin = segment((0.5, 0.3), (0.5, 0.3))
+    with pytest.raises(GeometryError, match="zero length"):
+        intersect_curve_pair(point, twin)
+    assert intersect_curve_pair(point, segment((0.5, 0.4), (0.5, 0.4))) == []
+
+
 def test_identical_curves_overlap_error():
     with pytest.raises(OverlapError):
         intersect_curve_pair(segment((0, 0), (1, 0)), segment((0.5, 0), (2, 0)))

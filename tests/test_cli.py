@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, error contracts."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -120,6 +121,25 @@ def test_degree_zero_map_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "SchemaError"
     assert err["error"]["field"] == "degrees"
+
+
+def test_zero_length_segment_exit_2_names_its_curve(tmp_path, capsys):
+    # the second curve is a point on the first; it used to crash with a
+    # ZeroDivisionError traceback (exit 1)
+    bad = tmp_path / "point.json"
+    bad.write_text(json.dumps({
+        "curves": [
+            {"kind": "segment", "points": [[0, 0], [1, 0]]},
+            {"kind": "segment", "points": [[0.5, 0], [0.5, 0]]},
+            {"kind": "segment", "points": [[0, 0], [0.5, 1]]},
+            {"kind": "segment", "points": [[0.5, 1], [1, 0]]},
+        ]
+    }))
+    code = run(["extract", "--input", str(bad), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "SchemaError" and err["field"] == "points"
+    assert "curves[1]" in err["message"]
 
 
 def test_overlap_exit_3(tmp_path, capsys):
@@ -264,3 +284,27 @@ def test_svg_paths_close(tmp_path):
         "--svg", str(svg), "--keep-outer",
     ])
     _svg_paths_close(svg.read_text())
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        (f"{FIXTURES}/extract_square_diagonal.json", "extract_square_diagonal"),
+        # square sides on x = -0.0, a quadratic, a cubic, a degree-4 Bézier
+        # (SVG cubics by _cubics_for) and a closed cubic B-spline with a
+        # seam-crossing edge
+        (os.path.join(GOLDEN, "extract_curved.json"), "extract_curved"),
+    ],
+)
+def test_extract_outputs_equal_golden_bytes(tmp_path, source, name):
+    out, svg = tmp_path / "regions.json", tmp_path / "out.svg"
+    code = run([
+        "extract", "--input", source, "--keep-outer", "--out", str(out), "--svg", str(svg),
+    ])
+    assert code == 0
+    for got, suffix in ((out, ".regions.json"), (svg, ".svg")):
+        with open(os.path.join(GOLDEN, name + suffix), "rb") as fh:
+            assert got.read_bytes() == fh.read()

@@ -423,6 +423,52 @@ def test_nets_are_the_spans_control_nets_and_cached():
     assert arch.nets() == ((0.0, 1.0, tuple(map(tuple, arch.ctrl.tolist()))),)
 
 
+# signed zeros in control points: nets must keep them bit for bit
+_ctrl_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _unique_path(curve):
+    """breakpoints, spans and nets of a curve as np.unique of its knots gives them."""
+    brk = np.unique(curve.knots[curve.degree : len(curve.knots) - curve.degree])
+    spans = [curve] if len(brk) == 2 else None
+    nets = tuple(
+        (u0, u1, tuple(map(tuple, curve.ctrl.tolist()))) for u0, u1 in zip(brk[:-1].tolist(), brk[1:].tolist())
+    )
+    return brk, spans, nets
+
+
+def _assert_one_span_path(curve):
+    brk, spans, nets = _unique_path(curve)
+    assert curve.breakpoints().tobytes() == brk.tobytes()
+    assert curve.breakpoints().dtype == brk.dtype
+    assert curve.spans() == spans
+    assert repr(curve.nets()) == repr(nets)  # repr tells -0.0 from 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.tuples(_ctrl_coord, _ctrl_coord), min_size=6, max_size=6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_one_span_nets_equal_the_unique_path(degree, points, u, v):
+    kind = "segment" if degree == 1 else "bezier"
+    curve = ParamCurve(kind, points[: degree + 1])
+    assume(abs(u - v) > 1e-9)
+    piece = curve.restricted(min(u, v), max(u, v))
+    for c in (curve, curve.reversed(), piece, piece.reversed()):
+        _assert_one_span_path(c)
+    # a one-span B-spline on another domain, and one whose domain is empty
+    knots = [-0.5] * (degree + 1) + [2.0] * (degree + 1)
+    _assert_one_span_path(ParamCurve("bspline", points[: degree + 1], degree=degree, knots=knots))
+    flat = ParamCurve("bspline", points[: degree + 1], degree=degree, knots=[0.0] * (2 * degree + 2))
+    assert flat.breakpoints().tobytes() == np.array([0.0]).tobytes() and flat.spans() == []
+
+
 def _scalar_projection(p, curve, presamples):
     """One point at a time, as the two projection sites did before
     ``project_points``: nearest presample, then up to 8 Newton steps."""
