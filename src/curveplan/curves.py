@@ -263,12 +263,11 @@ class ParamCurve:
             reduced = self._check_interior_continuity(knots, degree, _allow_c0)
         self._set(kind, int(degree), knots, ctrl, reduced)
 
-    def _set(self, kind, degree, knots, ctrl, reduced, nets=None):
+    def _set(self, kind, degree, knots, ctrl, reduced):
         self.kind, self.degree, self.knots, self.ctrl = kind, degree, knots, ctrl
         self.domain = float(knots[degree]), float(knots[-degree - 1])
         self.reduced_continuity = reduced
-        self._d1 = self._d2 = self._brk = self._diag = None
-        self._nets = nets
+        self._d1 = self._d2 = self._brk = self._nets = self._diag = None
         return self
 
     @staticmethod
@@ -431,10 +430,10 @@ class ParamCurve:
                 pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
                 pts, lo = (pts[d + 1 :], t) if right else (pts[: d + 1], lo)
         net = tuple(map(tuple, pts))
-        return ParamCurve.__new__(ParamCurve)._set(
-            "segment" if d == 1 else "bezier", d, _bezier_knots(d), np.array(net), False,
-            ((0.0, 1.0, net),),
-        )
+        kind = "segment" if d == 1 else "bezier"
+        piece = ParamCurve.__new__(ParamCurve)._set(kind, d, _bezier_knots(d), np.array(net), False)
+        piece._nets = ((0.0, 1.0, net),)
+        return piece
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
         if len(np.unique(knots)) == 2:  # single polynomial piece

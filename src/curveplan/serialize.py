@@ -80,32 +80,33 @@ def region_from_dict(data, where="region"):
     )
 
 
-#: one trail entry of a region in the canonical layout
+#: a region and a trail entry of the regions file, indented at their depth
+_REGION = '\n    {\n      "orientation": %s,\n      "signed_area": %s,\n      "trail": %s\n    }'
 _TRAIL_ENTRY = '\n        {\n          "edge": %d,\n          "vertex": %d\n        }'
 
 
-def _regions_json(regions):
-    """``dumps_canonical`` of a list of ``region_to_dict`` forms at nesting
-    depth 1, written directly: sorted keys, two-space indent."""
-    items = [
-        '\n    {\n      "orientation": %s,\n      "signed_area": %s,\n      "trail": %s\n    }'
-        % (
-            json.dumps(r.orientation),
-            json.dumps(float(r.signed_area)),
-            "[%s\n      ]" % ",".join([_TRAIL_ENTRY % (se, vid) for vid, se in r.trail])
-            if r.trail else "[]",
-        )
-        for r in regions
-    ]
-    return "[%s\n  ]" % ",".join(items) if items else "[]"
+def _array(items, indent):
+    """Encoded items as a JSON array whose closing bracket sits at ``indent``."""
+    return f"[{','.join(items)}\n{indent}]" if items else "[]"
 
 
 def region_set_to_json(region_set, keep_outer=False):
     """The regions file: ``dumps_canonical`` of ``{"regions": [...]}`` (and
-    ``"outer"``) in ``region_to_dict`` form, written without the
-    pure-Python indenting encoder."""
-    outer = f'\n  "outer": {_regions_json(region_set.outer)},' if keep_outer else ""
-    return f'{{{outer}\n  "regions": {_regions_json(region_set.regions)}\n}}\n'
+    ``"outer"``) in ``region_to_dict`` form, written directly from string
+    templates, since the indenting encoder is pure Python."""
+
+    def regions(rs):
+        return _array([
+            _REGION % (
+                json.dumps(r.orientation),
+                json.dumps(float(r.signed_area)),
+                _array([_TRAIL_ENTRY % (se, vid) for vid, se in r.trail], "      "),
+            )
+            for r in rs
+        ], "  ")
+
+    outer = f'\n  "outer": {regions(region_set.outer)},' if keep_outer else ""
+    return f'{{{outer}\n  "regions": {regions(region_set.regions)}\n}}\n'
 
 
 def region_set_from_json(text):

@@ -49,27 +49,23 @@ def _start(ctrl, degree):
     ctrl[0] plus zero terms, which can turn -0.0 into 0.0."""
     d = ctrl[: degree + 1]
     for r in range(1, degree + 1):
-        d = d[:r] + [(x0 + 0.0 * x1, y0 + 0.0 * y1) for (x0, y0), (x1, y1) in zip(d[r - 1 :], d[r:])]
+        for j in range(degree, r - 1, -1):  # deboor_point's loop at alpha = 0
+            d[j] = [u + 0.0 * v for u, v in zip(d[j - 1], d[j])]
     return d[degree]
 
 
-def _piece_commands(nets):
-    """SVG path commands (sans initial move) for the Bézier span nets of
-    one oriented edge."""
+def _piece_commands(geometry, se):
+    """SVG path commands (sans initial move) for half-edge ``se`` of an edge
+    of this geometry, from its Bézier span nets; a twin reads them in
+    reverse order, each reversed."""
+    nets = [net for _, _, net in geometry.nets()]
     cmds = []
-    for net in nets:
+    for net in nets if se > 0 else [net[::-1] for net in reversed(nets)]:
         if len(net) <= 4:
             cmds.append(f"{'LQC'[len(net) - 2]} {_points(net[1:])}")
         else:
             cmds.extend(f"C {_points(ctrl[1:])}" for ctrl in _cubics_for(ParamCurve("bezier", net)))
     return cmds
-
-
-def _oriented_nets(drawing, se):
-    """The span nets of a half-edge: its edge's, or for a twin the edge's
-    in reverse order, each reversed."""
-    nets = [net for _, _, net in drawing.edges[abs(se)].geometry.nets()]
-    return nets if se > 0 else [net[::-1] for net in reversed(nets)]
 
 
 def region_path(drawing, region):
@@ -80,7 +76,7 @@ def region_path(drawing, region):
     x, y = _start(ctrl if se > 0 else ctrl[::-1], g.degree)
     parts = [f"M {_fmt(x)} {_fmt(y)}"]
     for _, se in region.trail:
-        parts.extend(_piece_commands(_oriented_nets(drawing, se)))
+        parts.extend(_piece_commands(drawing.edges[abs(se)].geometry, se))
     parts.append("Z")
     return " ".join(parts)
 

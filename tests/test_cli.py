@@ -292,11 +292,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 @pytest.mark.parametrize(
     "source, name",
     [
-        (f"{FIXTURES}/extract_square_diagonal.json", "extract_square_diagonal"),
+        pytest.param(f"{FIXTURES}/extract_square_diagonal.json", "extract_square_diagonal",
+                     id="square_diagonal"),
         # square sides on x = -0.0, a quadratic, a cubic, a degree-4 Bézier
         # (SVG cubics by _cubics_for) and a closed cubic B-spline with a
         # seam-crossing edge
-        (os.path.join(GOLDEN, "extract_curved.json"), "extract_curved"),
+        pytest.param(os.path.join(GOLDEN, "extract_curved.json"), "extract_curved", id="curved"),
     ],
 )
 def test_extract_outputs_equal_golden_bytes(tmp_path, source, name):
