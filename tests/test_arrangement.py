@@ -47,7 +47,7 @@ def test_line_against_arch():
 @pytest.mark.parametrize("point_first", [True, False])
 def test_zero_length_segment_meets_with_a_typed_error(point_first):
     # a point on the other segment has no parameter to report; one 0.3 away
-    # meets nothing (the parent gave NaN hits or divided by zero)
+    # meets nothing
     point = segment((0.5, 0.3), (0.5, 0.3))
     for other, touches in (
         (segment((0.2, 0.3), (0.6, 0.3)), True),

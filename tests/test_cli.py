@@ -124,8 +124,7 @@ def test_degree_zero_map_exit_2(tmp_path, capsys):
 
 
 def test_zero_length_segment_exit_2_names_its_curve(tmp_path, capsys):
-    # the second curve is a point on the first; it used to crash with a
-    # ZeroDivisionError traceback (exit 1)
+    # the second curve is a point on the first
     bad = tmp_path / "point.json"
     bad.write_text(json.dumps({
         "curves": [

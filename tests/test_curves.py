@@ -430,22 +430,16 @@ _ctrl_coord = st.one_of(
 )
 
 
-def _unique_path(curve):
-    """breakpoints, spans and nets of a curve as np.unique of its knots gives them."""
-    brk = np.unique(curve.knots[curve.degree : len(curve.knots) - curve.degree])
-    spans = [curve] if len(brk) == 2 else None
-    nets = tuple(
-        (u0, u1, tuple(map(tuple, curve.ctrl.tolist()))) for u0, u1 in zip(brk[:-1].tolist(), brk[1:].tolist())
-    )
-    return brk, spans, nets
-
-
 def _assert_one_span_path(curve):
-    brk, spans, nets = _unique_path(curve)
+    """breakpoints, spans and nets of a one-span curve as np.unique of its
+    knots gives them."""
+    brk = np.unique(curve.knots[curve.degree : len(curve.knots) - curve.degree])
+    assert len(brk) == 2
     assert curve.breakpoints().tobytes() == brk.tobytes()
     assert curve.breakpoints().dtype == brk.dtype
-    assert curve.spans() == spans
-    assert repr(curve.nets()) == repr(nets)  # repr tells -0.0 from 0.0
+    assert curve.spans() == [curve]
+    net = tuple(map(tuple, curve.ctrl.tolist()))
+    assert repr(curve.nets()) == repr(((*brk.tolist(), net),))  # repr tells -0.0 from 0.0
 
 
 @settings(max_examples=150, deadline=None)
