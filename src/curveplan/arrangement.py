@@ -201,12 +201,6 @@ def _into(x, lo, period):
     return x + period if x < lo else x - period if x > lo + period else x
 
 
-def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
-    """Hits from candidate parameter pairs, each refined once."""
-    roots = [_newton_refine(a, b, s, t, scale) for s, t in candidates]
-    return _roots_to_hits(a, b, roots, tol, self_pair)
-
-
 def _roots_to_hits(a, b, roots, tol, self_pair=False):
     """Hits from refined roots (s, t, residual) within ``tol``, one per
     intersection.  A closed curve's parameters compare modulo its period."""
@@ -563,8 +557,8 @@ class _UnionFind:
 
 def _box_pairs(curves, tol):
     """Ascending pairs (i, j), i < j, whose control-point boxes, padded by
-    ``tol``, meet: a sort-and-sweep on the boxes' xmin."""
-    boxes = [_box(c.ctrl.tolist()) for c in curves]
+    ``tol``, meet: a sort-and-sweep on the boxes' xmin (one-span boxes from nets)."""
+    boxes = [_box(c.ctrl.tolist() if c.kind == "bspline" else c.nets()[0][2]) for c in curves]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
     pairs = []
     for k, i in enumerate(order):

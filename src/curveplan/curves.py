@@ -228,7 +228,10 @@ class ParamCurve:
     def __init__(self, kind, control_points, degree=None, knots=None, *, _allow_c0=False):
         if kind not in KINDS:
             raise SchemaError(f"unknown curve kind {kind!r}", field="kind")
-        ctrl = np.atleast_2d(np.asarray(control_points, dtype=float))
+        try:
+            ctrl = np.atleast_2d(np.asarray(control_points, dtype=float))
+        except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+            raise SchemaError("control points must be numbers", field="points") from None
         if ctrl.ndim != 2 or ctrl.shape[1] != 2:
             raise SchemaError("control points must be an (n, 2) array", field="points")
         if not np.all(np.isfinite(ctrl)):
@@ -251,7 +254,10 @@ class ParamCurve:
         else:
             if degree is None or knots is None:
                 raise SchemaError("bspline needs degree and knots", field="knots")
-            knots = np.asarray(knots, dtype=float)
+            try:
+                knots = np.asarray(knots, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError("knots must be numbers", field="knots") from None
             if len(knots) != len(ctrl) + degree + 1:
                 raise SchemaError(
                     "knot count must equal control count + degree + 1", field="knots"
@@ -263,12 +269,19 @@ class ParamCurve:
             reduced = self._check_interior_continuity(knots, degree, _allow_c0)
         self._set(kind, int(degree), knots, ctrl, reduced)
 
-    def _set(self, kind, degree, knots, ctrl, reduced):
+    def _set(self, kind, degree, knots, ctrl, reduced, net=None):
         self.kind, self.degree, self.knots, self.ctrl = kind, degree, knots, ctrl
         self.domain = float(knots[degree]), float(knots[-degree - 1])
         self.reduced_continuity = reduced
-        self._d1 = self._d2 = self._brk = self._nets = self._diag = None
+        self._d1 = self._d2 = self._brk = self._diag = None
+        self._nets = None if net is None else ((0.0, 1.0, net),)
         return self
+
+    @staticmethod
+    def _trusted(kind, degree, knots, ctrl, reduced=False, net=None):
+        """The constructor without its checks, for checked data; ``net``, the
+        float pairs of a one-span curve on [0, 1], primes ``nets()``."""
+        return ParamCurve.__new__(ParamCurve)._set(kind, degree, knots, ctrl, reduced, net)
 
     @staticmethod
     def _check_interior_continuity(knots, degree, allow_c0):
@@ -335,6 +348,10 @@ class ParamCurve:
             )
         return self._nets
 
+    def _net(self):
+        """The float net of a one-span curve whose ``nets()`` ran, else None."""
+        return self._nets[0][2] if self._nets is not None and len(self._nets) == 1 else None
+
     def _check_t(self, t):
         """Refuse parameters outside the padded domain, NaN included."""
         a, b = self.domain
@@ -381,13 +398,17 @@ class ParamCurve:
 
     def bbox_diag(self):
         if self._diag is None:
-            lo, hi = self.bbox()
-            self._diag = float(np.hypot(*(hi - lo)))
+            net = self._net()
+            lo, hi = self.bbox() if net is None else (list(map(min, *net)), list(map(max, *net)))
+            self._diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
         return self._diag
 
     def is_closed(self, tol=1e-9):
         """Whether the ends meet within ``tol``: a clamped curve starts and
         ends at its end control points, which ``deboor_point`` returns."""
+        (x0, y0), *_, (x1, y1) = self._net() or self.ctrl[[0, -1]].tolist()
+        if 1e-150 < max(abs(x1 - x0), abs(y1 - y0)) > 2.0 * tol:  # a normal square: norm > tol
+            return False
         return bool(np.linalg.norm(self.ctrl[-1] - self.ctrl[0]) <= tol)
 
     # -- reparameterizing operations ----------------------------------------
@@ -412,6 +433,8 @@ class ParamCurve:
         if t_hi < b - snap:
             (knots, ctrl), (_, _) = split_bspline(knots, self.degree, ctrl, t_hi)
         lo, hi = knots[0], knots[-1]
+        if not hi > lo:  # both ends snapped onto one knot
+            raise GeometryError("restriction interval is narrower than the knot snap")
         knots = (knots - lo) / (hi - lo)
         return self._rewrap(knots, ctrl, allow_c0=self.reduced_continuity)
 
@@ -429,11 +452,7 @@ class ParamCurve:
                     return None
                 pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
                 pts, lo = (pts[d + 1 :], t) if right else (pts[: d + 1], lo)
-        net = tuple(map(tuple, pts))
-        kind = "segment" if d == 1 else "bezier"
-        piece = ParamCurve.__new__(ParamCurve)._set(kind, d, _bezier_knots(d), np.array(net), False)
-        piece._nets = ((0.0, 1.0, net),)
-        return piece
+        return trusted_bezier(np.array(pts), tuple(map(tuple, pts)))
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
         if len(np.unique(knots)) == 2:  # single polynomial piece
@@ -464,12 +483,16 @@ class ParamCurve:
         """Same image traversed with the opposite parameterization."""
         knots = np.ascontiguousarray(self.knots[0] + self.knots[-1] - self.knots[::-1])
         ctrl = np.ascontiguousarray(self.ctrl[::-1])
-        return ParamCurve.__new__(ParamCurve)._set(
-            self.kind, self.degree, knots, ctrl, self.reduced_continuity
-        )
+        return ParamCurve._trusted(self.kind, self.degree, knots, ctrl, self.reduced_continuity)
 
     def __repr__(self):
         return f"ParamCurve({self.kind}, degree={self.degree}, n={self.n_ctrl})"
+
+
+def trusted_bezier(ctrl, net=None):
+    """The trusted segment or Bézier curve of checked control points (n, 2)."""
+    d = len(ctrl) - 1
+    return ParamCurve._trusted(("segment", "bezier")[d > 1], d, _bezier_knots(d), ctrl, net=net)
 
 
 def concatenate_curves(first, second):

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import trusted_bezier
 from .errors import GeometryError, JacobianError, TileError
 
 #: default stop threshold of the adaptive doubling loop
@@ -175,12 +175,9 @@ class Wedge(Tile):
 
     def __init__(self, center, piece):
         self.center = center = np.asarray(center, dtype=float)
-        super().__init__(
-            south=ParamCurve("segment", [center, piece.ctrl[0]]),
-            east=piece,
-            north=ParamCurve("segment", [center, piece.ctrl[-1]]),
-            west=ParamCurve("segment", [center, center]),
-        )
+        ends = (piece.ctrl[0], piece.ctrl[-1], center)
+        south, north, west = (trusted_bezier(np.array([center, q])) for q in ends)
+        super().__init__(south=south, east=piece, north=north, west=west)
 
     def _g(self, basis):
         p, dp = _values(self.east, basis)

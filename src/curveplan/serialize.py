@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import ParamCurve, trusted_bezier
 from .errors import SchemaError
 from .regions import Region, RegionSet
 from .splines import SplineFunc2D, SplineMap2D, TensorSplineSpace
@@ -19,7 +19,7 @@ def dumps_canonical(obj):
 
 
 def _require(data, key, kind, where):
-    if key not in data:
+    if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{where}: missing field '{key}'", field=key)
     value = data[key]
     if kind is not None and not isinstance(value, kind):
@@ -33,28 +33,41 @@ def _require(data, key, kind, where):
 def curve_from_dict(data, where="curve"):
     kind = _require(data, "kind", str, where)
     points = _require(data, "points", list, where)
+    degree, knots = data.get("degree"), None
     if kind == "bspline":
-        knots = _require(data, "knots", list, where)
-        degree = _require(data, "degree", int, where)
-        return ParamCurve("bspline", points, degree=degree, knots=knots)
-    if kind == "bezier":
-        return ParamCurve("bezier", points, degree=data.get("degree"))
-    if kind == "segment":
-        curve = ParamCurve("segment", points)
-        start, end = curve.ctrl.tolist()
-        if start == end:
-            raise SchemaError(f"{where}: segment end points coincide", field="points")
-        return curve
-    raise SchemaError(f"{where}: unknown curve kind {kind!r}", field="kind")
+        knots, degree = _require(data, "knots", list, where), _require(data, "degree", int, where)
+    elif kind == "bezier" and degree is not None:
+        degree = _require(data, "degree", (int, float), where)
+    elif kind not in ("bezier", "segment"):
+        raise SchemaError(f"{where}: unknown curve kind {kind!r}", field="kind")
+    try:
+        curve = ParamCurve(kind, points, degree=degree, knots=knots)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}", field=exc.field) from None
+    if kind == "segment" and curve.ctrl[0].tolist() == curve.ctrl[1].tolist():
+        raise SchemaError(f"{where}: segment end points coincide", field="points")
+    return curve
 
 
 def curves_from_json(text):
+    """The curves of a curves file; its segments' points are checked as one
+    array, else (an irregular segment) every curve takes the checked path."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     items = _require(data, "curves", list, "curves file")
-    return [curve_from_dict(c, where=f"curves[{i}]") for i, c in enumerate(items)]
+    segs = [i for i, c in enumerate(items) if isinstance(c, dict) and c.get("kind") == "segment"]
+    try:
+        ctrl = np.array([_require(items[i], "points", list, "") for i in segs], dtype=float)
+    except (SchemaError, TypeError, ValueError, OverflowError):
+        ctrl = np.empty(0)
+    trusted = {}
+    ok = ctrl.shape == (len(segs), 2, 2) and np.isfinite(ctrl).all()
+    if ok and (ctrl[:, 0] != ctrl[:, 1]).any(axis=1).all():
+        pts = list(map(tuple, ctrl.reshape(-1, 2).tolist()))
+        trusted = dict(zip(segs, map(trusted_bezier, ctrl, zip(pts[0::2], pts[1::2]))))
+    return [trusted.get(i) or curve_from_dict(c, f"curves[{i}]") for i, c in enumerate(items)]
 
 
 # -- regions ------------------------------------------------------------------

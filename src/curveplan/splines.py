@@ -21,6 +21,7 @@ from .curves import (
     derivative_data,
     fit_bspline,
     project_points,
+    trusted_bezier,
     uniform_arclength_knots,
 )
 from .errors import FitError, GeometryError, InversionError, SchemaError
@@ -485,9 +486,10 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
     overlap, duplicates of already-present curves dropped).
     """
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    curves = [ParamCurve("segment", [p, q]) for p, q in zip(corners, corners[1:] + corners[:1])]
-    curves += [ParamCurve("segment", [(u, 0.0), (u, 1.0)]) for u in T1.space.interior_knots_u()]
-    curves += [ParamCurve("segment", [(0.0, v), (1.0, v)]) for v in T1.space.interior_knots_v()]
+    lines = list(zip(corners, corners[1:] + corners[:1]))
+    lines += [((u, 0.0), (u, 1.0)) for u in T1.space.interior_knots_u().tolist()]
+    lines += [((0.0, v), (1.0, v)) for v in T1.space.interior_knots_v().tolist()]
+    curves = [trusted_bezier(np.array(net), net) for net in lines]
 
     gammas = knot_iso_curves(T2) + boundary_curves(T2)
     pulled = [

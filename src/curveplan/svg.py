@@ -6,7 +6,7 @@ degrees are approximated by adaptively subdivided cubics (display only).
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import trusted_bezier
 
 PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -29,7 +29,7 @@ def _cubics_for(piece, depth=0):
     p0, p1 = piece.point(0.0), piece.point(1.0)
     d0, d1 = piece.deriv(0.0), piece.deriv(1.0)
     ctrl = _cubic_hermite(p0, d0, p1, d1)
-    bez = ParamCurve("bezier", ctrl)
+    bez = trusted_bezier(ctrl)
     err = max(
         float(np.linalg.norm(bez.point(t) - piece.point(t))) for t in (0.25, 0.5, 0.75)
     )
@@ -64,7 +64,8 @@ def _piece_commands(geometry, se):
         if len(net) <= 4:
             cmds.append(f"{'LQC'[len(net) - 2]} {_points(net[1:])}")
         else:
-            cmds.extend(f"C {_points(ctrl[1:])}" for ctrl in _cubics_for(ParamCurve("bezier", net)))
+            cubics = _cubics_for(trusted_bezier(np.array(net), net))
+            cmds.extend(f"C {_points(ctrl[1:])}" for ctrl in cubics)
     return cmds
 
 

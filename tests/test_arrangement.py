@@ -484,6 +484,12 @@ def _boxes_disjoint(pa, pb, tol):
     return bool(np.any(la > hb + tol) or np.any(lb > ha + tol))
 
 
+def _candidates_to_hits(a, b, candidates, tol, scale, self_pair=False):
+    """Hits from candidate parameter pairs, each refined once."""
+    roots = [arrangement._newton_refine(a, b, s, t, scale) for s, t in candidates]
+    return arrangement._roots_to_hits(a, b, roots, tol, self_pair)
+
+
 def _reference_generic_intersections(a, b, tol):
     """Bounding-box subdivision of whole curves, as before clipping."""
     scale = max(a.bbox_diag(), b.bbox_diag(), 1e-12)
@@ -506,7 +512,7 @@ def _reference_generic_intersections(a, b, tol):
         else:
             for half in pb.split():
                 stack.append((pa, half))
-    return arrangement._candidates_to_hits(a, b, candidates, tol, scale)
+    return _candidates_to_hits(a, b, candidates, tol, scale)
 
 
 def _piece_injective(piece):
@@ -562,7 +568,7 @@ def _reference_self_intersections(c, tol):
         else:
             for half in pb.split():
                 pairs.append((pa, half))
-    return arrangement._candidates_to_hits(c, c, candidates, tol, scale, self_pair=True)
+    return _candidates_to_hits(c, c, candidates, tol, scale, self_pair=True)
 
 
 def _open_bspline(pts, degree, knot_ticks):

@@ -1,5 +1,7 @@
 """Curve representation, evaluation, restriction and differential data."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +20,7 @@ from curveplan.curves import (
     tangent_into_interior,
 )
 from curveplan.errors import DegenerateTangentError, GeometryError, SchemaError
+from curveplan.serialize import curves_from_json
 
 from util import circle_bspline, quadratic_arch, segment
 
@@ -353,6 +356,8 @@ def _restricted_reference(curve, t_lo, t_hi):
         (_, _), (knots, ctrl) = split_bspline(knots, curve.degree, ctrl, t_lo)
     if t_hi < b - snap:
         (knots, ctrl), (_, _) = split_bspline(knots, curve.degree, ctrl, t_hi)
+    if not knots[-1] > knots[0]:
+        raise GeometryError("restriction interval is narrower than the knot snap")
     knots = (knots - knots[0]) / (knots[-1] - knots[0])
     return curve._rewrap(knots, ctrl, allow_c0=curve.reduced_continuity)
 
@@ -394,6 +399,39 @@ def test_one_span_restriction_equals_split_bspline(case):
     curve, t_lo, t_hi = case
     got = _curve_or_error(curve.restricted, t_lo, t_hi)
     assert got == _curve_or_error(_restricted_reference, curve, t_lo, t_hi)
+
+
+def test_sub_snap_restriction_raises_geometry_error():
+    # both ends snap onto the knot 0: a geometry error, not a schema error
+    # from knots divided by a zero width
+    seg = ParamCurve("segment", [(0, 0), (1, 1)])
+    with pytest.raises(GeometryError, match="narrower than the knot snap"):
+        seg.restricted(0.0, 2.2e-311)
+
+
+_EPS = np.finfo(float).eps
+#: end gaps in units of tol: ties at tol and at the prefilter's 2 tol
+_GAP_FACTORS = [1.0 + k * _EPS for k in range(-4, 5)] + [2.0 - 2 * _EPS, 2.0, 2.0 + 4 * _EPS, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1e-9, 1.0, 3e5, 1e-150, 1e-155, 1e-160, 1e-300, 1e-320, 5e-324]),
+    st.one_of(st.sampled_from(_GAP_FACTORS), st.floats(0.0, 4.0)),
+    st.one_of(st.sampled_from(_GAP_FACTORS), st.floats(0.0, 4.0)),
+    st.sampled_from([(0.0, 0.0), (1.0, -2.0), (-0.0, 1e-300)]),
+)
+def test_is_closed_prefilter_equals_the_norm(tol, fx, fy, start):
+    x0, y0 = start
+    end = (x0 + fx * tol, y0 - fy * tol)
+    curve = ParamCurve("bezier", [start, (0.5, 0.5), end])
+    want = bool(np.linalg.norm(curve.ctrl[-1] - curve.ctrl[0]) <= tol)
+    assert curve.is_closed(tol) == want  # ends read from the control array
+    curve.nets()
+    assert curve.is_closed(tol) == want  # ends read from the cached net
+    if start != end:
+        seg = curves_from_json(json.dumps({"curves": [{"kind": "segment", "points": [start, end]}]}))[0]
+        assert seg.is_closed(tol) == bool(np.linalg.norm(seg.ctrl[-1] - seg.ctrl[0]) <= tol)
 
 
 def test_breakpoints_are_cached_and_read_only():
