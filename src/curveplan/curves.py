@@ -456,8 +456,7 @@ class ParamCurve:
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
         if len(np.unique(knots)) == 2:  # single polynomial piece
-            kind = "segment" if self.degree == 1 and len(ctrl) == 2 else "bezier"
-            return ParamCurve(kind, ctrl, degree=self.degree)
+            return trusted_bezier(ctrl)
         return ParamCurve("bspline", ctrl, degree=self.degree, knots=knots, _allow_c0=allow_c0)
 
     def cyclic_restricted(self, t_lo, t_hi):
