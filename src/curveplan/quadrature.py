@@ -3,16 +3,18 @@
 Each region is covered by four-sided Coons maps whose curved sides are the
 exact region edges: one patch for a region bounded by four polynomial
 spans, otherwise one star wedge per span, apexed at a point that sees the
-whole boundary.  Every side is one polynomial span on [0, 1]: a tile's
-points and Jacobian on a Gauss grid are its Bezier nets times Bernstein
-matrices cached per (degree, n), and a Jacobian with positive Bernstein
-coefficients is certified for every n, while other tiles are probed on the
-grid that will be used.  Tensor Gauss-Legendre rules integrate polynomial
-integrands exactly; an adaptive loop doubles the points per direction,
-integrating all tiles of a level in stacked blocks, until two consecutive
-totals agree to a stop threshold.
+whole boundary.  Every side is one polynomial span on [0, 1], so the points
+and Jacobians of all tiles of one kind on a Gauss grid are one product of
+their stacked Bezier nets per side degree with Bernstein matrices cached per
+(degree, n).  A Jacobian with Bernstein coefficients positive by a margin
+relative to the tile's size is certified for every n; other tiles are probed
+on the grid that will be used.  Tensor Gauss-Legendre rules integrate
+polynomial integrands exactly; an adaptive loop doubles the points per
+direction, in blocks of at most BLOCK_NODES nodes per integrand call, until
+two consecutive totals agree to a stop threshold.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb
@@ -26,7 +28,7 @@ from .errors import GeometryError, JacobianError, TileError
 STOP_THRESHOLD = 1e-12
 
 #: a certificate needs every Bernstein coefficient of det above this
-#: fraction of the largest one
+#: fraction of the largest one and of the squared size of the tile's nets
 CERT_MARGIN = 1e-9
 
 #: most grid nodes per integrand call or probe step (2^14 raised peak RSS 1.2 MB)
@@ -63,10 +65,128 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _values(curve, basis):
-    """Points and derivatives of a one-span curve from Bernstein rows ``basis(degree)``."""
-    d, net = curve.degree, curve.ctrl
-    return basis(d) @ net, basis(d - 1) @ (d * np.diff(net, axis=0))
+def _values(net, basis):
+    """Points and derivatives of one-span curves with nets (..., d + 1, 2),
+    from Bernstein rows ``basis(degree)``."""
+    d = net.shape[-2] - 1
+    return basis(d) @ net, basis(d - 1) @ (d * (net[..., 1:, :] - net[..., :-1, :]))
+
+
+def _axis(t):
+    """Parameters t as one axis of a tile grid: (t, Bernstein rows at t)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return t, partial(_bernstein, t=t)
+
+
+def _gauss_axis(n, rows=slice(None)):
+    """The ``gauss01(n)`` nodes in ``rows`` as an axis, with cached rows."""
+    return gauss01(n)[0][rows], lambda d: bernstein_table(d, n)[rows]
+
+
+def _by_row(points):
+    """Stacked points (T, k, 2) as k arrays (T, 2)."""
+    return points.swapaxes(0, 1)
+
+
+def _coons_grids(axis_u, axis_v, part):
+    """Points and Jacobians of Coons maps on the grid u x v, tiles first;
+    ``part(j, fn)`` is ``fn`` of their arrays j stacked: south, north, west
+    and east nets (T, d + 1, 2), then corners (T, 4, 2)."""
+    (u, basis_u), (v, basis_v) = axis_u, axis_v
+    (s, ds), (n, dn) = (part(j, partial(_values, basis=basis_u)) for j in (0, 1))
+    (w, dw), (e, de) = (part(j, partial(_values, basis=basis_v)) for j in (2, 3))
+    c00, c10, c11, c01 = (c[:, None] for c in part(4, _by_row))
+    # less the lerps of their corners, south and north make the Coons
+    # map a sum of two ruled surfaces
+    s, ds = s - c00 - u[:, None] * (c10 - c00), ds - (c10 - c00)
+    n, dn = n - c01 - u[:, None] * (c11 - c01), dn - (c11 - c01)
+    uu, vv = u[:, None, None], v[None, :, None]
+    pts = (1 - vv) * s[:, :, None] + vv * n[:, :, None] + (1 - uu) * w[:, None] + uu * e[:, None]
+    dpdu = (1 - vv) * ds[:, :, None] + vv * dn[:, :, None] + (e - w)[:, None]
+    dpdv = (n - s)[:, :, None] + (1 - uu) * dw[:, None] + uu * de[:, None]
+    return pts, _cross(dpdu, dpdv)
+
+
+def _wedge_grids(axis_u, axis_v, part):
+    """The same for star wedges C + u (p(v) - C), of Jacobian u g(v) with
+    g = (p - C) x p': arrays of the nets of p, then centres C (T, 1, 2)."""
+    (p, dp), (center,) = part(0, partial(_values, basis=axis_v[1])), part(1, _by_row)
+    rel, u = p - center[:, None], axis_u[0][:, None]
+    return center[:, None, None] + u[:, None] * rel[:, None], u * _cross(rel, dp)[:, None]
+
+
+def _groups(items, key):
+    """(positions, items) of each value of ``key``, in order of first use."""
+    groups = {}
+    for k, item in enumerate(items):
+        positions, members = groups.setdefault(key(item), ([], []))
+        positions.append(k)
+        members.append(item)
+    return list(groups.values())
+
+
+def _runs(groups, lo, hi, evaluate):
+    """The arrays that ``evaluate(data, a, b)`` gives for the run a:b of
+    each (sorted rows, data) group with rows in [lo, hi), in row order."""
+    parts = []
+    for rows, data in groups:
+        a, b = bisect_left(rows, lo), bisect_left(rows, hi)
+        if a < b:
+            parts.append((np.subtract(rows[a:b], lo), evaluate(data, a, b)))
+    if len(parts) == 1:  # the groups hold each row once
+        return parts[0][1]
+    out = [np.empty((hi - lo, *x.shape[1:])) for x in parts[0][1]]
+    for at, arrays in parts:
+        for o, x in zip(out, arrays):
+            o[at] = x
+    return out
+
+
+class _TileStack:
+    """Tiles grouped by kind, each array of a kind stacked per shape on a
+    tile axis: the grids of all tiles of a kind are one Bernstein product
+    per side and degree and one broadcast of its map.  A stack lives as
+    long as the call that built it."""
+
+    def __init__(self, tiles):
+        self.tiles = list(tiles)
+        self.kinds = []  # (tile positions, (kernel, per array its (rows, stacked) per shape))
+        for positions, kinds in _groups([tile._kernel() for tile in self.tiles], lambda k: k[0]):
+            arrays = zip(*(arrays for _, arrays in kinds))
+            stacked = [[(rows, np.array(a)) for rows, a in _groups(each, len)] for each in arrays]
+            self.kinds.append((positions, (kinds[0][0], stacked)))
+
+    def __len__(self):
+        return len(self.tiles)
+
+    def grids(self, axis_u, axis_v, index=slice(None)):
+        """Points and Jacobians of the tiles in the slice ``index`` on the
+        grid u x v, shapes (T, len(u), len(v), 2) and (T, len(u), len(v))."""
+        first, stop, _ = index.indices(len(self))
+        if stop <= first:
+            shape = (0, len(axis_u[0]), len(axis_v[0]))
+            return np.empty((*shape, 2)), np.empty(shape)
+
+        def kind(data, lo, hi):
+            kernel, arrays = data
+            # array j of the kind's rows lo..hi-1 is a run of rows of each shape
+            part = lambda j, fn: _runs(arrays[j], lo, hi, lambda a, x, y: fn(a[x:y]))  # noqa: E731
+            return kernel(axis_u, axis_v, part)
+
+        return _runs(self.kinds, first, stop, kind)
+
+    def gauss_grids(self, n, rows=slice(None), index=slice(None)):
+        """``grids`` on the ``gauss01(n)`` nodes, u limited to ``rows``."""
+        return self.grids(_gauss_axis(n, rows), _gauss_axis(n), index)
+
+    def blocks(self, n):
+        """(tiles, rows) slices of the n x n grids, in tile order: runs of
+        whole grids of at most BLOCK_NODES nodes, or rows of one larger grid."""
+        rows = max(1, BLOCK_NODES // n)
+        per_block = max(1, BLOCK_NODES // (n * min(rows, n)))
+        for k in range(0, len(self), per_block):
+            for r in range(0, n, rows):
+                yield slice(k, k + per_block), slice(r, r + rows)
 
 
 @dataclass(frozen=True)
@@ -111,7 +231,9 @@ class Tile:
         # det > 0 on the closed square if all its Bernstein coefficients are (convex
         # hull), and then no n needs a probe; values at Gauss nodes give them
         coef = self._det_coefficients()
-        self.certified = bool(coef.min() > CERT_MARGIN * np.abs(coef).max())
+        nets = np.concatenate([side.ctrl for side in (south, east, north, west)])
+        extent = float(np.hypot(*np.ptp(nets, axis=0)))
+        self.certified = bool(coef.min() > CERT_MARGIN * max(np.abs(coef).max(), extent**2))
 
     def corners(self):
         return self.c00, self.c10, self.c11, self.c01
@@ -122,45 +244,30 @@ class Tile:
         Returns (points, det) with shapes (len(u), len(v), 2) and
         (len(u), len(v)).
         """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return self._grid(u, v, partial(_bernstein, t=u), partial(_bernstein, t=v))
+        return self._grids(_axis(u), _axis(v))
 
     def gauss_grids(self, n, rows=slice(None)):
         """``grids`` on the ``gauss01(n)`` nodes, u limited to ``rows``."""
-        return self._grid(
-            gauss01(n)[0][rows], gauss01(n)[0],
-            lambda d: bernstein_table(d, n)[rows],
-            lambda d: bernstein_table(d, n),
-        )
+        return self._grids(_gauss_axis(n, rows), _gauss_axis(n))
 
-    def _grid(self, u, v, basis_u, basis_v):
-        (s, ds), (n, dn) = (_values(c, basis_u) for c in (self.south, self.north))
-        (w, dw), (e, de) = (_values(c, basis_v) for c in (self.west, self.east))
-        c00, c10, c11, c01 = self.corners()
-        # less the lerps of their corners, south and north make the Coons
-        # map a sum of two ruled surfaces
-        s, ds = s - c00 - u[:, None] * (c10 - c00), ds - (c10 - c00)
-        n, dn = n - c01 - u[:, None] * (c11 - c01), dn - (c11 - c01)
-        uu, vv = u[:, None, None], v[None, :, None]
-        pts = (1 - vv) * s[:, None] + vv * n[:, None] + (1 - uu) * w + uu * e
-        dpdu = (1 - vv) * ds[:, None] + vv * dn[:, None] + (e - w)
-        dpdv = (n - s)[:, None] + (1 - uu) * dw + uu * de
-        return pts, _cross(dpdu, dpdv)
+    def _kernel(self):
+        """The grid kernel of the tile and its arrays (see ``_coons_grids``)."""
+        sides = (self.south, self.north, self.west, self.east)
+        return _coons_grids, (*(side.ctrl for side in sides), np.array(self.corners()))
+
+    def _grids(self, axis_u, axis_v):
+        kernel, arrays = self._kernel()
+        pts, det = kernel(axis_u, axis_v, lambda j, fn: fn(arrays[j][None]))
+        return pts[0], det[0]
 
     def _det_coefficients(self):
         # det = x_u x x_v is of degree 2M - 1 in u and 2Q - 1 in v for sides
         # of degree M along u and Q along v
         du = 2 * max(self.south.degree, self.north.degree, 1) - 1
         dv = 2 * max(self.west.degree, self.east.degree, 1) - 1
-        det = self.grids(gauss01(du + 1)[0], gauss01(dv + 1)[0])[1]
+        det = self._grids(_gauss_axis(du + 1), _gauss_axis(dv + 1))[1]
         coef_u = np.linalg.solve(bernstein_table(du, du + 1), det)
         return np.linalg.solve(bernstein_table(dv, dv + 1), coef_u.T)
-
-    def probe(self, n):
-        """Smallest det on the n x n Gauss grid, in blocks of rows."""
-        rows = max(1, BLOCK_NODES // n)
-        return min(np.min(self.gauss_grids(n, slice(r, r + rows))[1]) for r in range(0, n, rows))
 
 
 class Wedge(Tile):
@@ -179,23 +286,14 @@ class Wedge(Tile):
         south, north, west = (trusted_bezier(np.array([center, q])) for q in ends)
         super().__init__(south=south, east=piece, north=north, west=west)
 
-    def _g(self, basis):
-        p, dp = _values(self.east, basis)
-        return p - self.center, _cross(p - self.center, dp)
-
-    def _grid(self, u, v, basis_u, basis_v):
-        rel, g = self._g(basis_v)
-        return self.center + u[:, None, None] * rel, u[:, None] * g
+    def _kernel(self):
+        return _wedge_grids, (self.east.ctrl, self.center[None])
 
     def _det_coefficients(self):
-        # det vanishes on u = 0, so certify g, of degree 2d - 1
+        # det vanishes on u = 0, so certify g, of degree 2d - 1: det at u = 1
         d = 2 * self.east.degree - 1
-        g = self._g(lambda k: bernstein_table(k, d + 1))[1]
+        g = self._grids(_axis(1.0), _gauss_axis(d + 1))[1][0]
         return np.linalg.solve(bernstein_table(d, d + 1), g)
-
-    def probe(self, n):
-        """Smallest g at the n Gauss nodes."""
-        return float(np.min(self._g(lambda d: bernstein_table(d, n))[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +320,7 @@ def _area_centroid(pieces):
     area = mx = my = 0.0
     for g in pieces:
         n = 2 * g.degree + 2
-        (p, d), w = _values(g, lambda k: bernstein_table(k, n)), gauss01(n)[1]
+        (p, d), w = _values(g.ctrl, lambda k: bernstein_table(k, n)), gauss01(n)[1]
         area += 0.5 * w @ _cross(p, d)
         mx += 0.5 * w @ (p[:, 0] * p[:, 0] * d[:, 1])
         my -= 0.5 * w @ (p[:, 1] * p[:, 1] * d[:, 0])
@@ -236,11 +334,11 @@ def _sees_boundary(pieces, centers):
     """The first of ``centers`` that sees the whole (CCW) boundary, or None.
 
     Checks g = (p(t) - C) x p'(t) > 0 densely, the wedge Jacobian's factor
-    g evaluated as in ``Wedge``, so positivity here carries over to every
-    tensor Gauss grid used later.
+    g evaluated as in ``_wedge_grids``, so positivity here carries over to
+    every tensor Gauss grid used later.
     """
     samples = partial(_bernstein, t=np.linspace(0.0, 1.0, 24))
-    p, d = (np.concatenate(a) for a in zip(*(_values(q, samples) for q in pieces)))
+    p, d = (np.concatenate(a) for a in zip(*(_values(q.ctrl, samples) for q in pieces)))
     speed = np.linalg.norm(d, axis=1)
     for center in centers:
         rel = p - center
@@ -264,13 +362,25 @@ def probe_tiles(tiles, n=5):
     """Check det > 0 on the tensor Gauss grid that will be used.
 
     A certified tile (``Tile.certified``) passes at every n; any other
-    tile is probed on the n x n grid, or at the n v-nodes for a wedge.
+    tile is probed on the n x n grid in the blocks of ``integrate_tiles``,
+    or, for a wedge, whose det is u g(v) with u > 0, g at the n v-nodes.
     """
     n = min(int(n), 512)
+    tiles = [tile for tile in tiles if not tile.certified]
+    if not tiles:
+        return
+    wedges = _TileStack(tile for tile in tiles if isinstance(tile, Wedge))
+    coons = _TileStack(tile for tile in tiles if not isinstance(tile, Wedge))
+    # g is a wedge's det on the row u = 1
+    worst = dict(zip(wedges.tiles, wedges.grids(_axis(1.0), _gauss_axis(n))[1].min(axis=(1, 2))))
+    for index, rows in coons.blocks(n):
+        lows = coons.gauss_grids(n, rows, index)[1].min(axis=(1, 2))
+        for tile, low in zip(coons.tiles[index], lows):
+            worst[tile] = min(worst.get(tile, low), low)
     for tile in tiles:
-        if not tile.certified and (worst := tile.probe(n)) <= 0.0:
+        if worst[tile] <= 0.0:
             raise TileError(
-                f"non-positive Jacobian (min {worst:.2e}) in tile probe at n={n}", tile=tile
+                f"non-positive Jacobian (min {worst[tile]:.2e}) in tile probe at n={n}", tile=tile
             )
 
 
@@ -329,24 +439,22 @@ def tile_region(region, drawing):
 def integrate_tiles(tiles, f, n, phys_map=None):
     """Tensor Gauss integral of f over the tiles, n points per direction,
     on tile grids stacked into blocks of at most BLOCK_NODES nodes (a larger
-    grid is cut by rows): one integrand call and Jacobian check per block."""
+    grid is cut by rows): one integrand call and Jacobian check per block.
+    ``tiles`` is a list of tiles, or a ``_TileStack`` of them built once for
+    several calls."""
+    stack = tiles if isinstance(tiles, _TileStack) else _TileStack(tiles)
     _, w = gauss01(n)
-    rows = max(1, BLOCK_NODES // n)
-    parts = [(tile, slice(r, r + rows)) for tile in tiles for r in range(0, n, rows)]
-    per_block = max(1, BLOCK_NODES // (n * min(rows, n)))
     total = 0.0
-    for k in range(0, len(parts), per_block):
-        block = parts[k : k + per_block]
-        grids = [tile.gauss_grids(n, r) for tile, r in block]
-        det = np.concatenate([d.ravel() for _, d in grids])
+    for index, rows in stack.blocks(n):
+        pts, det = stack.gauss_grids(n, rows, index)
         if np.min(det) <= 0.0:
-            worst = next(t for (t, _), (_, d) in zip(block, grids) if np.min(d) <= 0.0)
+            worst = stack.tiles[index][np.argmax(det.min(axis=(1, 2)) <= 0.0)]
             raise JacobianError(
                 f"region at vertex {worst.region}: non-positive tile "
                 f"Jacobian at a quadrature node (min {np.min(det):.2e}, n={n})"
             )
-        pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
-        weight = np.concatenate([np.outer(w[r], w).ravel() for _, r in block]) * det
+        weight = np.tile(np.outer(w[rows], w).ravel(), len(det)) * det.ravel()
+        pts, det = pts.reshape(-1, 2), det.ravel()
         if phys_map is not None:
             pts, map_det = phys_map.mapped_with_jacobian(pts)
             weight = weight * map_det
@@ -407,11 +515,11 @@ def integrate_adaptive(
     if max_level < 1:
         raise GeometryError("max_level must be >= 1")
     top_n = 2 ** (max_level + 2 if reference == "auto" else max_level)
-    tiles = [
+    tiles = _TileStack(
         tile
         for region in region_set.regions
         for tile in region_tiles(region, region_set.drawing, probe_n=top_n)
-    ]
+    )
 
     level_value = partial(integrate_tiles, tiles, f, phys_map=phys_map)
 

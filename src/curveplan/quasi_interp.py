@@ -8,13 +8,14 @@ only piecewise smooth keep full Gauss accuracy.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .curves import basis_rows, find_span
 from .errors import GeometryError
-from .quadrature import gauss01, region_tiles
-from .splines import SplineFunc2D, composed_field, region_covered_by
+from .quadrature import _TileStack, gauss01, region_tiles
+from .splines import SplineFunc2D, composed_field, regions_covered_by
 
 #: Gauss points per tile direction whose knot element locates a region
 ELEMENT_PROBE_N = 2
@@ -80,17 +81,19 @@ def region_element_table(region_set, space):
     space (the containment guarantee of interface drawings); a straddling
     region signals an upstream extraction problem.
     """
+    tiles = [region_tiles(region, region_set.drawing) for region in region_set.regions]
+    stack = _TileStack(tile for region in tiles for tile in region)
+    pts = stack.gauss_grids(ELEMENT_PROBE_N)[0].reshape(-1, 2)
+    nodes = zip(*space.element_of(pts[:, 0], pts[:, 1], tol=ELEMENT_TOL))
     out = {}
-    for k, region in enumerate(region_set.regions):
-        tiles = region_tiles(region, region_set.drawing)
-        pts = np.concatenate([t.gauss_grids(ELEMENT_PROBE_N)[0].reshape(-1, 2) for t in tiles])
-        ids = set(zip(*space.element_of(pts[:, 0], pts[:, 1], tol=ELEMENT_TOL)))
+    for k, region in enumerate(tiles):
+        ids = set(islice(nodes, len(region) * ELEMENT_PROBE_N**2))
         if len(ids) != 1:
             raise GeometryError(
                 f"region {k} spans knot elements {sorted(ids)}; "
                 "extraction inconsistent with the target space"
             )
-        out[k] = (ids.pop(), tiles)
+        out[k] = (ids.pop(), tiles[k])
     return out
 
 
@@ -136,15 +139,16 @@ def _element_moments_regions(f, space, table, n):
     """
     _, w = gauss01(n)
     ww = np.outer(w, w).ravel()
-    owners, grids = [], []
-    for _, (element, tiles) in sorted(table.items()):
-        owners += [element] * len(tiles)
-        grids += [tile.gauss_grids(n) for tile in tiles]
-    if not grids:
+    owners, tiles = [], []
+    for _, (element, region) in sorted(table.items()):
+        owners += [element] * len(region)
+        tiles += region
+    if not tiles:
         return {}
-    pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
+    pts, det = _TileStack(tiles).gauss_grids(n)
+    pts = pts.reshape(-1, 2)
     vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    weight = np.tile(ww, len(grids)) * vals * np.concatenate([det.ravel() for _, det in grids])
+    weight = np.tile(ww, len(tiles)) * vals * det.ravel()
     ru, bu_vals = basis_rows(space.tu, space.du, pts[:, 0])
     rv, bv_vals = basis_rows(space.tv, space.dv, pts[:, 1])
     out = {}
@@ -276,11 +280,8 @@ def level_set_coeffs(delta2, T1, T2, region_set, n_rhs=None):
         n_rhs = du + dv + 3
 
     table = region_element_table(region_set, space)
-    covered = {
-        k: region_covered_by(region_set.regions[k], tiles, T1, T2)
-        for k, (element, tiles) in table.items()
-    }
-    covered_table = {k: v for k, v in table.items() if covered[k]}
+    covered = regions_covered_by([tiles for _, tiles in table.values()], T1, T2)
+    covered_table = {k: v for (k, v), ok in zip(table.items(), covered) if ok}
     if not covered_table:
         raise GeometryError("no region of the interface is covered by the second map")
 

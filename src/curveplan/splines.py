@@ -512,8 +512,15 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
 
 def region_covered_by(region, tiles, T1, T2):
     """Whether a region maps into the image of T2 (zero-extension test)."""
-    rep = tiles[0].grids(np.array([0.5]), np.array([0.5]))[0][0, 0]
-    return bool(invert_points(T2, T1.point_pairs(rep))[1][0])
+    return bool(regions_covered_by([tiles], T1, T2)[0])
+
+
+def regions_covered_by(tile_lists, T1, T2):
+    """``region_covered_by`` of each region, given by its tiles, in one
+    inversion: the first tile's centre of every region, mapped by T1, is
+    inverted through T2."""
+    reps = [tiles[0].grids(0.5, 0.5)[0][0, 0] for tiles in tile_lists]
+    return invert_points(T2, T1.point_pairs(np.reshape(reps, (-1, 2))))[1]
 
 
 def integrate_spline_product(s1, s2, T1, T2, region_set, n):
@@ -526,11 +533,9 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     """
     from .quadrature import integrate_tiles, region_tiles
 
-    tiles = []
-    for region in region_set.regions:
-        covering = region_tiles(region, region_set.drawing, probe_n=n)
-        if region_covered_by(region, covering, T1, T2):
-            tiles += covering
+    coverings = [region_tiles(r, region_set.drawing, probe_n=n) for r in region_set.regions]
+    covered = regions_covered_by(coverings, T1, T2)
+    tiles = [tile for covering, ok in zip(coverings, covered) if ok for tile in covering]
     field = composed_field(s2, T1, T2, strict=True)
     return integrate_tiles(tiles, lambda u, v: s1.value(u, v) * field(u, v), n)
 

@@ -308,3 +308,31 @@ def test_extract_outputs_equal_golden_bytes(tmp_path, source, name):
     for got, suffix in ((out, ".regions.json"), (svg, ".svg")):
         with open(os.path.join(GOLDEN, name + suffix), "rb") as fh:
             assert got.read_bytes() == fh.read()
+
+
+_QUASI = ["quasi-interp", "--source", f"{FIXTURES}/quasi_source.json",
+          "--target", f"{FIXTURES}/quasi_target.json", "--mode"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # the reference level has 128 points per direction, so every grid
+        # is cut into blocks of rows
+        pytest.param(["integrate", "--input", f"{FIXTURES}/integrate_lens.json", "--f",
+                      "x*y + sin(x)", "--max-level", "5", "--reference", "auto"],
+                     "integrate_lens.csv", id="lens"),
+        # two Coons patches whose curved sides lie on different sides, and a
+        # three-sided region of wedges, in one stack; every level runs
+        pytest.param(["integrate", "--input", os.path.join(GOLDEN, "integrate_mixed.json"),
+                      "--f", "x*y + sin(x)", "--max-level", "5", "--stop-threshold", "1e-300",
+                      "--reference", "auto"], "integrate_mixed.csv", id="mixed"),
+        pytest.param(_QUASI + ["llm"], "quasi_interp.llm.json", id="llm"),
+        pytest.param(_QUASI + ["levelset"], "quasi_interp.levelset.json", id="levelset"),
+    ],
+)
+def test_quadrature_outputs_equal_golden_bytes(tmp_path, argv, name):
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()

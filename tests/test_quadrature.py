@@ -8,8 +8,10 @@ from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve
 from curveplan.errors import GeometryError, JacobianError, TileError
 from curveplan.quadrature import (
+    BLOCK_NODES,
     Tile,
     Wedge,
+    _TileStack,
     bernstein_table,
     gauss01,
     integrate_adaptive,
@@ -348,9 +350,15 @@ def _scale(tile):
     return max(1.0, float(np.abs(np.concatenate(nets)).max()))
 
 
+#: a sliver wedge: its coefficients of g, about 1e-14, are positive but far
+#: below its size squared, and its de Boor Jacobian is 0.0 at Gauss nodes
+_SLIVER_WEDGE = Wedge(np.array([1.0, 0.0]), segment((1, -1), (1.00000000000001, 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tiles, st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20))
 @example(_ARROWHEAD_TILE, [])
+@example(_SLIVER_WEDGE, [])
 def test_certified_tiles_have_positive_jacobian(tile, params):
     assume(tile.certified)
     u, _ = gauss01(64)
@@ -406,3 +414,73 @@ def test_bernstein_grids_match_de_boor(tile, n, params):
     ]:
         assert np.max(np.abs(pts - ref_pts), initial=0.0) <= 1e-14 * scale
         assert np.max(np.abs(det - ref_det), initial=0.0) <= 1e-14 * scale**2
+
+
+def test_sliver_wedge_is_not_certified():
+    # its coefficients are positive only relative to the largest one
+    assert not _SLIVER_WEDGE.certified
+
+
+# ---------------------------------------------------------------------------
+# stacked tile grids against the one-tile view and per-tile integration
+
+
+@st.composite
+def _tile_lists(draw):
+    """Coons patches with sides of degree 1 to 3 and wedges, shuffled so
+    that kinds and side degrees interleave in the list."""
+    tiles = draw(st.lists(_tiles, min_size=1, max_size=8))
+    return draw(st.permutations(tiles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tile_lists(), st.integers(1, 40), st.data())
+def test_stacked_grids_equal_each_tile(tiles, n, data):
+    stack = _TileStack(tiles)
+    first = data.draw(st.integers(0, len(tiles) - 1))
+    index = slice(first, data.draw(st.integers(first + 1, len(tiles))))
+    r0 = data.draw(st.integers(0, n - 1))
+    u, _ = gauss01(n)
+    for rows in (slice(None), slice(r0, data.draw(st.integers(r0 + 1, n)))):
+        pts, det = stack.gauss_grids(n, rows, index)
+        assert pts.shape == (index.stop - index.start, len(u[rows]), n, 2)
+        for tile, p, d in zip(tiles[index], pts, det):
+            one_pts, one_det = tile.gauss_grids(n, rows)
+            assert np.array_equal(p, one_pts) and np.array_equal(d, one_det)
+            ref_pts, ref_det = _reference_grids(tile, u[rows], u)
+            scale = _scale(tile)
+            assert np.max(np.abs(p - ref_pts)) <= 1e-14 * scale
+            assert np.max(np.abs(d - ref_det)) <= 1e-14 * scale**2
+
+
+def _per_tile_integral(tiles, f, n):
+    """``integrate_tiles`` as one-tile grids: the same (tile, rows) parts,
+    at most BLOCK_NODES nodes per integrand call."""
+    _, w = gauss01(n)
+    rows = max(1, BLOCK_NODES // n)
+    parts = [(tile, slice(r, r + rows)) for tile in tiles for r in range(0, n, rows)]
+    per_block = max(1, BLOCK_NODES // (n * min(rows, n)))
+    total = 0.0
+    for k in range(0, len(parts), per_block):
+        block = parts[k : k + per_block]
+        grids = [tile.gauss_grids(n, r) for tile, r in block]
+        pts = np.concatenate([p.reshape(-1, 2) for p, _ in grids])
+        det = np.concatenate([d.ravel() for _, d in grids])
+        weight = np.concatenate([np.outer(w[r], w).ravel() for _, r in block]) * det
+        total += float(np.sum(weight * f(pts[:, 0], pts[:, 1])))
+    return total
+
+
+def test_integrate_tiles_cut_rows_equal_per_tile_path():
+    # n^2 > BLOCK_NODES: each grid is cut by rows, one part per block; the
+    # mixed lists keep kinds and side degrees interleaved
+    rs = extract_and_classify(build_drawing(square_curves() + [
+        ParamCurve("bezier", [(0, 0.5), (0.3, 0.75), (0.6, 0.25), (1, 0.5)]),
+        segment((0.5, 1), (1, 0.5)),
+    ]))
+    tiles = [t for region in rs.regions for t in tile_region(region, rs.drawing)]
+    assert {type(t) for t in tiles} == {Tile, Wedge}
+    f = lambda x, y: np.sin(3 * x) * np.exp(y)
+    for n in (1, 5, 16, 64, 128):
+        assert integrate_tiles(tiles, f, n) == _per_tile_integral(tiles, f, n)
+    assert 128**2 > BLOCK_NODES
