@@ -34,15 +34,12 @@ class TieBreakError(GeometryError):
 
 
 class TileError(GeometryError):
-    """Tiling produced a patch with a non-positive Jacobian."""
+    """A tile side is not one polynomial span, its corners do not meet, or
+    the spline branch has no tiles of certified positive Jacobian."""
 
     def __init__(self, message, tile=None):
         super().__init__(message)
         self.tile = tile
-
-
-class JacobianError(GeometryError):
-    """Non-positive Jacobian determinant at a quadrature node."""
 
 
 class ConvergenceError(CurveplanError):

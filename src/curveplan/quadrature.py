@@ -2,27 +2,29 @@
 
 Each region is covered by four-sided Coons maps whose curved sides are the
 exact region edges: one patch for a region bounded by four polynomial
-spans, otherwise one star wedge per span, apexed at a point that sees the
-whole boundary.  Every side is one polynomial span on [0, 1], so the points
-and Jacobians of all tiles of one kind on a Gauss grid are one product of
-their stacked Bezier nets per side degree with Bernstein matrices cached per
-(degree, n).  A Jacobian with Bernstein coefficients positive by a margin
-relative to the tile's size is certified for every n; other tiles are probed
-on the grid that will be used.  Tensor Gauss-Legendre rules integrate
-polynomial integrands exactly; an adaptive loop doubles the points per
-direction, in blocks of at most BLOCK_NODES nodes per integrand call, until
-two consecutive totals agree to a stop threshold.
+spans, otherwise one wedge per span, apexed at the region's area centroid.
+Every side is one polynomial span on [0, 1], so the points and Jacobians
+of all tiles of one kind on a Gauss grid are one product of their stacked
+Bezier nets per side degree with Bernstein matrices cached per (degree, n).
+Tiles are signed: their maps run along the region boundary, so by Green's
+theorem (as in the Gauss-Green cubature of Sommariva and Vianello, 2009)
+their signed integrals sum to the region's, exact when f is smooth on the
+convex hull of each region and its centroid.  The spline branch, whose
+integrands are smooth only inside each region, uses ``certified_tiles``,
+of Jacobian positive on the whole square.  An adaptive loop doubles the
+Gauss points per direction, in blocks of at most BLOCK_NODES nodes per
+integrand call, until two consecutive totals agree to a stop threshold.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 import numpy as np
 
 from .curves import trusted_bezier
-from .errors import GeometryError, JacobianError, TileError
+from .errors import GeometryError, TileError
 
 #: default stop threshold of the adaptive doubling loop
 STOP_THRESHOLD = 1e-12
@@ -31,7 +33,7 @@ STOP_THRESHOLD = 1e-12
 #: fraction of the largest one and of the squared size of the tile's nets
 CERT_MARGIN = 1e-9
 
-#: most grid nodes per integrand call or probe step (2^14 raised peak RSS 1.2 MB)
+#: most grid nodes per integrand call (2^14 raised peak RSS 1.2 MB)
 BLOCK_NODES = 2**12
 
 _CORNER_TOL = 1e-10
@@ -228,22 +230,22 @@ class Tile:
         gap = max(np.linalg.norm(c - e) for c, e in zip(self.corners(), ends))
         if gap > _CORNER_TOL * scale:
             raise TileError(f"tile corners do not match (gap {gap:.2e})", tile=self)
-        # det > 0 on the closed square if all its Bernstein coefficients are (convex
-        # hull), and then no n needs a probe; values at Gauss nodes give them
+
+    @cached_property
+    def certified(self):
+        """Whether det > 0 on the closed square: all its Bernstein
+        coefficients are (convex hull), by the margin CERT_MARGIN."""
         coef = self._det_coefficients()
-        nets = np.concatenate([side.ctrl for side in (south, east, north, west)])
+        nets = np.concatenate([s.ctrl for s in (self.south, self.east, self.north, self.west)])
         extent = float(np.hypot(*np.ptp(nets, axis=0)))
-        self.certified = bool(coef.min() > CERT_MARGIN * max(np.abs(coef).max(), extent**2))
+        return bool(coef.min() > CERT_MARGIN * max(np.abs(coef).max(), extent**2))
 
     def corners(self):
         return self.c00, self.c10, self.c11, self.c01
 
     def grids(self, u, v):
-        """Points and Jacobian determinants on the tensor grid u x v.
-
-        Returns (points, det) with shapes (len(u), len(v), 2) and
-        (len(u), len(v)).
-        """
+        """Points (len(u), len(v), 2) and Jacobian determinants
+        (len(u), len(v)) on the tensor grid u x v."""
         return self._grids(_axis(u), _axis(v))
 
     def gauss_grids(self, n, rows=slice(None)):
@@ -271,13 +273,12 @@ class Tile:
 
 
 class Wedge(Tile):
-    """The star wedge C + u (p(v) - C) of one boundary span p.
+    """The wedge C + u (p(v) - C) of one boundary span p.
 
     As a Coons map: south C->p(0), east p, north C->p(1), and west the
     point C.  Its Jacobian is u g(v) with g = (p - C) x p', of the sign of
-    g at every Gauss node, where u > 0: positive when C sees the boundary,
-    even across straight-through piece junctions and reflex corners where
-    a four-sided Coons patch folds.
+    g at every Gauss node, where u > 0: positive where C sees p from the
+    region's side, negative where it sees p from behind.
     """
 
     def __init__(self, center, piece):
@@ -300,10 +301,6 @@ class Wedge(Tile):
 # tiling
 
 
-def _split_mid(curve):
-    return curve.restricted(0.0, 0.5), curve.restricted(0.5, 1.0)
-
-
 def _coons_from_cycle(pieces):
     p0, p1, p2, p3 = pieces
     return Tile(south=p0, east=p1, north=p2.reversed(), west=p3.reversed())
@@ -314,8 +311,6 @@ def _area_centroid(pieces):
 
     Uses the boundary integrals A = (1/2) contour(x dy - y dx) and
     C = (1/2A) contour(x^2 dy, -y^2 dx), Gauss-exact per polynomial span.
-    The first star-center candidate: more robust than the vertex centroid,
-    which can fall outside the kernel of regions with reflex corners.
     """
     area = mx = my = 0.0
     for g in pieces:
@@ -331,11 +326,10 @@ def _area_centroid(pieces):
 
 
 def _sees_boundary(pieces, centers):
-    """The first of ``centers`` that sees the whole (CCW) boundary, or None.
+    """The ``centers`` that see the whole (CCW) boundary, in order.
 
     Checks g = (p(t) - C) x p'(t) > 0 densely, the wedge Jacobian's factor
-    g evaluated as in ``_wedge_grids``, so positivity here carries over to
-    every tensor Gauss grid used later.
+    g evaluated as in ``_wedge_grids``.
     """
     samples = partial(_bernstein, t=np.linspace(0.0, 1.0, 24))
     p, d = (np.concatenate(a) for a in zip(*(_values(q.ctrl, samples) for q in pieces)))
@@ -343,103 +337,79 @@ def _sees_boundary(pieces, centers):
     for center in centers:
         rel = p - center
         if np.all(_cross(rel, d) > 1e-9 * np.linalg.norm(rel, axis=1) * speed):
-            return center
-    return None
+            yield center
 
 
-def _wedge_center(pieces):
-    """A deterministic star center: area centroid, else blends toward vertices."""
-    centroid = _area_centroid(pieces)
-    ends = [q for p in pieces for q in (p.ctrl[0], p.point(0.5))]
-    blends = [centroid + lam * (q - centroid) for lam in (0.5, 0.8) for q in ends]
-    center = _sees_boundary(pieces, [centroid] + blends)
-    if center is None:
-        raise TileError("no star center found: region is not star-shaped")
-    return center
-
-
-def probe_tiles(tiles, n=5):
-    """Check det > 0 on the tensor Gauss grid that will be used.
-
-    A certified tile (``Tile.certified``) passes at every n; any other
-    tile is probed on the n x n grid in the blocks of ``integrate_tiles``,
-    or, for a wedge, whose det is u g(v) with u > 0, g at the n v-nodes.
-    """
-    n = min(int(n), 512)
-    tiles = [tile for tile in tiles if not tile.certified]
-    if not tiles:
-        return
-    wedges = _TileStack(tile for tile in tiles if isinstance(tile, Wedge))
-    coons = _TileStack(tile for tile in tiles if not isinstance(tile, Wedge))
-    # g is a wedge's det on the row u = 1
-    worst = dict(zip(wedges.tiles, wedges.grids(_axis(1.0), _gauss_axis(n))[1].min(axis=(1, 2))))
-    for index, rows in coons.blocks(n):
-        lows = coons.gauss_grids(n, rows, index)[1].min(axis=(1, 2))
-        for tile, low in zip(coons.tiles[index], lows):
-            worst[tile] = min(worst.get(tile, low), low)
-    for tile in tiles:
-        if worst[tile] <= 0.0:
-            raise TileError(
-                f"non-positive Jacobian (min {worst[tile]:.2e}) in tile probe at n={n}", tile=tile
-            )
-
-
-def _probed(tiles, probes):
-    for n in probes:
-        probe_tiles(tiles, n)
-    return tiles
-
-
-def region_tiles(region, drawing, probe_n=None):
-    """Tiles covering an interior region, each map with exact boundaries.
-
-    The boundary is split into polynomial spans, and at parametric
-    midpoints when fewer than three remain, so every tile map is
-    polynomial.  A cycle of exactly four spans, other than a single-edge
-    loop, is one Coons patch, kept when its Jacobian is positive on the
-    probe grids (n = 5 and ``probe_n``).  Every other region, and every
-    Coons patch that folds, gets one star wedge per span.  Wedges are
-    probed the same way; a region with no star center raises TileError.
-    Errors and tiles name the region by its first trail vertex id.
-    """
+def _pieces(region, drawing):
+    """The region's number of edges and its boundary as polynomial spans,
+    split at midpoints when fewer than three."""
     if not region.trail:
         raise GeometryError("cannot tile an empty region")
-    vid = region.trail[0][0]
     edges = [drawing.oriented_geometry(se) for _, se in region.trail]
     pieces = [span for p in edges for span in p.spans()]
     if len(pieces) < 3:
-        pieces = [half for p in pieces for half in _split_mid(p)]
-    probes = (5,) if probe_n is None else (5, probe_n)
-    tiles = None
-    if len(pieces) == 4 and len(edges) > 1:
-        try:
-            tiles = _probed([_coons_from_cycle(pieces)], probes)
-        except TileError:
-            pass
-    try:
-        if tiles is None:
-            center = _wedge_center(pieces)
-            tiles = _probed([Wedge(center, p) for p in pieces], probes)
-    except TileError as exc:
-        raise TileError(f"region at vertex {vid}: {exc}", tile=exc.tile) from exc
+        pieces = [half for p in pieces for half in (p.restricted(0.0, 0.5), p.restricted(0.5, 1.0))]
+    return len(edges), pieces
+
+
+def _named(tiles, region):
     for tile in tiles:
-        tile.region = vid
+        tile.region = region.trail[0][0]
     return tiles
 
 
+def region_tiles(region, drawing):
+    """Signed tiles covering an interior region, each map with exact
+    boundaries, naming the region by its first trail vertex id.
+
+    A cycle of exactly four spans, other than a single-edge loop, is one
+    Coons patch; every other region gets one wedge per span from its area
+    centroid.  Nothing is checked: a patch may fold and a wedge may be
+    seen from behind, and the signed integrals still sum to the region's.
+    """
+    n_edges, pieces = _pieces(region, drawing)
+    if len(pieces) == 4 and n_edges > 1:
+        return _named([_coons_from_cycle(pieces)], region)
+    center = _area_centroid(pieces)
+    return _named([Wedge(center, p) for p in pieces], region)
+
+
 def tile_region(region, drawing):
-    """Tiles of an interior region, probed at n = 5 (see ``region_tiles``)."""
+    """Signed tiles of an interior region (see ``region_tiles``)."""
     return region_tiles(region, drawing)
+
+
+def certified_tiles(region, drawing):
+    """Tiles of an interior region whose Jacobians are all certified
+    positive on the whole square, so every node lies inside the region.
+
+    ``region_tiles`` when all of them certify, else the wedges of the
+    first star center that sees the boundary and whose wedges certify:
+    the area centroid, then blends of it toward the span ends and
+    midpoints.  A region with no such center raises TileError.
+    """
+    tiles = region_tiles(region, drawing)
+    if all(tile.certified for tile in tiles):
+        return tiles
+    pieces = _pieces(region, drawing)[1]
+    centroid = _area_centroid(pieces)
+    ends = [q for p in pieces for q in (p.ctrl[0], p.point(0.5))]
+    blends = [centroid + lam * (q - centroid) for lam in (0.5, 0.8) for q in ends]
+    for center in _sees_boundary(pieces, [centroid] + blends):
+        wedges = _named([Wedge(center, p) for p in pieces], region)
+        if all(tile.certified for tile in wedges):
+            return wedges
+    raise TileError(f"region at vertex {tiles[0].region}: no star center with certified wedges")
 
 
 # ---------------------------------------------------------------------------
 # integration
 
 
-def integrate_tiles(tiles, f, n, phys_map=None):
-    """Tensor Gauss integral of f over the tiles, n points per direction,
-    on tile grids stacked into blocks of at most BLOCK_NODES nodes (a larger
-    grid is cut by rows): one integrand call and Jacobian check per block.
+def integrate_tiles(tiles, f, n):
+    """Tensor Gauss integral of f over the signed tiles, n points per
+    direction, on tile grids stacked into blocks of at most BLOCK_NODES
+    nodes (a larger grid is cut by rows): one integrand call per block.
     ``tiles`` is a list of tiles, or a ``_TileStack`` of them built once for
     several calls."""
     stack = tiles if isinstance(tiles, _TileStack) else _TileStack(tiles)
@@ -447,31 +417,22 @@ def integrate_tiles(tiles, f, n, phys_map=None):
     total = 0.0
     for index, rows in stack.blocks(n):
         pts, det = stack.gauss_grids(n, rows, index)
-        if np.min(det) <= 0.0:
-            worst = stack.tiles[index][np.argmax(det.min(axis=(1, 2)) <= 0.0)]
-            raise JacobianError(
-                f"region at vertex {worst.region}: non-positive tile "
-                f"Jacobian at a quadrature node (min {np.min(det):.2e}, n={n})"
-            )
         weight = np.tile(np.outer(w[rows], w).ravel(), len(det)) * det.ravel()
-        pts, det = pts.reshape(-1, 2), det.ravel()
-        if phys_map is not None:
-            pts, map_det = phys_map.mapped_with_jacobian(pts)
-            weight = weight * map_det
-        vals = np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float), det.shape)
+        pts = pts.reshape(-1, 2)
+        vals = np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float), weight.shape)
         if not np.all(np.isfinite(vals)):
             raise GeometryError("integrand not finite at a quadrature node")
         total += float(np.sum(weight * vals))
     return total
 
 
-def integrate_region(region, f, n, drawing=None, tiles=None, phys_map=None):
+def integrate_region(region, f, n, drawing=None, tiles=None):
     """Tensor Gauss integral of f over one region with n points/direction."""
     if tiles is None:
         if drawing is None:
             raise GeometryError("integrate_region needs a drawing or prebuilt tiles")
-        tiles = region_tiles(region, drawing, probe_n=n)
-    return integrate_tiles(tiles, f, n, phys_map=phys_map)
+        tiles = region_tiles(region, drawing)
+    return integrate_tiles(tiles, f, n)
 
 
 @dataclass
@@ -503,7 +464,6 @@ def integrate_adaptive(
     max_level,
     stop_threshold=STOP_THRESHOLD,
     reference=None,
-    phys_map=None,
 ):
     """Evaluate levels j = 0, 1, ... with 2^j points per tile direction.
 
@@ -514,14 +474,10 @@ def integrate_adaptive(
     """
     if max_level < 1:
         raise GeometryError("max_level must be >= 1")
-    top_n = 2 ** (max_level + 2 if reference == "auto" else max_level)
     tiles = _TileStack(
-        tile
-        for region in region_set.regions
-        for tile in region_tiles(region, region_set.drawing, probe_n=top_n)
+        tile for region in region_set.regions for tile in region_tiles(region, region_set.drawing)
     )
-
-    level_value = partial(integrate_tiles, tiles, f, phys_map=phys_map)
+    level_value = partial(integrate_tiles, tiles, f)
 
     ref = None
     if reference == "auto":

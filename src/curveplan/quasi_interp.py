@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import basis_rows, find_span
 from .errors import GeometryError
-from .quadrature import _TileStack, gauss01, region_tiles
+from .quadrature import _TileStack, certified_tiles, gauss01
 from .splines import SplineFunc2D, composed_field, regions_covered_by
 
 #: Gauss points per tile direction whose knot element locates a region
@@ -75,13 +75,15 @@ def _local_gram_1d(span_blocks, lo, hi, dof_lo, dof_hi):
 
 
 def region_element_table(region_set, space):
-    """Knot element of every interior region plus its cached tiles.
+    """Knot element of every interior region plus its ``certified_tiles``.
 
-    Every tile quadrature node of a region must land in one element of the
-    space (the containment guarantee of interface drawings); a straddling
-    region signals an upstream extraction problem.
+    Integrands here are smooth only inside each region, so its tiles have a
+    Jacobian positive on the whole square (else TileError, exit 3), and all
+    their nodes must land in one element of the space (the containment
+    guarantee of interface drawings); a straddling region signals an
+    upstream extraction problem.
     """
-    tiles = [region_tiles(region, region_set.drawing) for region in region_set.regions]
+    tiles = [certified_tiles(region, region_set.drawing) for region in region_set.regions]
     stack = _TileStack(tile for region in tiles for tile in region)
     pts = stack.gauss_grids(ELEMENT_PROBE_N)[0].reshape(-1, 2)
     nodes = zip(*space.element_of(pts[:, 0], pts[:, 1], tol=ELEMENT_TOL))

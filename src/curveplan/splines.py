@@ -197,11 +197,6 @@ class SplineMap2D:
         jac = self.jacobian(u, v)
         return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
 
-    def mapped_with_jacobian(self, pts):
-        """Quadrature hook: physical points and Jacobian determinants."""
-        pts = np.asarray(pts, dtype=float)
-        return self.point_pairs(pts), self.jacobian_det(pts[..., 0], pts[..., 1])
-
     def bbox_diag(self):
         lo = self.ctrl.reshape(-1, 2).min(axis=0)
         hi = self.ctrl.reshape(-1, 2).max(axis=0)
@@ -531,9 +526,9 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     exact up to inversion and pull-back tolerances.  Regions outside the
     image of T2 contribute zero (zero extension).
     """
-    from .quadrature import integrate_tiles, region_tiles
+    from .quadrature import certified_tiles, integrate_tiles
 
-    coverings = [region_tiles(r, region_set.drawing, probe_n=n) for r in region_set.regions]
+    coverings = [certified_tiles(r, region_set.drawing) for r in region_set.regions]
     covered = regions_covered_by(coverings, T1, T2)
     tiles = [tile for covering, ok in zip(coverings, covered) if ok for tile in covering]
     field = composed_field(s2, T1, T2, strict=True)

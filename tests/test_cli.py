@@ -155,20 +155,13 @@ def test_overlap_exit_3(tmp_path, capsys):
     assert err["error"]["kind"] == "OverlapError"
 
 
-def test_non_star_region_exit_3_names_its_vertex(tmp_path, capsys):
-    # a C-shaped polygon: no point sees both inner edges of its arms
-    corners = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
-    sides = [[corners[k], corners[(k + 1) % 8]] for k in range(8)]
-    src = tmp_path / "c_shape.json"
-    src.write_text(json.dumps({"curves": [{"kind": "segment", "points": s} for s in sides]}))
-    regions = tmp_path / "regions.json"
-    assert run(["extract", "--input", str(src), "--out", str(regions)]) == 0
-    vertex = json.loads(regions.read_text())["regions"][0]["trail"][0]["vertex"]
-    code = run(["integrate", "--input", str(src), "--f", "1", "--out", str(tmp_path / "t.csv")])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["kind"] == "TileError"
-    assert f"region at vertex {vertex}: no star center found" in err["message"]
+def test_non_star_region_integrates_to_its_area(tmp_path):
+    # a C-shaped polygon of area 7: no point sees both inner edges of its
+    # arms, and the signed wedges from its centroid still sum to its area
+    table = tmp_path / "t.csv"
+    src = os.path.join(GOLDEN, "integrate_c_shape.json")
+    assert run(["integrate", "--input", src, "--f", "1", "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[-1].split(",")[2] == "7"
 
 
 def test_bad_option_exit_2(tmp_path, capsys):
@@ -327,6 +320,11 @@ _QUASI = ["quasi-interp", "--source", f"{FIXTURES}/quasi_source.json",
         pytest.param(["integrate", "--input", os.path.join(GOLDEN, "integrate_mixed.json"),
                       "--f", "x*y + sin(x)", "--max-level", "5", "--stop-threshold", "1e-300",
                       "--reference", "auto"], "integrate_mixed.csv", id="mixed"),
+        # the C-shaped region of signed wedges from its centroid; these
+        # bytes come from signed tiling, as star-wedge tiling refused it
+        pytest.param(["integrate", "--input", os.path.join(GOLDEN, "integrate_c_shape.json"),
+                      "--f", "x*y + sin(x)", "--max-level", "5", "--stop-threshold", "1e-300",
+                      "--reference", "auto"], "integrate_c_shape.csv", id="c_shape"),
         pytest.param(_QUASI + ["llm"], "quasi_interp.llm.json", id="llm"),
         pytest.param(_QUASI + ["levelset"], "quasi_interp.levelset.json", id="levelset"),
     ],

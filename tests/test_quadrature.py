@@ -6,18 +6,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve
-from curveplan.errors import GeometryError, JacobianError, TileError
+from curveplan.errors import GeometryError, TileError
 from curveplan.quadrature import (
     BLOCK_NODES,
     Tile,
     Wedge,
     _TileStack,
     bernstein_table,
+    certified_tiles,
     gauss01,
     integrate_adaptive,
     integrate_region,
     integrate_tiles,
-    probe_tiles,
     tensor_rule,
     tile_region,
 )
@@ -63,6 +63,13 @@ def _loop_regions():
     return extract_and_classify(build_drawing([circle_bspline(n_ctrl=12, n_samples=200)]))
 
 
+def _shoelace(corners):
+    """Area and first moment of x of a polygon."""
+    xs, ys = np.array(corners, dtype=float).T
+    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
+    return cross.sum() / 2, ((xs + np.roll(xs, -1)) * cross).sum() / 6
+
+
 def test_rule_weights():
     for n in (1, 2, 3, 5, 8):
         rule = tensor_rule(n)
@@ -102,19 +109,21 @@ def test_bigon_single_tile_after_midpoint_split():
 def test_concave_quad_falls_back_to_wedges():
     rs = _polygon_regions(ARROWHEAD)
     region, drawing = rs.regions[0], rs.drawing
+    # one signed Coons patch: it folds, and its integrals are still exact
     tiles = tile_region(region, drawing)
-    assert len(tiles) == 4
-    for tile in tiles:  # a wedge's west side is its apex, a point
-        assert np.array_equal(tile.west.ctrl[0], tile.west.ctrl[-1])
-    # shoelace area and first moment of x
-    xs, ys = np.array(ARROWHEAD).T
-    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
-    area = cross.sum() / 2
-    moment_x = ((xs + np.roll(xs, -1)) * cross).sum() / 6
-    got_area = integrate_region(region, lambda x, y: 1.0, 4, drawing=drawing)
-    got_x = integrate_region(region, lambda x, y: x, 4, drawing=drawing)
+    assert len(tiles) == 1 and not isinstance(tiles[0], Wedge)
+    assert not tiles[0].certified
+    area, moment_x = _shoelace(ARROWHEAD)
+    got_area = integrate_region(region, lambda x, y: 1.0, 4, tiles=tiles)
+    got_x = integrate_region(region, lambda x, y: x, 4, tiles=tiles)
     assert abs(got_area - area) < 1e-12
     assert abs(got_x - moment_x) < 1e-12
+    # the certified tiling falls back to wedges
+    wedges = certified_tiles(region, drawing)
+    assert len(wedges) == 4 and all(tile.certified for tile in wedges)
+    for tile in wedges:  # a wedge's west side is its apex, a point
+        assert np.array_equal(tile.west.ctrl[0], tile.west.ctrl[-1])
+    assert abs(integrate_region(region, lambda x, y: x, 4, tiles=wedges) - moment_x) < 1e-12
 
 
 def test_integrate_region_examples():
@@ -194,19 +203,6 @@ def test_tile_partition_matches_boundary_area():
             assert abs(got - region.signed_area) < 1e-9
 
 
-def test_physical_map_jacobian_hook():
-    class Scale2:
-        def mapped_with_jacobian(self, pts):
-            return 2.0 * pts, np.full(pts.shape[:-1], 4.0)
-
-    rs = _square_regions()
-    # integral of x over the scaled square [0,2]^2 = 4
-    got = integrate_region(
-        rs.regions[0], lambda x, y: x, 4, drawing=rs.drawing, phys_map=Scale2()
-    )
-    assert abs(got - 4.0) < 1e-13
-
-
 def test_max_level_validation():
     rs = _square_regions()
     with pytest.raises(GeometryError):
@@ -233,24 +229,73 @@ def test_tile_refuses_multi_span_side():
         Tile(two_spans, square[1], square[2].reversed(), square[3].reversed())
 
 
-def test_jacobian_error_names_region_and_n():
-    # the arrowhead's bilinear patch folds; integrate it without a probe
+def test_folded_arrowhead_patch_integrates_shoelace_area():
+    # the arrowhead's bilinear patch folds at (0.5, 1); its signed
+    # Jacobian still integrates to the polygon's area
     a, b, c, d = ARROWHEAD
     tile = Tile(segment(a, b), segment(b, c), segment(d, c), segment(a, d))
-    tile.region = 7
-    with pytest.raises(JacobianError, match=r"region at vertex 7: .*n=4"):
-        integrate_tiles([tile], lambda x, y: 1.0, 4)
+    assert np.min(tile.gauss_grids(4)[1]) < 0.0
+    assert abs(integrate_tiles([tile], lambda x, y: 1.0, 4) - 1.5) < 1e-15
 
 
 def test_tile_error_names_region():
     rs = _polygon_regions(C_SHAPE)
-    vid = rs.regions[0].trail[0][0]
+    region = rs.regions[0]
+    vid = region.trail[0][0]
     with pytest.raises(TileError, match=f"region at vertex {vid}: no star center"):
-        tile_region(rs.regions[0], rs.drawing)
+        certified_tiles(region, rs.drawing)
+    # the signed wedges from the centroid integrate the C exactly
+    tiles = tile_region(region, rs.drawing)
+    area, moment_x = _shoelace(C_SHAPE)
+    assert abs(integrate_region(region, lambda x, y: 1.0, 2, tiles=tiles) - area) < 1e-12
+    assert abs(integrate_region(region, lambda x, y: x, 2, tiles=tiles) - moment_x) < 1e-12
 
 
 #: a C-shaped polygon: its two inner edges face apart, so no point sees both
 C_SHAPE = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
+
+
+@st.composite
+def _combs(draw):
+    """(regions, size) of a comb of 1 to 4 teeth on a base, turned, scaled
+    and moved, every side a quadratic Bezier bowed off its chord by at most
+    a tenth of its length.  One tooth makes a curved quadrilateral and two
+    a C; no point sees both sides of a gap between teeth."""
+    teeth = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.floats(0.3, 1.0), min_size=2 * teeth - 1, max_size=2 * teeth - 1))
+    heights = draw(st.lists(st.floats(0.05, 2.0), min_size=teeth, max_size=teeth))
+    base = draw(st.floats(0.5, 1.0))
+    xs = np.concatenate([[0.0], np.cumsum(widths)])
+    corners = [(0.0, 0.0), (xs[-1], 0.0)]
+    for k in reversed(range(teeth)):  # counter-clockwise, tooth by tooth
+        x0, x1, top = xs[2 * k], xs[2 * k + 1], base + heights[k]
+        corners += [(x1, base)] if k < teeth - 1 else []
+        corners += [(x1, top), (x0, top)] + ([(x0, base)] if k > 0 else [])
+    angle, size = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.1, 10.0))
+    turn = size * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    shift = np.array([draw(_jitter(5.0)), draw(_jitter(5.0))])
+    corners = np.array(corners) @ turn.T + shift
+    curves = []
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        normal = np.array([a[1] - b[1], b[0] - a[0]])
+        bow = draw(st.floats(-0.1, 0.1))
+        curves.append(ParamCurve("bezier", [a, 0.5 * (a + b) + bow * normal, b]))
+    return extract_and_classify(build_drawing(curves)), size * (xs[-1] + base + max(heights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_combs())
+def test_non_star_curved_regions_integrate_to_their_area(comb):
+    rs, size = comb
+    # f = 1 is smooth everywhere, so signed wedges are exact at 2 points
+    report = integrate_adaptive(rs, lambda x, y: 1.0, max_level=3)
+    assert abs(report.value - sum(r.signed_area for r in rs.regions)) <= 1e-12 * size**2
+    for region in rs.regions:
+        try:
+            tiles = certified_tiles(region, rs.drawing)
+        except TileError:
+            continue
+        assert all(tile.certified for tile in tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +322,6 @@ def _reference_grids(tile, u, v):
     dpdv = (n - s)[:, None, :] + (1 - uu) * dw[None, :, :] + uu * de[None, :, :] \
         - ((1 - uu) * (c01 - c00) + uu * (c11 - c10))
     return pts, dpdu[..., 0] * dpdv[..., 1] - dpdu[..., 1] * dpdv[..., 0]
-
-
-def _reference_min_det(tile, n):
-    """Smallest det on the full n x n Gauss grid: the probe before
-    certificates, for one tile."""
-    u, _ = gauss01(min(n, 512))
-    return float(np.min(_reference_grids(tile, u, u)[1]))
-
-
-def _accepts(probe, tile, n):
-    try:
-        probe(tile, n)
-    except TileError:
-        return False
-    return True
-
-
-def _reference_probe(tile, n):
-    if _reference_min_det(tile, n) <= 0.0:
-        raise TileError("non-positive Jacobian in tile probe")
 
 
 def _jitter(size):
@@ -371,35 +396,18 @@ def test_certified_tiles_have_positive_jacobian(tile, params):
         assert _reference_grids(tile, [a], [b])[1][0, 0] > 0.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tiles)
-@example(_ARROWHEAD_TILE)
-def test_probe_decisions_match_full_grid_reference(tile):
-    scale = _scale(tile)
-    for n in (5, 16, 128):
-        # a grid minimum within roundoff of zero is too close to call
-        assume(abs(_reference_min_det(tile, n)) > 1e-12 * scale**2)
-        got = _accepts(lambda t, k: probe_tiles([t], k), tile, n)
-        assert got == _accepts(_reference_probe, tile, n)
-
-
 def test_arrowhead_patch_is_rejected_at_every_probe_size():
     assert not _ARROWHEAD_TILE.certified
-    for n in (5, 16, 128):
-        with pytest.raises(TileError):
-            probe_tiles([_ARROWHEAD_TILE], n)
 
 
 def test_coefficient_under_the_margin_is_not_certified():
     # the west side leaves (0, 0) 1e-12 rad off the south side: det > 0 on
-    # the closed square, but its corner coefficient 2e-12 is under the
-    # margin, so the grid probe decides
+    # the closed square, but its corner coefficient 2e-12 is under the margin
     west = ParamCurve("bezier", [(0, 0), (0.4, 1e-12), (0, 1)])
     tile = Tile(segment((0, 0), (1, 0)), segment((1, 0), (1, 1)), segment((0, 1), (1, 1)), west)
     corners = [0.0, 1.0]
     assert np.min(_reference_grids(tile, corners, corners)[1]) > 0.0
     assert not tile.certified
-    probe_tiles([tile], 128)
 
 
 @settings(max_examples=200, deadline=None)

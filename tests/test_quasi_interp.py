@@ -288,6 +288,26 @@ def test_batched_region_moments_match_node_loop():
         assert _close(block, want[element])
 
 
+def test_l_shaped_regions_keep_their_nodes_inside():
+    # T2's image cuts L-shaped regions out of T1's elements; neither is
+    # star-shaped from its centroid, so signed wedges would put nodes inside
+    # T2's image, where the zero-extended field is not 0.  The coefficients
+    # are those of star wedges from a center that sees the whole boundary.
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1))
+    T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u + 0.1 * v, 0.2 + 0.7 * v))
+    s2 = SplineFunc2D(T2.space, np.array([[1.0, -0.5], [2.0, 0.25]]))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    table = quasi_interp.region_element_table(rs, T1.space)
+    assert all(tile.certified for _, tiles in table.values() for tile in tiles)
+    got = llm_project(composed_field(s2, T1, T2), T1.space, regions=rs).function.coeffs
+    want = [
+        [-0.008091661807579874, -0.20361158560476308, 0.08901112931340305],
+        [0.037553799805635585, 0.6428145175621263, -0.25716061270766805],
+        [-0.028741496598638207, 1.333301209372638, -0.16193499622071175],
+    ]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_basis_matrix_rows_are_basis_rows():
     space = unit_space((3, 2), (0.2, 0.6, 0.6), (0.4,))
     params = np.concatenate([np.linspace(0, 1, 17), space.breakpoints_u()])
