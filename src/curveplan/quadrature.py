@@ -233,8 +233,8 @@ class Tile:
 
     @cached_property
     def certified(self):
-        """Whether det > 0 on the closed square: all its Bernstein
-        coefficients are (convex hull), by the margin CERT_MARGIN."""
+        """Whether det > 0 on the closed square, shown by all its Bernstein
+        coefficients being positive by the margin CERT_MARGIN (convex hull)."""
         coef = self._det_coefficients()
         nets = np.concatenate([s.ctrl for s in (self.south, self.east, self.north, self.west)])
         extent = float(np.hypot(*np.ptp(nets, axis=0)))
