@@ -1,10 +1,10 @@
 """Region extraction: dangling-node purge and rotation-system face traversal.
 
-Walking from every unvisited half-edge and always continuing along the
-outgoing edge with the maximal counterclockwise angle yields each bounded
-region of the drawing as a counterclockwise closed trail and, per connected
-component, one clockwise trail around the outside.  The walk and the
-classifiers read one table of half-edge geometry, evaluated once per drawing.
+The half-edges leaving each vertex are sorted once into counterclockwise
+order; those within ANGLE_TIE of a neighbour form one tie group, transitively,
+ordered by signed curvature.  Following each arrival by its successor, the
+half-edge just clockwise of its twin, yields every bounded region as a
+counterclockwise closed trail and, per component, one clockwise outer trail.
 """
 
 import math
@@ -59,28 +59,19 @@ def purge_dangling_nodes(drawing):
     Isolated vertices (no incident edges at all) are dropped as well; they
     cannot bound a region.  Returns a new drawing, the input is untouched.
     """
-    keep_v = set(drawing.vertices)
-    keep_e = set(drawing.edges)
-    changed = True
-    while changed:
-        changed = False
+    keep_v, keep_e = set(drawing.vertices), set(drawing.edges)
+    while True:
         incident = {vid: set() for vid in keep_v}
         for eid in keep_e:
             e = drawing.edges[eid]
             incident[e.v_from].add(eid)
             incident[e.v_to].add(eid)
-        for vid in sorted(keep_v):
-            edges_here = incident.get(vid, set())
-            if not edges_here:
-                keep_v.discard(vid)
-                changed = True
-            elif len(edges_here) == 1:
-                eid = next(iter(edges_here))
-                if not drawing.edges[eid].is_loop:
-                    keep_v.discard(vid)
-                    keep_e.discard(eid)
-                    changed = True
-    return drawing.subdrawing(keep_v, keep_e)
+        dangling = [vid for vid, here in incident.items()
+                    if not here or len(here) == 1 and not drawing.edges[min(here)].is_loop]
+        if not dangling:
+            return drawing.subdrawing(keep_v, keep_e)
+        keep_v.difference_update(dangling)
+        keep_e.difference_update(*(incident[vid] for vid in dangling))
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +89,15 @@ class HalfEdgeTable:
     the origin); ``samples``, the tangent angles ``trail_turning`` sums: both
     ends and TURN_SAMPLES per span, skipping vanishing derivatives.  By edge
     id: ``area``, the Gauss-exact integral of x y' - y x' over the edge.  An
-    entry the scalar code cannot compute is None; ``_read`` re-runs it.
+    entry the scalar code cannot compute is None; ``_read`` re-runs it.  By
+    vertex, ``rotation``: the half-edges leaving it counterclockwise; by
+    half-edge, ``place`` there (its tie group's first member, its index) and
+    ``succ``, its successor as an arrival.
     """
 
     def __init__(self):
         self.tangent, self.angle, self.curvature, self.samples, self.area = {}, {}, {}, {}, {}
+        self.rotation, self.place, self.succ = {}, {}, {}
 
 
 def halfedge_table(drawing):
@@ -199,17 +194,51 @@ def _read(drawing, column, se, scalar):
 # traversal
 
 
+def _rotation(drawing, table, at):
+    """Order the half-edges leaving ``at`` counterclockwise, once: by angle,
+    cyclically, where neighbours within ANGLE_TIE join one group,
+    transitively, across the -pi/pi seam too, and each group runs by signed
+    curvature ascending (curving left is counterclockwise); a curvature tie
+    is a hard error.  Fills ``rotation``, ``place`` and ``succ``."""
+    if at in table.rotation:
+        return
+    ring = sorted((_read(drawing, table.angle, se, _tangent), se) for se in drawing.pi[at])
+    gaps = [(b - a) % TWO_PI for (a, _), (b, _) in zip(ring[-1:] + ring, ring)]
+    starts = [i for i, gap in enumerate(gaps) if gap > ANGLE_TIE] or [0]  # group firsts
+    order, firsts = [], []
+    for lo, hi in zip(starts, starts[1:] + [starts[0] + len(ring)]):  # cyclic
+        group = [se for _, se in (ring + ring)[lo:hi]]
+        if len(group) > 1:
+            curved = sorted((_read(drawing, table.curvature, se, _curvature), se) for se in group)
+            if any(k1 - k0 <= CURVATURE_TIE for (k0, _), (k1, _) in zip(curved, curved[1:])):
+                raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
+            group = [se for _, se in curved]
+        order += group
+        firsts += group[:1] * len(group)
+    table.place.update(zip(order, zip(firsts, range(len(order)))))
+    table.succ.update(zip([-se for se in order], order[-1:] + order[:-1]))
+    table.rotation[at] = order
+
+
 def angle_between(drawing, arrival, candidate, at=None):
     """Counterclockwise angle in [0, 2pi] between interior tangents.
 
     Measured at the vertex where ``arrival`` ends and ``candidate`` starts,
     from the arrival edge's interior-pointing tangent to the candidate's.
-    The twin of the arrival half-edge returns exactly 0; a candidate along
-    the twin returns 0 if it curves left of the twin and 2pi if right.
+    The twin of the arrival half-edge returns exactly 0; a candidate in the
+    twin's tie group returns 0 if it curves left of the twin and 2pi if right.
     """
     if at is not None:
         _check_incident(drawing, at, arrival, [candidate])
-    return _ccw(drawing, halfedge_table(drawing), arrival, candidate)
+    return _angle(drawing, halfedge_table(drawing), arrival, candidate)
+
+
+def _angle(drawing, table, arrival, candidate):
+    _rotation(drawing, table, drawing.target(arrival))
+    (group, i), (twin_group, j) = table.place.get(candidate, (None, 0)), table.place[-arrival]
+    if group == twin_group:  # by the place in the twin's tie group
+        return 0.0 if i >= j else TWO_PI
+    return (_read(drawing, table.angle, candidate, _tangent) - table.angle[-arrival]) % TWO_PI
 
 
 def _check_incident(drawing, at, arrival, candidates):
@@ -217,60 +246,31 @@ def _check_incident(drawing, at, arrival, candidates):
         raise GeometryError("angle_between: half-edges not incident as required")
 
 
-def _ccw(drawing, table, arrival, candidate):
-    if candidate == -arrival:
-        return 0.0
-    ta = _read(drawing, table.angle, -arrival, _tangent)  # back into the arrival edge
-    a = (_read(drawing, table.angle, candidate, _tangent) - ta) % TWO_PI
-    if a <= ANGLE_TIE or TWO_PI - a <= ANGLE_TIE:  # leaves along the twin
-        left = _leftmost(drawing, table, drawing.target(arrival), [candidate, -arrival])
-        return 0.0 if left == candidate else TWO_PI
-    return a
-
-
-def _leftmost(drawing, table, at, tied):
-    """Of half-edges leaving ``at`` in one direction, the one with the
-    largest signed curvature there; a curvature tie is a hard error."""
-    k = table.curvature
-    curved = sorted(((_read(drawing, k, se, _curvature), se) for se in tied), reverse=True)
-    if curved[0][0] - curved[1][0] <= CURVATURE_TIE:
-        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
-    return curved[0][1]
-
-
 def next_halfedge(drawing, at, arrival, unvisited):
-    """The half-edge of ``unvisited`` at ``at`` with maximal CCW angle from
-    the arrival's twin, as ``angle_between`` scores it.  Angle ties fall
-    back to the signed curvature of the candidates at their origin (larger
-    leftward curvature wins); curvature ties too are a hard error.
-    """
+    """The half-edge of ``unvisited`` first clockwise from the arrival's twin
+    at ``at``: the one with maximal CCW angle as ``angle_between`` scores
+    it, the twin last."""
     _check_incident(drawing, at, arrival, unvisited)
-    return _max_ccw(drawing, halfedge_table(drawing), at, arrival, unvisited)
-
-
-def _max_ccw(drawing, table, at, arrival, unvisited):
-    if not unvisited:
-        raise GeometryError(f"empty unvisited path list at vertex {at}")
-    scored = [(_ccw(drawing, table, arrival, se), se) for se in unvisited]
-    best = max(a for a, _ in scored)
-    tied = [se for a, se in scored if best - a <= ANGLE_TIE]
-    return tied[0] if len(tied) == 1 else _leftmost(drawing, table, at, tied)
+    table = halfedge_table(drawing)
+    _rotation(drawing, table, at)
+    se = table.succ[arrival]
+    for _ in drawing.pi[at]:
+        if se in unvisited:
+            return se
+        se = table.succ[-se]  # the next half-edge clockwise
+    raise GeometryError(f"empty unvisited path list at vertex {at}")
 
 
 def extract_regions(drawing):
     """Extract every region of the (purged) drawing as a closed trail.
 
-    The drawing is purged first.  The successor of an arrival is the
-    maximal-CCW half-edge at its target.  Angles, and on the twin's
-    direction the side of the twin a half-edge curves to, order the
-    half-edges around every vertex (the rotation system of de Berg et al.,
-    section 2.2), so successors are a permutation and every trail is one
-    of its cycles, followed from its first half-edge in vertex order.
+    Each arrival is followed by its successor in the rotation system (de
+    Berg et al., section 2.2), a permutation, so every trail is one of its
+    cycles, followed from its first half-edge in vertex order.
     """
     purged = purge_dangling_nodes(drawing)
     table = halfedge_table(purged)
-    used = set()
-    regions = []
+    used, regions = set(), []
     for vid in sorted(purged.vertices):
         for start in purged.pi[vid]:
             if start in used:
@@ -280,9 +280,9 @@ def extract_regions(drawing):
                 used.add(se)
                 trail.append((at, se))
                 at = purged.target(se)
-                se = _max_ccw(purged, table, at, se, purged.pi[at])
-            if se != start:
-                raise GeometryError(f"no rotation order at vertex {at}: half-edge {se} recurs")
+                if se not in table.succ:
+                    _rotation(purged, table, at)
+                se = table.succ[se]
             regions.append(Region(trail=trail))
     return RegionSet(regions=regions, outer=[], drawing=purged)
 
@@ -317,12 +317,12 @@ def trail_turning(drawing, trail):
 
 
 def _corner(drawing, table, arrival, departure, turn):
-    """The turning ``turn`` at a corner, wrapped; a departure along the
-    arrival's twin turns +pi if it curves right of the twin, else -pi."""
+    """The turning ``turn`` at a corner, wrapped; a departure in the tie group
+    of the arrival's twin turns +pi if clockwise of the twin there, else -pi."""
     turn = _wrap_pi(turn)
-    if abs(turn) < math.pi - 2 * ANGLE_TIE:  # too far from the twin to tie
+    if abs(turn) < math.pi - 0.1:  # a tie group spans far less than 0.1 rad
         return turn
-    score = _ccw(drawing, table, arrival, departure)
+    score = _angle(drawing, table, arrival, departure)
     return math.pi if score == TWO_PI else -math.pi if score == 0.0 else turn
 
 

@@ -505,15 +505,10 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
 # spline-product integration
 
 
-def region_covered_by(region, tiles, T1, T2):
-    """Whether a region maps into the image of T2 (zero-extension test)."""
-    return bool(regions_covered_by([tiles], T1, T2)[0])
-
-
 def regions_covered_by(tile_lists, T1, T2):
-    """``region_covered_by`` of each region, given by its tiles, in one
-    inversion: the first tile's centre of every region, mapped by T1, is
-    inverted through T2."""
+    """Whether each region, given by its tiles, maps into the image of T2
+    (the zero-extension test), in one inversion: the first tile's centre of
+    every region, mapped by T1, is inverted through T2."""
     reps = [tiles[0].grids(0.5, 0.5)[0][0, 0] for tiles in tile_lists]
     return invert_points(T2, T1.point_pairs(np.reshape(reps, (-1, 2))))[1]
 
@@ -535,12 +530,12 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     return integrate_tiles(tiles, lambda u, v: s1.value(u, v) * field(u, v), n)
 
 
-def composed_field(s2, T1, T2, outside_value=0.0, strict=False):
+def composed_field(s2, T1, T2, strict=False):
     """The field s2 o T2^-1 o T1 on T1's parameter square, zero-extended.
 
     Returns a grid-callable f(u, v); points whose physical image lies
-    outside T2 evaluate to ``outside_value``, or raise when ``strict``
-    (for integration over regions known to be covered).
+    outside T2 evaluate to 0, or raise when ``strict`` (for integration
+    over regions known to be covered).
     """
 
     def field(u, v):
@@ -556,7 +551,7 @@ def composed_field(s2, T1, T2, outside_value=0.0, strict=False):
                 f"inversion failed at ({uu[k]:.6g}, {vv[k]:.6g}) inside a "
                 "region marked covered"
             )
-        out = np.full(len(uu), float(outside_value))
+        out = np.zeros(len(uu))
         out[ok] = s2.value(uv[ok, 0], uv[ok, 1])
         return out.reshape(shape) if shape else float(out[0])
 

@@ -160,7 +160,7 @@ def _theta_integrals(field, s2, T1, T2, space, rs):
     """
     from curveplan.quadrature import integrate_tiles
     from curveplan.quasi_interp import region_element_table
-    from curveplan.splines import region_covered_by
+    from curveplan.splines import regions_covered_by
 
     nodes, w = gauss01(10)
     bu, bv = space.breakpoints_u(), space.breakpoints_v()
@@ -179,7 +179,7 @@ def _theta_integrals(field, s2, T1, T2, space, rs):
     for k, (element, tiles) in sorted(region_element_table(rs, space).items()):
         if element not in field.theta_elements:
             continue
-        if not region_covered_by(rs.regions[k], tiles, T1, T2):
+        if not regions_covered_by([tiles], T1, T2)[0]:
             continue
         int_src += integrate_tiles(tiles, src, 10)
     return int_field, int_src

@@ -6,11 +6,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve, signed_curvature, tangent_into_interior
-from curveplan.errors import CurveplanError, DegenerateTangentError, GeometryError, TieBreakError
+from curveplan.errors import CurveplanError, DegenerateTangentError, TieBreakError
 from curveplan.quadrature import gauss01
 from curveplan.regions import (
     ANGLE_TIE,
@@ -212,22 +212,60 @@ def test_curvature_tie_unresolvable_raises():
         next_halfedge(d, 1, 3, [1, 2])
 
 
-def test_walk_raises_where_near_tangent_edges_have_no_rotation_order():
-    # three half-edges leave the vertex 0.7e-9 apart, each within ANGLE_TIE
-    # of the next but not of the one after: the first-clockwise rule then
-    # sends two arrivals to the middle one, and the walk must say so
-    def quad(angle, end):
-        return ParamCurve("bezier", [(0, 0), (0.5 * math.cos(angle), 0.5 * math.sin(angle)), end])
+def _fan(thetas, ys):
+    """Quadratics y = y_k x^2 on [0, 1] leaving the origin at tangent angles
+    ``thetas``, their ends joined by segments down x = 1 and closed by
+    segments through (-1, -1)."""
+    k = len(ys)
+    vertices = {1: (0, 0), k + 2: (-1, -1), **{i + 2: (1, y) for i, y in enumerate(ys)}}
+    edges = {
+        i + 1: (ParamCurve("bezier", [(0, 0), (0.5 * math.cos(t), 0.5 * math.sin(t)), (1, y)]), 1, i + 2)
+        for i, (t, y) in enumerate(zip(thetas, ys))
+    }
+    down = sorted(range(k), key=lambda i: -ys[i]) + [k]
+    for a, b in zip(down, down[1:]):
+        edges[len(edges) + 1] = (segment(vertices[a + 2], vertices[b + 2]), a + 2, b + 2)
+    edges[len(edges) + 1] = (segment((-1, -1), (0, 0)), k + 2, 1)
+    return _hand_drawing(vertices, edges)
 
-    ends = {2: (1, 0.5), 3: (1, 0.0), 4: (1, -0.5)}
-    edges = {k - 1: (quad((k - 2) * 0.7e-9, p), 1, k) for k, p in ends.items()}
-    edges[4] = (segment((1, 0.5), (1, 0)), 2, 3)
-    edges[5] = (segment((1, 0), (1, -0.5)), 3, 4)
-    edges[6] = (segment((1, -0.5), (-1, -1)), 4, 5)
-    edges[7] = (segment((-1, -1), (0, 0)), 5, 1)
-    d = _hand_drawing({1: (0, 0), 5: (-1, -1), **ends}, edges)
-    with pytest.raises(GeometryError, match="no rotation order at vertex 1"):
-        extract_regions(d)
+
+def test_walk_orders_near_tangent_edges_by_curvature():
+    # three half-edges leave the vertex 0.7e-9 apart, each within ANGLE_TIE
+    # of the next but not of the one after: they form one tie group, which
+    # runs by curvature against their order by angle
+    rs = extract_and_classify(_fan([0.0, 0.7e-9, 1.4e-9], [0.5, 0.0, -0.5]))
+    areas = sorted(r.signed_area for r in rs.regions)
+    assert np.allclose(areas, [1 / 6, 1 / 6, 5 / 6], rtol=0, atol=1e-9)
+    assert len(rs.outer) == 1 and abs(rs.outer[0].signed_area + 7 / 6) < 1e-9
+
+
+@st.composite
+def _tangent_fans(draw):
+    """3-6 quadratics leaving one vertex at tangent angles spaced below, at
+    or above ANGLE_TIE.  Curvature 2 y grows counterclockwise between
+    half-edges spaced at or above ANGLE_TIE, as a drawing without crossings
+    needs; within a run of closer spacings it comes in any order."""
+    k = draw(st.integers(3, 6))
+    steps = draw(st.lists(st.sampled_from([0.3, 0.7, 1.0, 1.3, 2.0, 1e3]), min_size=k - 1, max_size=k - 1))
+    thetas = list(np.cumsum([0.0] + steps) * ANGLE_TIE)
+    runs = list(np.cumsum([0] + [s >= 1.0 for s in steps]))
+    shuffle = draw(st.permutations(range(k)))
+    rank = sorted(range(k), key=lambda i: (runs[i], shuffle[i]))
+    ys = sorted(y / 8 for y in draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True)))
+    return thetas, [ys[rank.index(i)] for i in range(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tangent_fans())
+def test_near_tangent_fans_classify(fan):
+    got = _or_error(extract_regions, _fan(*fan))
+    if isinstance(got, tuple):
+        assert got[0] is TieBreakError, got
+        return
+    classified = _check_trails_and_areas(got)
+    assert classified is not None
+    interior = sum(r.signed_area for r in classified.regions)
+    assert abs(interior + sum(r.signed_area for r in classified.outer)) < 1e-9
 
 
 # -- extraction --------------------------------------------------------------
@@ -451,11 +489,20 @@ def reference_edge_area(geometry):
 
 
 def reference_angle(drawing, arrival, candidate):
+    """The CCW angle from the arrival's twin; a candidate within ANGLE_TIE of
+    the twin scores 0 if it curves left of the twin and 2pi if right."""
     if candidate == -arrival:
         return 0.0
     ta = reference_tangent(drawing, -arrival)
     tc = reference_tangent(drawing, candidate)
-    return float((math.atan2(tc[1], tc[0]) - math.atan2(ta[1], ta[0])) % TWO_PI)
+    a = float((math.atan2(tc[1], tc[0]) - math.atan2(ta[1], ta[0])) % TWO_PI)
+    if a > ANGLE_TIE and TWO_PI - a > ANGLE_TIE:
+        return a
+    k, k_twin = reference_curvature(drawing, candidate), reference_curvature(drawing, -arrival)
+    if abs(k - k_twin) <= CURVATURE_TIE:
+        at = drawing.target(arrival)
+        raise TieBreakError(f"outgoing edges at vertex {at} tie in angle and curvature")
+    return 0.0 if k > k_twin else TWO_PI
 
 
 def reference_next(drawing, at, arrival, unvisited):
@@ -498,17 +545,23 @@ def reference_turning(drawing, trail):
     def wrap(x):
         return (x + math.pi) % TWO_PI - math.pi
 
-    total, prev_end, first_start = 0.0, None, None
+    def corner(arrival, departure, turn):
+        # a departure along the arrival's twin turns -pi if it curves left
+        # of the twin and +pi if right
+        score = reference_angle(drawing, arrival, departure)
+        return -math.pi if score == 0.0 else math.pi if score == TWO_PI else wrap(turn)
+
+    total, prev, prev_end, first_start = 0.0, None, None, None
     for _, se in trail:
         angles = reference_direction_samples(drawing, se)
         if prev_end is None:
             first_start = angles[0]
         else:
-            total += wrap(angles[0] - prev_end)
+            total += corner(prev, se, angles[0] - prev_end)
         for a0, a1 in zip(angles[:-1], angles[1:]):
             total += wrap(a1 - a0)
-        prev_end = angles[-1]
-    return total + wrap(first_start - prev_end)
+        prev, prev_end = se, angles[-1]
+    return total + corner(prev, trail[0][1], first_start - prev_end)
 
 
 def _bits(x):
@@ -655,6 +708,9 @@ _curve = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_curve, min_size=2, max_size=6))
+# a circle and an ellipse that touch tangentially near (0.07, 0.6) and share
+# their seam point (0.55, 0.6)
+@example([_closed_bspline(0.3, 0.6, 0.25, 0.25, 0.0), _closed_bspline(0.3, 0.6, 0.25, 0.125, 0.0)])
 def test_walk_and_table_equal_scalar_code_on_mixed_drawings(curves):
     drawing = _or_error(build_drawing, curves)
     if not isinstance(drawing, tuple):
