@@ -53,16 +53,18 @@ def find_spans(knots, degree, t):
     return np.minimum(np.maximum(np.searchsorted(knots, t, side="right") - 1, lo), hi)
 
 
-def basis_rows(knots, degree, t):
+def basis_rows(knots, degree, t, span=None):
     """First indices (m,) and values (m, degree+1) of the non-zero basis
     functions at every parameter of a 1-d array.
 
     The Cox-de Boor triangle of A2.2 (Piegl & Tiller) run on all parameters
     at once, with the scalar recurrence's operation order per element.
+    Given knot spans (m,), the rows are those of each span's polynomial
+    piece, extended to parameters outside the span.
     """
     knots = np.asarray(knots, dtype=float)
     t = np.asarray(t, dtype=float)
-    span = find_spans(knots, degree, t)
+    span = find_spans(knots, degree, t) if span is None else span
     out = [np.ones_like(t)]
     left, right = [None], [None]
     for j in range(1, degree + 1):

@@ -34,8 +34,7 @@ class TieBreakError(GeometryError):
 
 
 class TileError(GeometryError):
-    """A tile side is not one polynomial span, its corners do not meet, or
-    the spline branch has no tiles of certified positive Jacobian."""
+    """A tile side is not one polynomial span, or its corners do not meet."""
 
     def __init__(self, message, tile=None):
         super().__init__(message)

@@ -10,15 +10,16 @@ Tiles are signed: their maps run along the region boundary, so by Green's
 theorem (as in the Gauss-Green cubature of Sommariva and Vianello, 2009)
 their signed integrals sum to the region's, exact when f is smooth on the
 convex hull of each region and its centroid.  The spline branch, whose
-integrands are smooth only inside each region, uses ``certified_tiles``,
-of Jacobian positive on the whole square.  An adaptive loop doubles the
-Gauss points per direction, in blocks of at most BLOCK_NODES nodes per
-integrand call, until two consecutive totals agree to a stop threshold.
+integrands are smooth only inside each region, integrates on these tiles
+each region's own polynomial piece, extended beyond the region.  An
+adaptive loop doubles the Gauss points per direction, in blocks of at
+most BLOCK_NODES nodes per integrand call, until two consecutive totals
+agree to a stop threshold.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -28,10 +29,6 @@ from .errors import GeometryError, TileError
 
 #: default stop threshold of the adaptive doubling loop
 STOP_THRESHOLD = 1e-12
-
-#: a certificate needs every Bernstein coefficient of det above this
-#: fraction of the largest one and of the squared size of the tile's nets
-CERT_MARGIN = 1e-9
 
 #: most grid nodes per integrand call (2^14 raised peak RSS 1.2 MB)
 BLOCK_NODES = 2**12
@@ -213,13 +210,11 @@ class Tile:
 
     Boundary orientation: south P00->P10, east P10->P11, north P01->P11,
     west P00->P01.  Every side is one polynomial span on [0, 1], and
-    adjacent sides must share their corner points.  ``region`` names the
-    covered region by its first trail vertex id, once that is known.
+    adjacent sides must share their corner points.
     """
 
     def __init__(self, south, east, north, west):
         self.south, self.east, self.north, self.west = south, east, north, west
-        self.region = None
         for side in (south, east, north, west):
             if len(side.knots) != 2 * side.degree + 2 or side.domain != (0.0, 1.0):
                 raise TileError("tile side is not one polynomial span on [0, 1]", tile=self)
@@ -230,15 +225,6 @@ class Tile:
         gap = max(np.linalg.norm(c - e) for c, e in zip(self.corners(), ends))
         if gap > _CORNER_TOL * scale:
             raise TileError(f"tile corners do not match (gap {gap:.2e})", tile=self)
-
-    @cached_property
-    def certified(self):
-        """Whether det > 0 on the closed square, shown by all its Bernstein
-        coefficients being positive by the margin CERT_MARGIN (convex hull)."""
-        coef = self._det_coefficients()
-        nets = np.concatenate([s.ctrl for s in (self.south, self.east, self.north, self.west)])
-        extent = float(np.hypot(*np.ptp(nets, axis=0)))
-        return bool(coef.min() > CERT_MARGIN * max(np.abs(coef).max(), extent**2))
 
     def corners(self):
         return self.c00, self.c10, self.c11, self.c01
@@ -262,15 +248,6 @@ class Tile:
         pts, det = kernel(axis_u, axis_v, lambda j, fn: fn(arrays[j][None]))
         return pts[0], det[0]
 
-    def _det_coefficients(self):
-        # det = x_u x x_v is of degree 2M - 1 in u and 2Q - 1 in v for sides
-        # of degree M along u and Q along v
-        du = 2 * max(self.south.degree, self.north.degree, 1) - 1
-        dv = 2 * max(self.west.degree, self.east.degree, 1) - 1
-        det = self._grids(_gauss_axis(du + 1), _gauss_axis(dv + 1))[1]
-        coef_u = np.linalg.solve(bernstein_table(du, du + 1), det)
-        return np.linalg.solve(bernstein_table(dv, dv + 1), coef_u.T)
-
 
 class Wedge(Tile):
     """The wedge C + u (p(v) - C) of one boundary span p.
@@ -289,12 +266,6 @@ class Wedge(Tile):
 
     def _kernel(self):
         return _wedge_grids, (self.east.ctrl, self.center[None])
-
-    def _det_coefficients(self):
-        # det vanishes on u = 0, so certify g, of degree 2d - 1: det at u = 1
-        d = 2 * self.east.degree - 1
-        g = self._grids(_axis(1.0), _gauss_axis(d + 1))[1][0]
-        return np.linalg.solve(bernstein_table(d, d + 1), g)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +296,6 @@ def _area_centroid(pieces):
     return np.array([mx, my]) / area
 
 
-def _sees_boundary(pieces, centers):
-    """The ``centers`` that see the whole (CCW) boundary, in order.
-
-    Checks g = (p(t) - C) x p'(t) > 0 densely, the wedge Jacobian's factor
-    g evaluated as in ``_wedge_grids``.
-    """
-    samples = partial(_bernstein, t=np.linspace(0.0, 1.0, 24))
-    p, d = (np.concatenate(a) for a in zip(*(_values(q.ctrl, samples) for q in pieces)))
-    speed = np.linalg.norm(d, axis=1)
-    for center in centers:
-        rel = p - center
-        if np.all(_cross(rel, d) > 1e-9 * np.linalg.norm(rel, axis=1) * speed):
-            yield center
-
-
 def _pieces(region, drawing):
     """The region's number of edges and its boundary as polynomial spans,
     split at midpoints when fewer than three."""
@@ -352,15 +308,9 @@ def _pieces(region, drawing):
     return len(edges), pieces
 
 
-def _named(tiles, region):
-    for tile in tiles:
-        tile.region = region.trail[0][0]
-    return tiles
-
-
 def region_tiles(region, drawing):
     """Signed tiles covering an interior region, each map with exact
-    boundaries, naming the region by its first trail vertex id.
+    boundaries.
 
     A cycle of exactly four spans, other than a single-edge loop, is one
     Coons patch; every other region gets one wedge per span from its area
@@ -369,9 +319,9 @@ def region_tiles(region, drawing):
     """
     n_edges, pieces = _pieces(region, drawing)
     if len(pieces) == 4 and n_edges > 1:
-        return _named([_coons_from_cycle(pieces)], region)
+        return [_coons_from_cycle(pieces)]
     center = _area_centroid(pieces)
-    return _named([Wedge(center, p) for p in pieces], region)
+    return [Wedge(center, p) for p in pieces]
 
 
 def tile_region(region, drawing):
@@ -379,27 +329,16 @@ def tile_region(region, drawing):
     return region_tiles(region, drawing)
 
 
-def certified_tiles(region, drawing):
-    """Tiles of an interior region whose Jacobians are all certified
-    positive on the whole square, so every node lies inside the region.
-
-    ``region_tiles`` when all of them certify, else the wedges of the
-    first star center that sees the boundary and whose wedges certify:
-    the area centroid, then blends of it toward the span ends and
-    midpoints.  A region with no such center raises TileError.
-    """
-    tiles = region_tiles(region, drawing)
-    if all(tile.certified for tile in tiles):
-        return tiles
-    pieces = _pieces(region, drawing)[1]
-    centroid = _area_centroid(pieces)
-    ends = [q for p in pieces for q in (p.ctrl[0], p.point(0.5))]
-    blends = [centroid + lam * (q - centroid) for lam in (0.5, 0.8) for q in ends]
-    for center in _sees_boundary(pieces, [centroid] + blends):
-        wedges = _named([Wedge(center, p) for p in pieces], region)
-        if all(tile.certified for tile in wedges):
-            return wedges
-    raise TileError(f"region at vertex {tiles[0].region}: no star center with certified wedges")
+def _boundary_samples(tiles):
+    """The start and midpoint of every boundary span among the sides of a
+    region's tiles (a wedge's east side, every side of a patch), shape
+    (2 * spans, 2)."""
+    nets = [side.ctrl for t in tiles
+            for side in ([t.east] if isinstance(t, Wedge) else [t.south, t.east, t.north, t.west])]
+    out = np.empty((len(nets), 2, 2))
+    for rows, group in _groups(nets, len):
+        out[rows] = _bernstein(len(group[0]) - 1, [0.0, 0.5]) @ np.array(group)
+    return out.reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

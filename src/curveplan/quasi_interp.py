@@ -8,19 +8,13 @@ only piecewise smooth keep full Gauss accuracy.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from .curves import basis_rows, find_span
+from .curves import basis_rows
 from .errors import GeometryError
-from .quadrature import _TileStack, certified_tiles, gauss01
-from .splines import SplineFunc2D, composed_field, regions_covered_by
-
-#: Gauss points per tile direction whose knot element locates a region
-ELEMENT_PROBE_N = 2
-#: tolerance of that knot-element lookup
-ELEMENT_TOL = 1e-12
+from .quadrature import gauss01
+from .splines import SplineFunc2D, _ComposedField, _coupling_blocks
 
 
 @dataclass
@@ -60,51 +54,10 @@ def _local_gram_1d(span_blocks, lo, hi, dof_lo, dof_hi):
     n = dof_hi - dof_lo + 1
     gram = np.zeros((n, n))
     for u0, u1, first, block in span_blocks:
-        mid = 0.5 * (u0 + u1)
-        if mid <= lo or mid >= hi:
-            continue
-        for a in range(block.shape[0]):
-            ia = first + a
-            if not dof_lo <= ia <= dof_hi:
-                continue
-            for b in range(block.shape[0]):
-                ib = first + b
-                if dof_lo <= ib <= dof_hi:
-                    gram[ia - dof_lo, ib - dof_lo] += block[a, b]
+        if lo < 0.5 * (u0 + u1) < hi:  # the span's dofs all lie in the window
+            at = slice(first - dof_lo, first - dof_lo + len(block))
+            gram[at, at] += block
     return gram
-
-
-def region_element_table(region_set, space):
-    """Knot element of every interior region plus its ``certified_tiles``.
-
-    Integrands here are smooth only inside each region, so its tiles have a
-    Jacobian positive on the whole square (else TileError, exit 3), and all
-    their nodes must land in one element of the space (the containment
-    guarantee of interface drawings); a straddling region signals an
-    upstream extraction problem.
-    """
-    tiles = [certified_tiles(region, region_set.drawing) for region in region_set.regions]
-    stack = _TileStack(tile for region in tiles for tile in region)
-    pts = stack.gauss_grids(ELEMENT_PROBE_N)[0].reshape(-1, 2)
-    nodes = zip(*space.element_of(pts[:, 0], pts[:, 1], tol=ELEMENT_TOL))
-    out = {}
-    for k, region in enumerate(tiles):
-        ids = set(islice(nodes, len(region) * ELEMENT_PROBE_N**2))
-        if len(ids) != 1:
-            raise GeometryError(
-                f"region {k} spans knot elements {sorted(ids)}; "
-                "extraction inconsistent with the target space"
-            )
-        out[k] = (ids.pop(), tiles[k])
-    return out
-
-
-def _element_first_dofs(space, element):
-    """First dof indices (per direction) supported on a knot element."""
-    bu, bv = space.breakpoints_u(), space.breakpoints_v()
-    su = find_span(space.tu, space.du, 0.5 * (bu[element[0]] + bu[element[0] + 1]))
-    sv = find_span(space.tv, space.dv, 0.5 * (bv[element[1]] + bv[element[1] + 1]))
-    return su - space.du, sv - space.dv
 
 
 def _element_moments_plain(f, space, n_u, n_v, elements=None):
@@ -132,34 +85,17 @@ def _element_moments_plain(f, space, n_u, n_v, elements=None):
     return out
 
 
-def _element_moments_regions(f, space, table, n):
-    """Like _element_moments_plain but summed region by region.
-
-    ``table`` maps region index -> (element, tiles); regions are integrated
-    with their own tiles so kinks of f along region boundaries are safe.
-    All tile nodes go through one call of f.
-    """
-    _, w = gauss01(n)
-    ww = np.outer(w, w).ravel()
-    owners, tiles = [], []
-    for _, (element, region) in sorted(table.items()):
-        owners += [element] * len(region)
-        tiles += region
-    if not tiles:
-        return {}
-    pts, det = _TileStack(tiles).gauss_grids(n)
-    pts = pts.reshape(-1, 2)
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    weight = np.tile(ww, len(tiles)) * vals * det.ravel()
-    ru, bu_vals = basis_rows(space.tu, space.du, pts[:, 0])
-    rv, bv_vals = basis_rows(space.tv, space.dv, pts[:, 1])
-    out = {}
-    for element in dict.fromkeys(owners):
-        fu, fv = _element_first_dofs(space, element)
-        sel = np.repeat([e == element for e in owners], len(ww))
-        if np.any(ru[sel] != fu) or np.any(rv[sel] != fv):
-            raise GeometryError("quadrature node escaped its region's knot element")
-        out[element] = (fu, fv, (bu_vals[sel] * weight[sel, None]).T @ bv_vals[sel])
+def _region_moments(field, space, region_set, n):
+    """Per-element blocks of integrals of a composed field times B_ij,
+    summed over the coupling blocks M of the covered regions: M c2."""
+    c2, out = field.s2.coeffs, {}
+    for element, (wu, wv), w2, m in _coupling_blocks(
+        space, field.s2.space, field.T1, field.T2, region_set, n
+    ):
+        block = (m @ c2[w2].ravel()).reshape(space.du + 1, space.dv + 1)
+        if element in out:
+            block = block + out[element][2]
+        out[element] = (int(wu.start), int(wv.start), block)
     return out
 
 
@@ -190,8 +126,8 @@ def llm_project(f, space, regions=None, n_rhs=None):
     For each coefficient index the projection problem G lam = P is solved
     on the support of that basis function, and the coefficient is the entry
     of ``lam`` carrying the index itself.  With ``regions`` given (an
-    interface region set), right-hand sides are assembled region by region;
-    otherwise by plain per-element quadrature.
+    interface region set) and f a ``composed_field``, right-hand sides are
+    assembled region by region; otherwise by plain per-element quadrature.
 
     Returns an LlmResult with the spline and per-problem diagnostics.
     """
@@ -201,9 +137,8 @@ def llm_project(f, space, regions=None, n_rhs=None):
 
     span_u = _span_gram_1d(space.tu, du)
     span_v = _span_gram_1d(space.tv, dv)
-    if regions is not None:
-        table = region_element_table(region_set=regions, space=space)
-        moments = _element_moments_regions(f, space, table, n_rhs)
+    if regions is not None and isinstance(f, _ComposedField):
+        moments = _region_moments(f, space, regions, n_rhs)
     else:
         moments = _element_moments_plain(f, space, n_rhs, n_rhs)
 
@@ -218,19 +153,12 @@ def llm_project(f, space, regions=None, n_rhs=None):
             gram = np.kron(gu, gv)
             ncols = j1 - j0 + 1
 
-            rhs = np.zeros((i1 - i0 + 1) * ncols)
+            rhs = np.zeros((i1 - i0 + 1, ncols))
             for element in _elements_in_support(space, i, j):
-                if element not in moments:
-                    continue
-                fu, fv, block = moments[element]
-                for a in range(du + 1):
-                    ia = fu + a
-                    if not i0 <= ia <= i1:
-                        continue
-                    for b in range(dv + 1):
-                        jb = fv + b
-                        if j0 <= jb <= j1:
-                            rhs[(ia - i0) * ncols + (jb - j0)] += block[a, b]
+                if element in moments:  # its dofs all lie in the window
+                    fu, fv, block = moments[element]
+                    rhs[fu - i0 : fu - i0 + du + 1, fv - j0 : fv - j0 + dv + 1] += block
+            rhs = rhs.ravel()
 
             try:
                 lam = np.linalg.solve(gram, rhs)
@@ -281,27 +209,19 @@ def level_set_coeffs(delta2, T1, T2, region_set, n_rhs=None):
     if n_rhs is None:
         n_rhs = du + dv + 3
 
-    table = region_element_table(region_set, space)
-    covered = regions_covered_by([tiles for _, tiles in table.values()], T1, T2)
-    covered_table = {k: v for (k, v), ok in zip(table.items(), covered) if ok}
-    if not covered_table:
+    numerators = _region_moments(_ComposedField(delta2, T1, T2), space, region_set, n_rhs)
+    if not numerators:
         raise GeometryError("no region of the interface is covered by the second map")
 
     # active dofs: support contains a covered element
-    covered_elements = {element for element, _ in covered_table.values()}
     active = set()
-    for element in covered_elements:
-        fu, fv = _element_first_dofs(space, element)
-        for a in range(du + 1):
-            for b in range(dv + 1):
-                active.add((fu + a, fv + b))
+    for fu, fv, _ in numerators.values():
+        active.update((fu + a, fv + b) for a in range(du + 1) for b in range(dv + 1))
 
     theta_elements = set()
     for (i, j) in active:
         theta_elements.update(_elements_in_support(space, i, j))
 
-    fld = composed_field(delta2, T1, T2, strict=True)
-    numerators = _element_moments_regions(fld, space, covered_table, n_rhs)
     denominators = _element_moments_plain(
         lambda u, v: np.ones_like(np.asarray(u, dtype=float)),
         space,

@@ -19,17 +19,22 @@ from .curves import (
     basis_row,
     basis_rows,
     derivative_data,
+    find_spans,
     fit_bspline,
     project_points,
     trusted_bezier,
     uniform_arclength_knots,
 )
 from .errors import FitError, GeometryError, InversionError, SchemaError
+from .quadrature import _TileStack, _boundary_samples, gauss01, region_tiles
 
 INVERT_MAX_ITER = 50
 INVERT_TOL_FACTOR = 1e-11
 #: points per direction of the parameter grid that seeds a cold inversion
 SEED_GRID = 7
+#: a boundary sample of a covered region may miss T2's image by a pull-back's
+#: fit error: the largest miss allowed, as a fraction of T2's diagonal
+COVER_TOL_FACTOR = 1e-6
 #: points per block of the batched kernels, which bounds their scratch memory
 _BLOCK = 512
 #: Newton step scales tried in turn: 1, 1/2, ..., 1/2048
@@ -84,12 +89,12 @@ class TensorSplineSpace:
                 out.append((iu, iv, (bu[iu], bu[iu + 1], bv[iv], bv[iv + 1])))
         return out
 
-    def element_of(self, u, v, tol=0.0):
+    def element_of(self, u, v):
         """Indices of the knot element containing (u, v); arrays of them
         when u and v are arrays."""
         bu, bv = self.breakpoints_u(), self.breakpoints_v()
-        iu = np.clip(np.searchsorted(bu, np.add(u, tol), side="right") - 1, 0, len(bu) - 2)
-        iv = np.clip(np.searchsorted(bv, np.add(v, tol), side="right") - 1, 0, len(bv) - 2)
+        iu = np.clip(np.searchsorted(bu, u, side="right") - 1, 0, len(bu) - 2)
+        iv = np.clip(np.searchsorted(bv, v, side="right") - 1, 0, len(bv) - 2)
         return (int(iu), int(iv)) if np.ndim(iu) == 0 else (iu, iv)
 
     def basis_u(self, t):
@@ -99,7 +104,7 @@ class TensorSplineSpace:
         return basis_row(self.tv, self.dv, float(t))
 
 
-def _tensor_eval(knots_u, du, knots_v, dv, net, u, v):
+def _tensor_eval(knots_u, du, knots_v, dv, net, u, v, span=None):
     """Evaluate sum_ij net[i, j] N_i(u) M_j(v) at scalar or same-shape u, v.
 
     N and M are the degree-du and degree-dv B-splines on knots_u and knots_v.
@@ -107,15 +112,19 @@ def _tensor_eval(knots_u, du, knots_v, dv, net, u, v):
     (du+1)(dv+1) block of non-zero basis functions, the same product
     ``np.tensordot(np.outer(bu, bv), block, axes=2)`` forms.  All points of
     a block go through one stacked ``np.matmul``, which runs that product
-    per point; einsum or a plain sum would round differently.
+    per point; einsum or a plain sum would round differently.  Given a pair
+    of knot span arrays that broadcast to u's shape, each point is evaluated
+    on the polynomial piece of its spans, extended beyond them.
     """
     m = (du + 1) * (dv + 1)
     u = np.asarray(u, dtype=float)
     uu, vv = u.ravel(), np.asarray(v, dtype=float).ravel()
+    su, sv = (None, None) if span is None else (np.broadcast_to(s, u.shape).ravel() for s in span)
     out = np.empty((len(uu), 1, net[0, 0].size))
     for s in range(0, len(uu), _BLOCK):
-        fu, bu = basis_rows(knots_u, du, uu[s : s + _BLOCK])
-        fv, bv = basis_rows(knots_v, dv, vv[s : s + _BLOCK])
+        b = slice(s, s + _BLOCK)
+        fu, bu = basis_rows(knots_u, du, uu[b], None if su is None else su[b])
+        fv, bv = basis_rows(knots_v, dv, vv[b], None if sv is None else sv[b])
         rows = (fu[:, None] + np.arange(du + 1))[:, :, None]
         cols = (fv[:, None] + np.arange(dv + 1))[:, None, :]
         block = net[rows, cols].reshape(len(fu), m, -1)
@@ -186,12 +195,7 @@ class SplineMap2D:
 
     def jacobian(self, u, v):
         """Columns dT/du and dT/dv, shape (..., 2, 2)."""
-        s = self.space
-        ku, du1, cu = self.hodograph_u
-        kv, dv1, cv = self.hodograph_v
-        dp_du = _tensor_eval(ku, du1, s.tv, s.dv, cu, u, v)
-        dp_dv = _tensor_eval(s.tu, s.du, kv, dv1, cv, u, v)
-        return np.stack([dp_du, dp_dv], axis=-1)
+        return _jacobian(self, u, v)
 
     def jacobian_det(self, u, v):
         jac = self.jacobian(u, v)
@@ -201,6 +205,22 @@ class SplineMap2D:
         lo = self.ctrl.reshape(-1, 2).min(axis=0)
         hi = self.ctrl.reshape(-1, 2).max(axis=0)
         return float(np.hypot(*(hi - lo)))
+
+
+def _jacobian(T, u, v, span=None):
+    """``T.jacobian``, on the pieces of the knot spans (su, sv) when given;
+    a hodograph's knots drop the first knot, so its spans are one lower."""
+    s, (ku, du1, cu), (kv, dv1, cv) = T.space, T.hodograph_u, T.hodograph_v
+    su, sv = (None, None) if span is None else span
+    dp_du = _tensor_eval(ku, du1, s.tv, s.dv, cu, u, v, None if su is None else (su - 1, sv))
+    dp_dv = _tensor_eval(s.tu, s.du, kv, dv1, cv, u, v, None if su is None else (su, sv - 1))
+    return np.stack([dp_du, dp_dv], axis=-1)
+
+
+def _piece_point(T, x, span):
+    """T at parameter pairs x (..., 2), on the pieces of ``span`` when given."""
+    s = T.space
+    return _tensor_eval(s.tu, s.du, s.tv, s.dv, T.ctrl, x[..., 0], x[..., 1], span)
 
 
 class SplineFunc2D:
@@ -263,14 +283,26 @@ def invert_points(T, pts, guess=None):
         uv = _seed_guesses(T, pts)
     else:
         uv = np.array(np.broadcast_to(np.asarray(guess, dtype=float), pts.shape))
+    return _newton(T, pts, uv)
+
+
+def _newton(T, pts, uv, span=None):
+    """The Newton loop of ``invert_points`` from the iterates uv, updated in
+    place.  Given per-lane knot spans (su, sv), each lane solves on the
+    polynomial piece of its spans, unclamped, so it may leave the square."""
+
+    def lanes(at, x):  # the spans of lanes ``at`` for parameters x (len(at), ..., 2)
+        return None if span is None else [s[at].reshape(-1, *[1] * (x.ndim - 2)) for s in span]
+
     tol = T.invert_tol
-    r = T.point_pairs(uv) - pts
+    r = _piece_point(T, uv, lanes(slice(None), uv)) - pts
     res = _norms(r)
     live = np.flatnonzero(res > tol)
     for _ in range(INVERT_MAX_ITER):
         if not len(live):
             break
-        steps = _newton_steps(T.jacobian(uv[live, 0], uv[live, 1]), r[live])
+        jac = _jacobian(T, uv[live, 0], uv[live, 1], lanes(live, uv[live]))
+        steps = _newton_steps(jac, r[live])
         # the full step on every lane, then all shorter ones at once on the
         # lanes it fails; a lane takes the first scale that improves
         search = live
@@ -278,9 +310,10 @@ def invert_points(T, pts, guess=None):
             if not len(search):
                 break
             trial = uv[search, None] + lams[:, None] * steps[:, None]
-            trial = np.where(trial < 0.0, 0.0, trial)  # max(x, 0.0), then
-            trial = np.where(trial > 1.0, 1.0, trial)  # min(x, 1.0) of floats
-            r2 = T.point_pairs(trial) - pts[search, None]
+            if span is None:
+                trial = np.where(trial < 0.0, 0.0, trial)  # max(x, 0.0), then
+                trial = np.where(trial > 1.0, 1.0, trial)  # min(x, 1.0) of floats
+            r2 = _piece_point(T, trial, lanes(search, trial)) - pts[search, None]
             n2 = _norms(r2.reshape(-1, 2)).reshape(len(search), len(lams))
             better = n2 < res[search, None]
             found = np.flatnonzero(better.any(axis=1))
@@ -505,54 +538,114 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
 # spline-product integration
 
 
-def regions_covered_by(tile_lists, T1, T2):
-    """Whether each region, given by its tiles, maps into the image of T2
-    (the zero-extension test), in one inversion: the first tile's centre of
-    every region, mapped by T1, is inverted through T2."""
-    reps = [tiles[0].grids(0.5, 0.5)[0][0, 0] for tiles in tile_lists]
-    return invert_points(T2, T1.point_pairs(np.reshape(reps, (-1, 2))))[1]
+def _piece_rows(S, x, span):
+    """Tensor B-spline rows (len(x), (du + 1)(dv + 1)) of the space S at the
+    parameters x, on the polynomial pieces of the knot spans (su, sv)."""
+    _, bu = basis_rows(S.tu, S.du, x[:, 0], span[0])
+    _, bv = basis_rows(S.tv, S.dv, x[:, 1], span[1])
+    return (bu[:, :, None] * bv[:, None, :]).reshape(len(x), (S.du + 1) * (S.dv + 1))
+
+
+def _coupling_blocks(space1, space2, T1, T2, region_set, n):
+    """(element of space1, dof windows in space1 and space2, M) of every
+    interior region covered by T2, in region order.
+
+    A region lies in one element e1 of T1 and one e2 of T2, where the
+    integrand is one polynomial piece: T1's on e1, the inverse of T2's on e2
+    and the B-spline rows of e1 and e2.  M = B1(x)^T diag(w det) B2(x') on
+    the n x n Gauss nodes x of the region's signed tiles and x' =
+    T2_e2^-1(T1_e1(x)), every piece extended beyond its element, so a node
+    outside the region still reads the region's piece.  e1 and e2 hold the
+    centres of the boxes of samples of the region's boundary in T1's and
+    T2's squares, and a region is covered iff all its samples map into T2's
+    image, to COVER_TOL_FACTOR.  A nested component of the drawing raises
+    GeometryError.
+    """
+    drawing = region_set.drawing
+    components = drawing.components()
+    if len(components) > 1:
+        corner = min(drawing.vertices.values(), key=lambda v: float(np.hypot(*v.position))).id
+        raise GeometryError(
+            f"interface drawing has a nested component at vertices "
+            f"{next(c for c in components if corner not in c)}: "
+            "holes are not yet assigned to their regions"
+        )
+    for S, T in ((space1, T1.space), (space2, T2.space)):  # each region in one element of S
+        if not (np.isin(S.breakpoints_u(), T.breakpoints_u()).all()
+                and np.isin(S.breakpoints_v(), T.breakpoints_v()).all()):
+            raise GeometryError("a spline space has knot lines that its map does not have")
+    tiles = [region_tiles(region, drawing) for region in region_set.regions]
+    samples = [_boundary_samples(t) for t in tiles]
+    at = np.cumsum([0] + [len(x) for x in samples[:-1]])
+    samples = np.concatenate(samples)
+    physical = T1.point_pairs(samples)
+    inverted = invert_points(T2, physical)[0]
+    ok = _norms(T2.point_pairs(inverted) - physical) <= COVER_TOL_FACTOR * T2.bbox_diag()
+    keep = np.flatnonzero(np.logical_and.reduceat(ok, at))
+    c1, c2 = (0.5 * (np.minimum.reduceat(x, at) + np.maximum.reduceat(x, at))[keep]
+              for x in (samples, inverted))
+    sizes = [len(tiles[k]) * n * n for k in keep]
+    owner = np.repeat(np.arange(len(keep)), sizes)  # of every node, its place in keep
+
+    def spans(S, c):  # the dofs of S on each kept region, and the spans of every node
+        su, sv = find_spans(S.tu, S.du, c[:, 0]), find_spans(S.tv, S.dv, c[:, 1])
+        windows = [(slice(a - S.du, a + 1), slice(b - S.dv, b + 1)) for a, b in zip(su, sv)]
+        return windows, (su[owner], sv[owner])
+
+    stack = _TileStack(tile for k in keep for tile in tiles[k])
+    x, det = stack.gauss_grids(n)
+    x, det = x.reshape(-1, 2), det.ravel()
+    image = _piece_point(T1, x, spans(T1.space, c1)[1])
+    x2, ok = _newton(T2, image, c2[owner], spans(T2.space, c2)[1])
+    if not ok.all():
+        vid = region_set.regions[keep[owner[np.argmin(ok)]]].trail[0][0]
+        raise InversionError(f"region at vertex {vid}: a node does not invert on T2's piece")
+    (windows1, at1), (windows2, at2) = spans(space1, c1), spans(space2, c2)
+    weight = np.tile(np.outer(*2 * [gauss01(n)[1]]).ravel(), len(stack)) * det
+    cuts = np.cumsum(sizes)[:-1]
+    rows1 = np.split(_piece_rows(space1, x, at1), cuts)
+    rows2 = np.split(weight[:, None] * _piece_rows(space2, x2, at2), cuts)
+    return [
+        (space1.element_of(*c), w1, w2, r1.T @ r2)
+        for c, w1, w2, r1, r2 in zip(c1, windows1, windows2, rows1, rows2)
+    ]
 
 
 def integrate_spline_product(s1, s2, T1, T2, region_set, n):
     """Integral over the parameter square of s1 * (s2 o T2^-1 o T1).
 
-    Region-aware: each extracted region lies in single knot elements of
-    both spaces, so with enough Gauss points per direction the result is
-    exact up to inversion and pull-back tolerances.  Regions outside the
-    image of T2 contribute zero (zero extension).
+    The sum of c1^T M c2 over the coupling blocks of the covered regions
+    (``_coupling_blocks``), exact up to inversion and pull-back tolerances
+    with enough Gauss points n per direction.  Regions outside the image of
+    T2 contribute zero (zero extension).
     """
-    from .quadrature import certified_tiles, integrate_tiles
-
-    coverings = [certified_tiles(r, region_set.drawing) for r in region_set.regions]
-    covered = regions_covered_by(coverings, T1, T2)
-    tiles = [tile for covering, ok in zip(coverings, covered) if ok for tile in covering]
-    field = composed_field(s2, T1, T2, strict=True)
-    return integrate_tiles(tiles, lambda u, v: s1.value(u, v) * field(u, v), n)
+    blocks = _coupling_blocks(s1.space, s2.space, T1, T2, region_set, n)
+    return float(sum(s1.coeffs[w1].ravel() @ m @ s2.coeffs[w2].ravel() for _, w1, w2, m in blocks))
 
 
-def composed_field(s2, T1, T2, strict=False):
-    """The field s2 o T2^-1 o T1 on T1's parameter square, zero-extended.
+@dataclass(frozen=True)
+class _ComposedField:
+    """The field s2 o T2^-1 o T1 on T1's parameter square, zero-extended:
+    a grid-callable f(u, v) whose points with physical image outside T2
+    evaluate to 0."""
 
-    Returns a grid-callable f(u, v); points whose physical image lies
-    outside T2 evaluate to 0, or raise when ``strict`` (for integration
-    over regions known to be covered).
-    """
+    s2: SplineFunc2D
+    T1: SplineMap2D
+    T2: SplineMap2D
 
-    def field(u, v):
+    def __call__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         shape = np.broadcast(u, v).shape
         uu = np.broadcast_to(u, shape).ravel()
         vv = np.broadcast_to(v, shape).ravel()
-        uv, ok = invert_points(T2, T1.point(uu, vv))
-        if strict and not ok.all():
-            k = int(np.argmin(ok))
-            raise InversionError(
-                f"inversion failed at ({uu[k]:.6g}, {vv[k]:.6g}) inside a "
-                "region marked covered"
-            )
+        uv, ok = invert_points(self.T2, self.T1.point(uu, vv))
         out = np.zeros(len(uu))
-        out[ok] = s2.value(uv[ok, 0], uv[ok, 1])
+        out[ok] = self.s2.value(uv[ok, 0], uv[ok, 1])
         return out.reshape(shape) if shape else float(out[0])
 
-    return field
+
+def composed_field(s2, T1, T2):
+    """The zero-extended field s2 o T2^-1 o T1 on T1's parameter square, as
+    a grid-callable f(u, v) that ``llm_project`` integrates region by region."""
+    return _ComposedField(s2, T1, T2)

@@ -155,6 +155,22 @@ def test_overlap_exit_3(tmp_path, capsys):
     assert err["error"]["kind"] == "OverlapError"
 
 
+@pytest.mark.parametrize("mode", ["llm", "levelset"])
+def test_quasi_interp_nested_component_exit_3(tmp_path, capsys, mode):
+    # the source map's image lies inside one element of the target's
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({
+        "map": {"degrees": [1, 1], "knots_u": [0, 0, 1, 1], "knots_v": [0, 0, 1, 1],
+                "control": [[[0.1, 0.1], [0.1, 0.3]], [[0.3, 0.1], [0.3, 0.3]]]},
+        "coefficients": [[1.0, 1.0], [1.0, 1.0]],
+    }))
+    code = run(["quasi-interp", "--source", str(source), "--target",
+                f"{FIXTURES}/quasi_target.json", "--mode", mode, "--out", str(tmp_path / "q.json")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "GeometryError" and "nested component" in err["message"]
+
+
 def test_non_star_region_integrates_to_its_area(tmp_path):
     # a C-shaped polygon of area 7: no point sees both inner edges of its
     # arms, and the signed wedges from its centroid still sum to its area

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curveplan.arrangement import build_drawing
 from curveplan.curves import ParamCurve
@@ -13,7 +13,6 @@ from curveplan.quadrature import (
     Wedge,
     _TileStack,
     bernstein_table,
-    certified_tiles,
     gauss01,
     integrate_adaptive,
     integrate_region,
@@ -112,18 +111,11 @@ def test_concave_quad_falls_back_to_wedges():
     # one signed Coons patch: it folds, and its integrals are still exact
     tiles = tile_region(region, drawing)
     assert len(tiles) == 1 and not isinstance(tiles[0], Wedge)
-    assert not tiles[0].certified
     area, moment_x = _shoelace(ARROWHEAD)
     got_area = integrate_region(region, lambda x, y: 1.0, 4, tiles=tiles)
     got_x = integrate_region(region, lambda x, y: x, 4, tiles=tiles)
     assert abs(got_area - area) < 1e-12
     assert abs(got_x - moment_x) < 1e-12
-    # the certified tiling falls back to wedges
-    wedges = certified_tiles(region, drawing)
-    assert len(wedges) == 4 and all(tile.certified for tile in wedges)
-    for tile in wedges:  # a wedge's west side is its apex, a point
-        assert np.array_equal(tile.west.ctrl[0], tile.west.ctrl[-1])
-    assert abs(integrate_region(region, lambda x, y: x, 4, tiles=wedges) - moment_x) < 1e-12
 
 
 def test_integrate_region_examples():
@@ -241,9 +233,6 @@ def test_folded_arrowhead_patch_integrates_shoelace_area():
 def test_tile_error_names_region():
     rs = _polygon_regions(C_SHAPE)
     region = rs.regions[0]
-    vid = region.trail[0][0]
-    with pytest.raises(TileError, match=f"region at vertex {vid}: no star center"):
-        certified_tiles(region, rs.drawing)
     # the signed wedges from the centroid integrate the C exactly
     tiles = tile_region(region, rs.drawing)
     area, moment_x = _shoelace(C_SHAPE)
@@ -290,16 +279,10 @@ def test_non_star_curved_regions_integrate_to_their_area(comb):
     # f = 1 is smooth everywhere, so signed wedges are exact at 2 points
     report = integrate_adaptive(rs, lambda x, y: 1.0, max_level=3)
     assert abs(report.value - sum(r.signed_area for r in rs.regions)) <= 1e-12 * size**2
-    for region in rs.regions:
-        try:
-            tiles = certified_tiles(region, rs.drawing)
-        except TileError:
-            continue
-        assert all(tile.certified for tile in tiles)
 
 
 # ---------------------------------------------------------------------------
-# Bernstein evaluation and the Jacobian certificate against references
+# Bernstein evaluation against references
 
 
 def _reference_grids(tile, u, v):
@@ -363,51 +346,10 @@ def _wedges(draw):
 
 _tiles = st.one_of(_coons_tiles(), _wedges())
 
-#: a quadrilateral with its Coons patch folded at (0.5, 1)
-_ARROWHEAD_TILE = Tile(
-    segment(ARROWHEAD[0], ARROWHEAD[1]), segment(ARROWHEAD[1], ARROWHEAD[2]),
-    segment(ARROWHEAD[3], ARROWHEAD[2]), segment(ARROWHEAD[0], ARROWHEAD[3]),
-)
-
 
 def _scale(tile):
     nets = [side.ctrl for side in (tile.south, tile.east, tile.north, tile.west)]
     return max(1.0, float(np.abs(np.concatenate(nets)).max()))
-
-
-#: a sliver wedge: its coefficients of g, about 1e-14, are positive but far
-#: below its size squared, and its de Boor Jacobian is 0.0 at Gauss nodes
-_SLIVER_WEDGE = Wedge(np.array([1.0, 0.0]), segment((1, -1), (1.00000000000001, 1)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_tiles, st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20))
-@example(_ARROWHEAD_TILE, [])
-@example(_SLIVER_WEDGE, [])
-def test_certified_tiles_have_positive_jacobian(tile, params):
-    assume(tile.certified)
-    u, _ = gauss01(64)
-    assert np.min(_reference_grids(tile, u, u)[1]) > 0.0
-    # on the closed square, corners and sides included; a wedge's det is
-    # u * g, zero on u = 0, so its certificate is about g alone
-    wedge = isinstance(tile, Wedge)
-    for a, b in params + [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
-        a = 1.0 if wedge else a
-        assert _reference_grids(tile, [a], [b])[1][0, 0] > 0.0
-
-
-def test_arrowhead_patch_is_rejected_at_every_probe_size():
-    assert not _ARROWHEAD_TILE.certified
-
-
-def test_coefficient_under_the_margin_is_not_certified():
-    # the west side leaves (0, 0) 1e-12 rad off the south side: det > 0 on
-    # the closed square, but its corner coefficient 2e-12 is under the margin
-    west = ParamCurve("bezier", [(0, 0), (0.4, 1e-12), (0, 1)])
-    tile = Tile(segment((0, 0), (1, 0)), segment((1, 0), (1, 1)), segment((0, 1), (1, 1)), west)
-    corners = [0.0, 1.0]
-    assert np.min(_reference_grids(tile, corners, corners)[1]) > 0.0
-    assert not tile.certified
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,11 +364,6 @@ def test_bernstein_grids_match_de_boor(tile, n, params):
     ]:
         assert np.max(np.abs(pts - ref_pts), initial=0.0) <= 1e-14 * scale
         assert np.max(np.abs(det - ref_det), initial=0.0) <= 1e-14 * scale**2
-
-
-def test_sliver_wedge_is_not_certified():
-    # its coefficients are positive only relative to the largest one
-    assert not _SLIVER_WEDGE.certified
 
 
 # ---------------------------------------------------------------------------

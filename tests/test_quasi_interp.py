@@ -1,17 +1,25 @@
 """Quasi-interpolant projection and level-set coefficient properties."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curveplan import quasi_interp
-from curveplan.curves import basis_matrix, basis_row
-from curveplan.quadrature import gauss01
+from curveplan import quasi_interp, splines
+from curveplan.curves import basis_matrix, basis_row, find_span
+from curveplan.errors import GeometryError
+from curveplan.quadrature import gauss01, integrate_tiles, region_tiles
 from curveplan.quasi_interp import level_set_coeffs, llm_project
 from curveplan.regions import extract_and_classify
 from curveplan.splines import (
     SplineFunc2D,
+    SplineMap2D,
+    TensorSplineSpace,
     build_interface_drawing,
     composed_field,
+    integrate_spline_product,
+    invert_points,
 )
 
 from test_splines import make_map, unit_space
@@ -156,12 +164,10 @@ def _theta_integrals(field, s2, T1, T2, space, rs):
 
     The field is a spline (smooth per element: element quadrature); the
     zero-extended source is discontinuous along the trimming curve, so it
-    is integrated region by region with the region tiles.
+    is integrated region by region with the region tiles.  The regions of
+    these fixtures are convex, so every node lies in its region, and a
+    region's element is that of the mean of its trail vertices.
     """
-    from curveplan.quadrature import integrate_tiles
-    from curveplan.quasi_interp import region_element_table
-    from curveplan.splines import regions_covered_by
-
     nodes, w = gauss01(10)
     bu, bv = space.breakpoints_u(), space.breakpoints_v()
     int_field = 0.0
@@ -174,14 +180,12 @@ def _theta_integrals(field, s2, T1, T2, space, rs):
         scale = (u1 - u0) * (v1 - v0)
         int_field += scale * float(np.sum(np.outer(w, w) * field.value(uu, vv)))
 
-    src = composed_field(s2, T1, T2, strict=True)
+    src = composed_field(s2, T1, T2)
     int_src = 0.0
-    for k, (element, tiles) in sorted(region_element_table(rs, space).items()):
-        if element not in field.theta_elements:
-            continue
-        if not regions_covered_by([tiles], T1, T2)[0]:
-            continue
-        int_src += integrate_tiles(tiles, src, 10)
+    for region in rs.regions:
+        mean = np.mean([rs.drawing.vertices[vid].position for vid, _ in region.trail], axis=0)
+        if space.element_of(*mean) in field.theta_elements:
+            int_src += integrate_tiles(region_tiles(region, rs.drawing), src, 10)
     return int_field, int_src
 
 
@@ -228,13 +232,21 @@ def reference_span_gram_1d(knots, degree):
     return out
 
 
+def _element_first_dofs(space, element):
+    """First dof indices (per direction) supported on a knot element."""
+    bu, bv = space.breakpoints_u(), space.breakpoints_v()
+    su = find_span(space.tu, space.du, 0.5 * (bu[element[0]] + bu[element[0] + 1]))
+    sv = find_span(space.tv, space.dv, 0.5 * (bv[element[1]] + bv[element[1] + 1]))
+    return su - space.du, sv - space.dv
+
+
 def reference_element_moments(f, space, element, us, vs, weights):
     """Sum over nodes (us[k], vs[k]) of weights[k] f B_i B_j, node by node."""
     block = np.zeros((space.du + 1, space.dv + 1))
     for x, y, w in zip(us, vs, weights):
         fu, bu = basis_row(space.tu, space.du, float(x))
         fv, bv = basis_row(space.tv, space.dv, float(y))
-        assert (fu, fv) == quasi_interp._element_first_dofs(space, element)
+        assert (fu, fv) == _element_first_dofs(space, element)
         block += w * float(f(x, y)) * np.outer(bu, bv)
     return block
 
@@ -262,43 +274,71 @@ def test_batched_gram_and_plain_moments_match_node_loops(degrees, iu, iv):
         scale = (bu[iu_ + 1] - bu[iu_]) * (bv[iv_ + 1] - bv[iv_])
         weights = (np.outer(w, w) * scale).ravel()
         want = reference_element_moments(f, space, (iu_, iv_), uu.ravel(), vv.ravel(), weights)
-        assert (fu, fv) == quasi_interp._element_first_dofs(space, (iu_, iv_))
+        assert (fu, fv) == _element_first_dofs(space, (iu_, iv_))
         assert _close(block, want)
 
 
+def _piece_row(knots, degree, span, t):
+    """The degree + 1 B-splines non-zero on knot span ``span`` at t, as
+    polynomials extended beyond the span: the scalar recurrence of A2.2."""
+    left, right, out = [0.0], [0.0], [1.0]
+    for j in range(1, degree + 1):
+        left.append(t - knots[span + 1 - j])
+        right.append(knots[span + j] - t)
+        saved = 0.0
+        for r in range(j):
+            tmp = out[r] / (right[r + 1] + left[j - r])
+            out[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        out.append(saved)
+    return np.array(out)
+
+
 def test_batched_region_moments_match_node_loop():
+    # the maps of the L-case below: nodes of the signed wedges of its
+    # L-shaped regions leave them, and each node is evaluated on the
+    # polynomial pieces of its own region
     T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1))
     T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u + 0.1 * v, 0.2 + 0.7 * v))
     rs = extract_and_classify(build_interface_drawing(T1, T2))
-    table = quasi_interp.region_element_table(rs, T1.space)
-    f = _random_func(T1.space, 32)
-    n = 4
+    space, n = T1.space, 4
     nodes, w = gauss01(n)
-    got = quasi_interp._element_moments_regions(f, T1.space, table, n)
-    want = {}
-    for element, tiles in (table[k] for k in sorted(table)):
-        block = want.setdefault(element, np.zeros((2, 2)))
-        for tile in tiles:
+
+    def t2_inverse(x, y):
+        return np.array([(x - 0.3 - 0.1 * (y - 0.2) / 0.7) / 0.9, (y - 0.2) / 0.7])
+
+    want = []
+    for region in rs.regions:
+        corners = np.array([rs.drawing.vertices[vid].position for vid, _ in region.trail])
+        if np.any(np.abs(t2_inverse(*corners.T) - 0.5) > 0.5 + 1e-12):
+            continue  # a corner outside T2's image: the region is not covered
+        mean = corners.mean(axis=0)
+        su, sv = find_span(space.tu, 1, mean[0]), find_span(space.tv, 1, mean[1])
+        block = np.zeros((4, 4))
+        for tile in region_tiles(region, rs.drawing):
             pts, det = tile.grids(nodes, nodes)
-            weights = (np.outer(w, w) * det).ravel()
-            pts = pts.reshape(-1, 2)
-            block += reference_element_moments(f, T1.space, element, pts[:, 0], pts[:, 1], weights)
-    assert list(got) == list(want)
-    for element, (fu, fv, block) in got.items():
-        assert _close(block, want[element])
+            for (x, y), weight in zip(pts.reshape(-1, 2), (np.outer(w, w) * det).ravel()):
+                b1 = np.outer(_piece_row(space.tu, 1, su, x), _piece_row(space.tv, 1, sv, y))
+                u2, v2 = t2_inverse(*np.tensordot(b1, T1.ctrl[su - 1 : su + 1, sv - 1 : sv + 1]))
+                b2 = np.outer(_piece_row(T2.space.tu, 1, 1, u2), _piece_row(T2.space.tv, 1, 1, v2))
+                block += weight * np.outer(b1.ravel(), b2.ravel())
+        window = slice(su - 1, su + 1), slice(sv - 1, sv + 1)
+        want.append((space.element_of(*mean), window, block))
+    got = splines._coupling_blocks(space, T2.space, T1, T2, rs, n)
+    assert len(want) == 4 and [g[:2] for g in got] == [x[:2] for x in want]
+    assert all(_close(g[3], x[2]) for g, x in zip(got, want))
 
 
-def test_l_shaped_regions_keep_their_nodes_inside():
+def test_l_shaped_regions_integrate_on_their_pieces():
     # T2's image cuts L-shaped regions out of T1's elements; neither is
-    # star-shaped from its centroid, so signed wedges would put nodes inside
-    # T2's image, where the zero-extended field is not 0.  The coefficients
-    # are those of star wedges from a center that sees the whole boundary.
+    # star-shaped from its centroid, so nodes of their signed wedges land
+    # inside T2's image, where the zero-extended field is not 0.  Evaluated
+    # on each region's polynomial pieces, the coefficients are those of star
+    # wedges from a center that sees the whole boundary.
     T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1))
     T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u + 0.1 * v, 0.2 + 0.7 * v))
     s2 = SplineFunc2D(T2.space, np.array([[1.0, -0.5], [2.0, 0.25]]))
     rs = extract_and_classify(build_interface_drawing(T1, T2))
-    table = quasi_interp.region_element_table(rs, T1.space)
-    assert all(tile.certified for _, tiles in table.values() for tile in tiles)
     got = llm_project(composed_field(s2, T1, T2), T1.space, regions=rs).function.coeffs
     want = [
         [-0.008091661807579874, -0.20361158560476308, 0.08901112931340305],
@@ -306,6 +346,87 @@ def test_l_shaped_regions_keep_their_nodes_inside():
         [-0.028741496598638207, 1.333301209372638, -0.16193499622071175],
     ]
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_nested_component_is_refused_by_every_spline_integral():
+    # T2's image lies inside one T1 element: its boundary is a second
+    # component of the interface drawing, and the region around it has a hole
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), knots_v=(0, 0, 0.5, 1, 1))
+    T2 = make_map(transform=lambda u, v: (0.1 + 0.2 * u, 0.1 + 0.2 * v))
+    s1, s2 = SplineFunc2D(T1.space, np.ones((3, 3))), SplineFunc2D(T2.space, np.ones((2, 2)))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    vertices = rs.drawing.vertices
+    nested = [c for c in rs.drawing.components()
+              if all(np.max(np.abs(vertices[vid].position - 0.2)) < 0.1 + 1e-9 for vid in c)]
+    assert len(nested) == 1
+    message = re.escape(f"nested component at vertices {nested[0]}: holes are not yet assigned")
+    for call in (
+        lambda: llm_project(composed_field(s2, T1, T2), T1.space, regions=rs),
+        lambda: level_set_coeffs(s2, T1, T2, rs),
+        lambda: integrate_spline_product(s1, s2, T1, T2, rs, 3),
+    ):
+        with pytest.raises(GeometryError, match=message):
+            call()
+
+
+def test_space_with_knot_lines_off_the_drawing_is_refused():
+    # a knot line at 0.3 cuts regions of a drawing whose lines are at 0.5
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1))
+    T2 = make_map(transform=lambda u, v: (0.2 + 0.6 * u, 0.1 + 0.8 * v))
+    s2 = SplineFunc2D(T2.space, np.ones((2, 2)))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    with pytest.raises(GeometryError, match="knot lines that its map does not have"):
+        llm_project(composed_field(s2, T1, T2), unit_space(iu=(0.3,)), regions=rs)
+
+
+@st.composite
+def _curved_maps(draw):
+    """One-element degree-2 maps of an image inside the unit square that
+    crosses the knot lines 0.25, 0.5 and 0.75 both ways.  Every control
+    point but the corners moves by up to 0.03, so the sides bow.  The far
+    corner of the image sits near one side of its knot element, so the
+    rest of that element is an L that its centroid does not see whole."""
+    lo = [draw(st.floats(0.03, 0.2)) for _ in range(2)]
+    hi = [draw(st.floats(0.78, 0.85)), draw(st.floats(0.92, 0.97))]
+    if draw(st.booleans()):
+        hi.reverse()
+    g = np.array([0.0, 0.5, 1.0])
+    ctrl = np.stack(np.meshgrid(lo[0] + (hi[0] - lo[0]) * g, lo[1] + (hi[1] - lo[1]) * g,
+                                indexing="ij"), axis=-1)
+    moves = draw(st.lists(st.floats(-0.03, 0.03), min_size=18, max_size=18))
+    ctrl += np.reshape(moves, (3, 3, 2)) * np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])[:, :, None]
+    return SplineMap2D(TensorSplineSpace((2, 2), [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]), ctrl)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_curved_maps(), st.tuples(*3 * [st.floats(-2.0, 2.0)]))
+def test_curved_map_pairs_reproduce_affine_fields_and_areas(T2, affine):
+    T1 = make_map(knots_u=(0, 0, 0.25, 0.5, 0.75, 1, 1), knots_v=(0, 0, 0.25, 0.5, 0.75, 1, 1))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    assert any(np.min(tile.gauss_grids(4)[1]) < 0.0
+               for region in rs.regions for tile in region_tiles(region, rs.drawing))
+    # s2 carries the affine field at T2's control points, so s2 o T2^-1 is
+    # that field, and the llm coefficients of T1 (the identity) are its values
+    # at T1's control points wherever a dof's support is covered
+    grad, const = np.array(affine[:2]), affine[2]
+    s2 = SplineFunc2D(T2.space, T2.ctrl @ grad + const)
+    got = llm_project(composed_field(s2, T1, T2), T1.space, regions=rs).function.coeffs
+    space, grid = T1.space, np.linspace(-1e-3, 1 + 1e-3, 17)
+    covered = []
+    for i, j in np.ndindex(space.nu, space.nv):
+        (a, b), (c, d) = space.tu[[i, i + 2]], space.tv[[j, j + 2]]
+        box = np.stack(np.meshgrid(a + (b - a) * grid, c + (d - c) * grid), axis=-1).reshape(-1, 2)
+        if invert_points(T2, T1.point_pairs(box))[1].all():
+            covered.append((i, j))
+    assert (2, 2) in covered
+    want = T1.ctrl @ grad + const
+    assert max(abs(got[ij] - want[ij]) for ij in covered) <= 1e-10
+    # with s1 = s2 = 1 the product is the area of T2's image: the integral
+    # of det J_T2, of degree 3 per direction, exact by 2-point Gauss
+    ones = [SplineFunc2D(T.space, np.ones((T.space.nu, T.space.nv))) for T in (T1, T2)]
+    u, w = gauss01(2)
+    area = np.sum(np.outer(w, w) * T2.jacobian_det(*np.meshgrid(u, u, indexing="ij")))
+    assert abs(integrate_spline_product(*ones, T1, T2, rs, 4) - area) <= 1e-12
 
 
 def test_basis_matrix_rows_are_basis_rows():

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from curveplan import arrangement, splines
 from curveplan.curves import ParamCurve, basis_row, basis_rows, derivative_data, find_span
 from curveplan.errors import FitError, GeometryError, InversionError
-from curveplan.quadrature import gauss01
+from curveplan.quadrature import gauss01, tile_region
 from curveplan.regions import extract_and_classify
 from curveplan.splines import (
     SplineFunc2D,
@@ -799,6 +799,46 @@ def test_product_hats_against_composite_oracle():
         lambda x, y: s1.value(x, y) * s2.value(x, y), [0, 0.5, 1], [0, 1], n=2
     )
     assert abs(single - want) > 1e-4
+
+
+def test_product_over_regions_that_leave_their_wedges_is_exact():
+    # T2's right side bows in to a waist at x = 0.55, so the part of its
+    # image right of T1's knot line x = 0.5 is an hourglass whose centroid
+    # lies outside it: nodes of its wedges fall outside T2's image, where
+    # T2's polynomial is inverted beyond its square
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1))
+    ctrl = [[(0.1, 0.1), (0.1, 0.5), (0.1, 0.9)], [(0.5, 0.1), (0.2, 0.5), (0.5, 0.9)],
+            [(0.9, 0.1), (0.2, 0.5), (0.9, 0.9)]]
+    T2 = SplineMap2D(TensorSplineSpace((2, 2), [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]), ctrl)
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    tiles = [tile for region in rs.regions for tile in tile_region(region, rs.drawing)]
+    assert min(np.min(tile.gauss_grids(4)[1]) for tile in tiles) < 0.0
+    # s1 = 1 and s2 the affine field g at T2's control points: the product
+    # is the integral of g over T2's image, exact by Gauss on T2's square
+    grad, const = np.array([0.7, -1.3]), 0.4
+    s1 = SplineFunc2D(T1.space, np.ones((3, 2)))
+    s2 = SplineFunc2D(T2.space, T2.ctrl @ grad + const)
+    u, w = gauss01(4)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    want = np.sum(np.outer(w, w) * (T2.point(uu, vv) @ grad + const) * T2.jacobian_det(uu, vv))
+    assert abs(integrate_spline_product(s1, s2, T1, T2, rs, 4) - want) < 1e-12
+
+
+def test_covered_regions_of_a_curved_target_map_count_whole():
+    # T1 is curved, so the pull-back of T2's left side misses T2's image by
+    # up to its fit error, far above the inversion tolerance
+    ctrl = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+    ctrl[1, 1] += (0.1, -0.08)
+    T1 = SplineMap2D(TensorSplineSpace((2, 2), [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]), ctrl)
+    T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u, -0.15 + 1.3 * v))
+    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=1e-6))
+    s1, s2 = (SplineFunc2D(T.space, np.ones((T.space.nu, T.space.nv))) for T in (T1, T2))
+    inside = composed_field(s2, T1, T2)
+    covered = [r for r in rs.regions  # these regions are convex: their vertex mean is inside
+               if inside(*np.mean([rs.drawing.vertices[vid].position for vid, _ in r.trail], 0))]
+    assert len(covered) == 1
+    got = integrate_spline_product(s1, s2, T1, T2, rs, 4)
+    assert abs(got - covered[0].signed_area) < 1e-12
 
 
 def test_composed_field_zero_extension():
