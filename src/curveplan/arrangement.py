@@ -453,11 +453,13 @@ class Edge:
 class Drawing:
     """A curvilinear drawing: curves, vertices, edges and path lists."""
 
-    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL):
+    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL, fit_error=0.0):
         self.curves = list(curves)
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         self.tol = tol
+        # the largest distance by which a fitted curve misses what it stands for
+        self.fit_error = fit_error
         self.pi = self._build_pi()
         self._rev_geom = {}
         self.geometry_table = None  # filled by regions.halfedge_table
@@ -510,7 +512,7 @@ class Drawing:
     def subdrawing(self, vertex_ids, edge_ids):
         verts = {vid: self.vertices[vid] for vid in vertex_ids}
         edges = {eid: self.edges[eid] for eid in edge_ids}
-        return Drawing(self.curves, verts, edges, tol=self.tol)
+        return Drawing(self.curves, verts, edges, tol=self.tol, fit_error=self.fit_error)
 
     # -- association tables ---------------------------------------------------
 

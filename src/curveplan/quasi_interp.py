@@ -14,7 +14,7 @@ import numpy as np
 from .curves import basis_rows
 from .errors import GeometryError
 from .quadrature import gauss01
-from .splines import SplineFunc2D, _ComposedField, _coupling_blocks
+from .splines import SplineFunc2D, _coupling_blocks, composed_field
 
 
 @dataclass
@@ -126,8 +126,9 @@ def llm_project(f, space, regions=None, n_rhs=None):
     For each coefficient index the projection problem G lam = P is solved
     on the support of that basis function, and the coefficient is the entry
     of ``lam`` carrying the index itself.  With ``regions`` given (an
-    interface region set) and f a ``composed_field``, right-hand sides are
-    assembled region by region; otherwise by plain per-element quadrature.
+    interface region set), f must be a ``composed_field`` and right-hand
+    sides are assembled region by region; otherwise by plain per-element
+    quadrature.
 
     Returns an LlmResult with the spline and per-problem diagnostics.
     """
@@ -137,7 +138,9 @@ def llm_project(f, space, regions=None, n_rhs=None):
 
     span_u = _span_gram_1d(space.tu, du)
     span_v = _span_gram_1d(space.tv, dv)
-    if regions is not None and isinstance(f, _ComposedField):
+    if regions is not None:
+        if not isinstance(f, composed_field):
+            raise TypeError("llm_project: regions need f to be a composed_field")
         moments = _region_moments(f, space, regions, n_rhs)
     else:
         moments = _element_moments_plain(f, space, n_rhs, n_rhs)
@@ -209,7 +212,7 @@ def level_set_coeffs(delta2, T1, T2, region_set, n_rhs=None):
     if n_rhs is None:
         n_rhs = du + dv + 3
 
-    numerators = _region_moments(_ComposedField(delta2, T1, T2), space, region_set, n_rhs)
+    numerators = _region_moments(composed_field(delta2, T1, T2), space, region_set, n_rhs)
     if not numerators:
         raise GeometryError("no region of the interface is covered by the second map")
 

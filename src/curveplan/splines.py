@@ -32,9 +32,6 @@ INVERT_MAX_ITER = 50
 INVERT_TOL_FACTOR = 1e-11
 #: points per direction of the parameter grid that seeds a cold inversion
 SEED_GRID = 7
-#: a boundary sample of a covered region may miss T2's image by a pull-back's
-#: fit error: the largest miss allowed, as a fraction of T2's diagonal
-COVER_TOL_FACTOR = 1e-6
 #: points per block of the batched kernels, which bounds their scratch memory
 _BLOCK = 512
 #: Newton step scales tried in turn: 1, 1/2, ..., 1/2048
@@ -511,7 +508,8 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
 
     Combines the square boundary, T1's interior knot lines, and pull-backs
     of T2's knot iso-curves and boundary curves (clipped to the image
-    overlap, duplicates of already-present curves dropped).
+    overlap, duplicates of already-present curves dropped).  The drawing's
+    ``fit_error`` is the largest fit residual of the pull-backs.
     """
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     lines = list(zip(corners, corners[1:] + corners[:1]))
@@ -531,7 +529,9 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
         if not any(_coincident(pb.curve, c, dedupe_tol) for c in curves):
             curves.append(pb.curve)
 
-    return build_drawing(curves, tol=tol)
+    drawing = build_drawing(curves, tol=tol)
+    drawing.fit_error = max((pb.residual for pb in pulled), default=0.0)
+    return drawing
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,8 @@ def _coupling_blocks(space1, space2, T1, T2, region_set, n):
     outside the region still reads the region's piece.  e1 and e2 hold the
     centres of the boxes of samples of the region's boundary in T1's and
     T2's squares, and a region is covered iff all its samples map into T2's
-    image, to COVER_TOL_FACTOR.  A nested component of the drawing raises
-    GeometryError.
+    image, to the drawing's error.  A nested component of the drawing
+    raises GeometryError.
     """
     drawing = region_set.drawing
     components = drawing.components()
@@ -580,7 +580,13 @@ def _coupling_blocks(space1, space2, T1, T2, region_set, n):
     samples = np.concatenate(samples)
     physical = T1.point_pairs(samples)
     inverted = invert_points(T2, physical)[0]
-    ok = _norms(T2.point_pairs(inverted) - physical) <= COVER_TOL_FACTOR * T2.bbox_diag()
+    # a sample on a pull-back of T2's boundary misses its image by the fit
+    # error (tenfold, for the error between fitted samples), plus T1's stretch
+    # (by its hodograph nets) of the drawing's dedupe tolerance in T1's square
+    fit = 10.0 * drawing.fit_error
+    stretch = sum(np.max(_norms(h[2].reshape(-1, 2))) for h in (T1.hodograph_u, T1.hodograph_v))
+    cover_tol = max(T2.invert_tol, fit + stretch * max(drawing.tol, fit))
+    ok = _norms(T2.point_pairs(inverted) - physical) <= cover_tol
     keep = np.flatnonzero(np.logical_and.reduceat(ok, at))
     c1, c2 = (0.5 * (np.minimum.reduceat(x, at) + np.maximum.reduceat(x, at))[keep]
               for x in (samples, inverted))
@@ -624,10 +630,10 @@ def integrate_spline_product(s1, s2, T1, T2, region_set, n):
 
 
 @dataclass(frozen=True)
-class _ComposedField:
+class composed_field:  # noqa: N801 - a public name called like a function
     """The field s2 o T2^-1 o T1 on T1's parameter square, zero-extended:
     a grid-callable f(u, v) whose points with physical image outside T2
-    evaluate to 0."""
+    evaluate to 0.  ``llm_project`` integrates it region by region."""
 
     s2: SplineFunc2D
     T1: SplineMap2D
@@ -643,9 +649,3 @@ class _ComposedField:
         out = np.zeros(len(uu))
         out[ok] = self.s2.value(uv[ok, 0], uv[ok, 1])
         return out.reshape(shape) if shape else float(out[0])
-
-
-def composed_field(s2, T1, T2):
-    """The zero-extended field s2 o T2^-1 o T1 on T1's parameter square, as
-    a grid-callable f(u, v) that ``llm_project`` integrates region by region."""
-    return _ComposedField(s2, T1, T2)

@@ -379,6 +379,15 @@ def test_space_with_knot_lines_off_the_drawing_is_refused():
         llm_project(composed_field(s2, T1, T2), unit_space(iu=(0.3,)), regions=rs)
 
 
+def test_regions_with_a_plain_field_are_refused():
+    # regions are integrated on the pieces of a composed field only
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1))
+    T2 = make_map(transform=lambda u, v: (0.2 + 0.6 * u, 0.1 + 0.8 * v))
+    rs = extract_and_classify(build_interface_drawing(T1, T2))
+    with pytest.raises(TypeError, match="regions need f to be a composed_field"):
+        llm_project(lambda u, v: np.ones_like(np.asarray(u, float)), T1.space, regions=rs)
+
+
 @st.composite
 def _curved_maps(draw):
     """One-element degree-2 maps of an image inside the unit square that

@@ -841,6 +841,24 @@ def test_covered_regions_of_a_curved_target_map_count_whole():
     assert abs(got - covered[0].signed_area) < 1e-12
 
 
+def test_covered_regions_count_whole_at_a_loose_fit_tolerance():
+    # at fit_tol 1e-5 the pull-back of T2's left side misses T2's image by
+    # several 1e-6, far above a tolerance fixed by the size of the maps
+    ctrl = np.stack(np.meshgrid(*2 * [[0.0, 0.25, 0.75, 1.0]], indexing="ij"), axis=-1)
+    ctrl[1:3, 1:3] += [[[-0.017, 0.017], [-0.014, -0.014]], [[0.0, -0.058], [-0.001, 0.057]]]
+    T1 = SplineMap2D(unit_space((2, 2), (0.5,), (0.5,)), ctrl)
+    T2 = make_map(transform=lambda u, v: (0.257 + 0.943 * u, -0.15 + 1.3 * v))
+    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=1e-5))
+    assert rs.drawing.fit_error > 1e-6
+    s1, s2 = (SplineFunc2D(T.space, np.ones((T.space.nu, T.space.nv))) for T in (T1, T2))
+    inside = composed_field(s2, T1, T2)
+    covered = [r for r in rs.regions  # these regions are convex: their vertex mean is inside
+               if inside(*np.mean([rs.drawing.vertices[vid].position for vid, _ in r.trail], 0))]
+    assert len(covered) == 4
+    got = integrate_spline_product(s1, s2, T1, T2, rs, 4)
+    assert abs(got - sum(r.signed_area for r in covered)) < 1e-12
+
+
 def test_composed_field_zero_extension():
     T1 = make_map()
     T2 = make_map(transform=lambda u, v: (0.5 + 0.5 * u, 0.5 + 0.5 * v))
