@@ -453,13 +453,13 @@ class Edge:
 class Drawing:
     """A curvilinear drawing: curves, vertices, edges and path lists."""
 
-    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL, fit_error=0.0):
+    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL):
         self.curves = list(curves)
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         self.tol = tol
         # the largest distance by which a fitted curve misses what it stands for
-        self.fit_error = fit_error
+        self.fit_error = 0.0
         self.pi = self._build_pi()
         self._rev_geom = {}
         self.geometry_table = None  # filled by regions.halfedge_table
@@ -512,7 +512,9 @@ class Drawing:
     def subdrawing(self, vertex_ids, edge_ids):
         verts = {vid: self.vertices[vid] for vid in vertex_ids}
         edges = {eid: self.edges[eid] for eid in edge_ids}
-        return Drawing(self.curves, verts, edges, tol=self.tol, fit_error=self.fit_error)
+        sub = Drawing(self.curves, verts, edges, tol=self.tol)
+        sub.fit_error = self.fit_error
+        return sub
 
     # -- association tables ---------------------------------------------------
 

@@ -824,37 +824,35 @@ def test_product_over_regions_that_leave_their_wedges_is_exact():
     assert abs(integrate_spline_product(s1, s2, T1, T2, rs, 4) - want) < 1e-12
 
 
-def test_covered_regions_of_a_curved_target_map_count_whole():
-    # T1 is curved, so the pull-back of T2's left side misses T2's image by
-    # up to its fit error, far above the inversion tolerance
-    ctrl = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+def _warped_one_element():
+    ctrl = np.stack(np.meshgrid(*2 * [[0.0, 0.5, 1.0]], indexing="ij"), axis=-1)
     ctrl[1, 1] += (0.1, -0.08)
-    T1 = SplineMap2D(TensorSplineSpace((2, 2), [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]), ctrl)
-    T2 = make_map(transform=lambda u, v: (0.3 + 0.9 * u, -0.15 + 1.3 * v))
-    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=1e-6))
-    s1, s2 = (SplineFunc2D(T.space, np.ones((T.space.nu, T.space.nv))) for T in (T1, T2))
-    inside = composed_field(s2, T1, T2)
-    covered = [r for r in rs.regions  # these regions are convex: their vertex mean is inside
-               if inside(*np.mean([rs.drawing.vertices[vid].position for vid, _ in r.trail], 0))]
-    assert len(covered) == 1
-    got = integrate_spline_product(s1, s2, T1, T2, rs, 4)
-    assert abs(got - covered[0].signed_area) < 1e-12
+    T1 = SplineMap2D(unit_space((2, 2)), ctrl)
+    return T1, make_map(transform=lambda u, v: (0.3 + 0.9 * u, -0.15 + 1.3 * v))
 
 
-def test_covered_regions_count_whole_at_a_loose_fit_tolerance():
-    # at fit_tol 1e-5 the pull-back of T2's left side misses T2's image by
-    # several 1e-6, far above a tolerance fixed by the size of the maps
+def _warped_four_elements():
     ctrl = np.stack(np.meshgrid(*2 * [[0.0, 0.25, 0.75, 1.0]], indexing="ij"), axis=-1)
     ctrl[1:3, 1:3] += [[[-0.017, 0.017], [-0.014, -0.014]], [[0.0, -0.058], [-0.001, 0.057]]]
     T1 = SplineMap2D(unit_space((2, 2), (0.5,), (0.5,)), ctrl)
-    T2 = make_map(transform=lambda u, v: (0.257 + 0.943 * u, -0.15 + 1.3 * v))
-    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=1e-5))
-    assert rs.drawing.fit_error > 1e-6
+    return T1, make_map(transform=lambda u, v: (0.257 + 0.943 * u, -0.15 + 1.3 * v))
+
+
+@pytest.mark.parametrize("maps, fit_tol, n_covered",
+                         [(_warped_one_element, 1e-6, 1), (_warped_four_elements, 1e-5, 4)],
+                         ids=["one element", "four elements"])
+def test_covered_regions_of_a_curved_target_map_count_whole(maps, fit_tol, n_covered):
+    # T1 is curved, so the pull-back of T2's left side misses T2's image by
+    # up to its fit error, far above the inversion tolerance; at fit_tol
+    # 1e-5 by several 1e-6, above a tolerance fixed by the size of the maps
+    T1, T2 = maps()
+    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=fit_tol))
+    assert rs.drawing.fit_error > 0.1 * fit_tol
     s1, s2 = (SplineFunc2D(T.space, np.ones((T.space.nu, T.space.nv))) for T in (T1, T2))
     inside = composed_field(s2, T1, T2)
     covered = [r for r in rs.regions  # these regions are convex: their vertex mean is inside
                if inside(*np.mean([rs.drawing.vertices[vid].position for vid, _ in r.trail], 0))]
-    assert len(covered) == 4
+    assert len(covered) == n_covered
     got = integrate_spline_product(s1, s2, T1, T2, rs, 4)
     assert abs(got - sum(r.signed_area for r in covered)) < 1e-12
 
