@@ -66,13 +66,13 @@ def _cross(u, v):
 
 def _segment_segment(a, b, tol):
     """Closed-form meeting of two segments, on their float nets.  A segment
-    of zero length is a point: farther than ``tol`` from the other segment
-    it meets nothing, nearer it has no parameter to report (GeometryError)."""
+    whose squared length is 0 is a point: farther than ``tol`` from the other
+    segment it meets nothing, nearer it has no parameter (GeometryError)."""
     ((p0x, p0y), (p1x, p1y)), ((q0x, q0y), (q1x, q1y)) = a.nets()[0][2], b.nets()[0][2]
     d1x, d1y, d2x, d2y = p1x - p0x, p1y - p0y, q1x - q0x, q1y - q0y
     l1, l2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
-    if l1 == 0.0 or l2 == 0.0:
-        if l1 == 0.0:
+    if l1 * l1 == 0.0 or l2 * l2 == 0.0:
+        if l1 * l1 == 0.0:
             gap = _point_gap(p0x, p0y, q0x, q0y, d2x, d2y)
         else:
             gap = _point_gap(q0x, q0y, p0x, p0y, d1x, d1y)
@@ -561,19 +561,22 @@ class _UnionFind:
 
 def _box_pairs(curves, tol):
     """Ascending pairs (i, j), i < j, whose control-point boxes, padded by
-    ``tol``, meet: a sort-and-sweep on the boxes' xmin (one-span boxes from nets)."""
-    boxes = [_box(c.ctrl.tolist() if c.kind == "bspline" else c.nets()[0][2]) for c in curves]
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
-    pairs = []
-    for k, i in enumerate(order):
-        xlo, ylo, xhi, yhi = boxes[i]
-        for j in order[k + 1 :]:
-            bxlo, bylo, bxhi, byhi = boxes[j]
-            if bxlo > xhi + tol:
-                break  # every later box starts further right
-            if not (xlo > bxhi + tol or ylo > byhi + tol or bylo > yhi + tol):
-                pairs.append((min(i, j), max(i, j)))
-    return sorted(pairs)
+    ``tol``, meet: in xmin order, box k against the boxes after it that start
+    by its xmax + tol, as one array sweep (a two-point net is its own box)."""
+    nets = [c.ctrl.tolist() if c.kind == "bspline" else c.nets()[0][2] for c in curves]
+    ends = np.array([(*n[0], *n[1]) if len(n) == 2 else _box(n) for n in nets], float)
+    ends = ends.reshape(-1, 2, 2)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    order = np.argsort(lo[:, 0], kind="stable")
+    (xlo, ylo), (xhi, yhi), n = lo[order].T, hi[order].T, len(order)
+    count = np.searchsorted(xlo, xhi + tol, side="right") - np.arange(n) - 1
+    k = np.repeat(np.arange(n), count)
+    j = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+    keep = ~((xlo[k] > xhi[j] + tol) | (ylo[k] > yhi[j] + tol) | (ylo[j] > yhi[k] + tol))
+    i, j = order[k[keep]], order[j[keep]]
+    first, second = np.minimum(i, j), np.maximum(i, j)
+    at = np.lexsort((second, first))
+    return list(zip(first[at].tolist(), second[at].tolist()))
 
 
 def _cluster_points(points, tol):

@@ -443,8 +443,8 @@ class ParamCurve:
     def _restricted_span(self, t_lo, t_hi, snap):
         """``restricted`` of a one-span curve by the Boehm steps of
         split_bspline on its float net, skipping its array round trips and
-        checks; None where split_bspline would snap a split onto an end.
-        The piece keeps its net."""
+        checks (a segment's two written out, same float operations); None
+        where split_bspline would snap a split onto an end.  The piece keeps its net."""
         a, b = self.domain
         d, pts, lo = self.degree, self.nets()[0][2], a
         for t, right in ((t_lo, True), (t_hi, False)):
@@ -452,7 +452,13 @@ class ParamCurve:
                 span_snap = _KNOT_SNAP * max(b - lo, 1.0)
                 if abs(lo - t) <= span_snap or abs(b - t) <= span_snap:
                     return None
-                pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
+                if d == 1:  # m = (1 - al) p + al q, then 1.0 m + 0.0 q at alpha 0
+                    (px, py), (qx, qy) = pts
+                    al = (t - lo) / (b - lo)
+                    mx, my = (1.0 - al) * px + al * qx, (1.0 - al) * py + al * qy
+                    pts = (pts[0], (mx, my), (mx + 0.0 * qx, my + 0.0 * qy), pts[1])
+                else:
+                    pts = _boehm_steps([lo] * (d + 1) + [b] * (d + 1), d, pts, d, t, d + 1)
                 pts, lo = (pts[d + 1 :], t) if right else (pts[: d + 1], lo)
         return trusted_bezier(np.array(pts), tuple(map(tuple, pts)))
 

@@ -60,6 +60,14 @@ def _local_gram_1d(span_blocks, lo, hi, dof_lo, dof_hi):
     return gram
 
 
+def _dof_window(knots, degree, i):
+    """First and last dof whose support meets B_i's, (t_i, t_{i+d+1}), with
+    positive length: i - d..i + d clipped to the space when knots are simple,
+    narrower across a repeated knot, where a wider window has zero Gram rows."""
+    k0 = int(np.searchsorted(knots, knots[i], side="right")) - degree - 1
+    return k0, int(np.searchsorted(knots, knots[i + degree + 1], side="left")) - 1
+
+
 def _element_moments_plain(f, space, n_u, n_v, elements=None):
     """Per-element blocks of integrals of f * B_ij by plain Gauss quadrature.
 
@@ -148,10 +156,10 @@ def llm_project(f, space, regions=None, n_rhs=None):
     coeffs = np.zeros((space.nu, space.nv))
     problems = []
     for i in range(space.nu):
-        i0, i1 = max(0, i - du), min(space.nu - 1, i + du)
+        i0, i1 = _dof_window(space.tu, du, i)
         gu = _local_gram_1d(span_u, space.tu[i], space.tu[i + du + 1], i0, i1)
         for j in range(space.nv):
-            j0, j1 = max(0, j - dv), min(space.nv - 1, j + dv)
+            j0, j1 = _dof_window(space.tv, dv, j)
             gv = _local_gram_1d(span_v, space.tv[j], space.tv[j + dv + 1], j0, j1)
             gram = np.kron(gu, gv)
             ncols = j1 - j0 + 1

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curveplan import arrangement
 from curveplan.arrangement import DEFAULT_TOL, build_drawing, intersect_curve_pair
@@ -13,6 +13,7 @@ from curveplan.curves import ParamCurve, derivative_data, split_bspline
 from curveplan.errors import CurveplanError, GeometryError, OverlapError
 
 from arrangement_oracle import SegmentArrangement
+from test_curves import _restricted_reference
 from util import quadratic_arch, segment, square_curves, circle_bspline
 
 
@@ -65,6 +66,19 @@ def test_zero_length_segment_meets_with_a_typed_error(point_first):
     with pytest.raises(GeometryError, match="zero length"):
         intersect_curve_pair(point, twin)
     assert intersect_curve_pair(point, segment((0.5, 0.4), (0.5, 0.4))) == []
+
+
+@pytest.mark.parametrize(
+    "p, q", [(((0.0, 0.0), (0.0, 5e-324)), ((0.0, 0.0), (0.0, 0.125))),
+             (((0.0, 0.0), (0.125, 0.0)), ((0.0, 0.0), (0.0, 5e-324)))],
+)
+def test_segment_whose_squared_length_underflows_is_a_point(p, q):
+    # a subnormal segment used to divide by its zero squared length (or by
+    # a zero parameter span) in the parallel branch
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(GeometryError, match="zero length"):
+            intersect_curve_pair(segment(*a), segment(*b))
+    assert intersect_curve_pair(segment((0.0, 0.5), (1e-170, 0.5)), segment(*p)) == []
 
 
 def test_identical_curves_overlap_error():
@@ -328,8 +342,23 @@ def _partition(labels):
     return sorted(groups.values())
 
 
+_T = 0.125  # a tol with exact sums on the 1/8 grid
+
+
 @settings(max_examples=300, deadline=None)
 @given(_curve_lists(max_size=30))
+@example(([], DEFAULT_TOL))
+@example(([segment((0.0, 0.0), (1.0, 1.0))], DEFAULT_TOL))
+# tied xmin, in and out of each other's reach
+@example(([segment((0.25, 0.0), (0.5, 1.0)), segment((0.25, 0.5), (0.75, 0.5)),
+           segment((0.25, 2.0), (0.25, 3.0)), segment((0.5, 1.0), (0.25, 1.5))], 1e-3))
+# boxes exactly tol apart in x, in y, and in both
+@example(([segment((0.0, 0.0), (0.25, 0.25)), segment((0.375, 0.0), (0.5, 0.25)),
+           segment((0.0, 0.375), (0.25, 0.5)), segment((0.375, 0.375), (0.5, 0.5))], _T))
+# a B-spline and a Bézier among segments
+@example(([segment((0.0, 0.0), (1.0, 1.0)), _closed_bspline(0.5, 0.5, 0.25, 0.25, 0.0),
+           segment((2.0, 2.0), (3.0, 3.0)), _bezier([(0.75, 0.0), (1.0, 0.5), (0.875, 1.0)]),
+           segment((0.5, 0.875), (0.5, 2.0))], DEFAULT_TOL))
 def test_box_pairs_equal_brute_force(case):
     curves, tol = case
     assert arrangement._box_pairs(curves, tol) == _brute_pairs(curves, tol)
@@ -400,6 +429,24 @@ def test_build_drawing_equals_all_pairs_reference(case):
     ):
         want = _snapshot(_drawing_or_error(curves, tol))
     assert got == want
+
+
+_segment = st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
+def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
+    # every edge is its curve's restriction to the edge interval, bit for
+    # bit, as split_bspline computes it, and carries that curve's nets
+    drawing = _drawing_or_error(curves, tol)
+    if isinstance(drawing, tuple):  # overlapping or point-like segments
+        return
+    for e in drawing.edges.values():
+        want = _restricted_reference(curves[e.curve_id], e.t_lo, e.t_hi)
+        assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
+        assert e.geometry.knots.tobytes() == want.knots.tobytes()
+        assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curveplan.curves import (
@@ -393,8 +393,24 @@ def _one_span_restrictions(draw):
     return curve, t_lo, t_hi
 
 
+_SNAP = 1e-12  # the knot snap of a domain [0, 1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_one_span_restrictions())
+# signed zeros: both Boehm steps must keep them
+@example((ParamCurve("segment", [(-0.0, 0.5), (0.75, -0.0)]), 0.25, 0.75))
+@example((ParamCurve("segment", [(-0.0, -0.0), (-1.0, 0.0)]), 0.0, 0.5))
+@example((ParamCurve("segment", [(0.0, -0.0), (-0.0, 1.0)]), 0.5, 1.0))
+# subnormal coordinates, whose products underflow to zero
+@example((ParamCurve("segment", [(5e-324, -2.2e-310), (-1e-320, 1e-308)]), 0.1, 0.9))
+@example((ParamCurve("segment", [(-5e-324, 0.0), (-0.0, 5e-324)]), 0.3, 0.6))
+# cuts within the knot snap of each end, and just outside it
+@example((ParamCurve("segment", [(0.0, 0.0), (1.0, 3.0)]), 0.5 * _SNAP, 0.7))
+@example((ParamCurve("segment", [(0.0, 0.0), (1.0, 3.0)]), 0.3, 1.0 - 0.5 * _SNAP))
+@example((ParamCurve("segment", [(0.0, 0.0), (1.0, 3.0)]), 0.5 * _SNAP, 1.0 - 0.5 * _SNAP))
+@example((ParamCurve("segment", [(0.0, 0.0), (1.0, 3.0)]), 2 * _SNAP, 1.0 - 2 * _SNAP))
+@example((ParamCurve("segment", [(0.0, 0.0), (1.0, 3.0)]), 0.4, 0.4 + 0.5 * _SNAP))
 def test_one_span_restriction_equals_split_bspline(case):
     curve, t_lo, t_hi = case
     got = _curve_or_error(curve.restricted, t_lo, t_hi)

@@ -74,6 +74,23 @@ def test_constant_projects_to_unit_coefficients():
     assert np.allclose(result.function.coeffs, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "degrees, iu, iv",
+    [((2, 2), (0.3, 0.3, 0.7), (0.1, 0.9)), ((4, 1), (0.1, 0.2, 0.3, 0.6, 0.6), (0.25, 0.5))],
+)
+def test_repeated_knots_reproduce_constant_and_affine_functions(degrees, iu, iv):
+    # a dof's window holds only dofs whose supports meet its own with
+    # positive length; across a repeated knot i - d..i + d holds more, and
+    # their zero Gram rows made the local solve singular
+    space = unit_space(degrees, iu=iu, iv=iv)
+    one = llm_project(lambda u, v: np.ones_like(np.asarray(u, float)), space)
+    assert np.allclose(one.function.coeffs, 1.0, atol=1e-12)
+    affine = lambda u, v: 0.3 + 1.7 * np.asarray(u) - 0.6 * np.asarray(v)
+    got = llm_project(affine, space).function
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
+    assert np.allclose(got.value(u.ravel(), v.ravel()), affine(u.ravel(), v.ravel()), atol=1e-12)
+
+
 def test_projector_idempotent():
     space = unit_space((2, 2), iu=(0.5,), iv=(0.5,))
     f = lambda u, v: np.sin(3 * np.asarray(u)) * np.asarray(v) ** 2
