@@ -562,7 +562,8 @@ class _UnionFind:
 def _box_pairs(curves, tol):
     """Ascending pairs (i, j), i < j, whose control-point boxes, padded by
     ``tol``, meet: in xmin order, box k against the boxes after it that start
-    by its xmax + tol, as one array sweep (a two-point net is its own box)."""
+    by its xmax + tol (so meet it in x), as one array sweep; a two-point net
+    is its own box."""
     nets = [c.ctrl.tolist() if c.kind == "bspline" else c.nets()[0][2] for c in curves]
     ends = np.array([(*n[0], *n[1]) if len(n) == 2 else _box(n) for n in nets], float)
     ends = ends.reshape(-1, 2, 2)
@@ -572,7 +573,7 @@ def _box_pairs(curves, tol):
     count = np.searchsorted(xlo, xhi + tol, side="right") - np.arange(n) - 1
     k = np.repeat(np.arange(n), count)
     j = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
-    keep = ~((xlo[k] > xhi[j] + tol) | (ylo[k] > yhi[j] + tol) | (ylo[j] > yhi[k] + tol))
+    keep = ~((ylo[k] > yhi[j] + tol) | (ylo[j] > yhi[k] + tol))
     i, j = order[k[keep]], order[j[keep]]
     first, second = np.minimum(i, j), np.maximum(i, j)
     at = np.lexsort((second, first))
