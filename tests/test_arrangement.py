@@ -271,8 +271,9 @@ _coord = st.one_of(
     st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
 )
 _point = st.tuples(_coord, _coord)
+_segment = st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq))
 _curve = st.one_of(
-    st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq)),
+    _segment,
     st.lists(_point, min_size=3, max_size=4).map(_bezier),
     st.builds(
         _closed_bspline,
@@ -431,14 +432,11 @@ def test_build_drawing_equals_all_pairs_reference(case):
     assert got == want
 
 
-_segment = st.tuples(_point, _point).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: segment(*pq))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
 def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
     # every edge is its curve's restriction to the edge interval, bit for
-    # bit, as split_bspline computes it, and carries that curve's nets
+    # bit, as split_bspline computes it, nets included
     drawing = _drawing_or_error(curves, tol)
     if isinstance(drawing, tuple):  # overlapping or point-like segments
         return
