@@ -279,7 +279,9 @@ def _injective(net):
     """Sufficient test: the control polygon's differences (the directions
     of the hodograph's control vectors) lie in an open half-plane."""
     d = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(net, net[1:])]
-    ux, uy = sum(dx for dx, _ in d), sum(dy for _, dy in d)
+    ux = uy = 0.0
+    for dx, dy in d:  # a left fold: the builtin sum compensates from Python 3.12 on
+        ux, uy = ux + dx, uy + dy
     n = math.hypot(ux, uy)
     return n > 0.0 and all(dx * ux + dy * uy > 1e-12 * n for dx, dy in d)
 
@@ -453,14 +455,14 @@ class Edge:
 class Drawing:
     """A curvilinear drawing: curves, vertices, edges and path lists."""
 
-    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL):
+    def __init__(self, curves, vertices, edges, tol=DEFAULT_TOL, pi=None):
         self.curves = list(curves)
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         self.tol = tol
         # the largest distance by which a fitted curve misses what it stands for
         self.fit_error = 0.0
-        self.pi = self._build_pi()
+        self.pi = self._build_pi() if pi is None else pi
         self._rev_geom = {}
         self.geometry_table = None  # filled by regions.halfedge_table
 
@@ -510,9 +512,11 @@ class Drawing:
         return sorted(groups.values(), key=min)
 
     def subdrawing(self, vertex_ids, edge_ids):
+        """The drawing on some vertices and the edges between them; path lists filtered."""
         verts = {vid: self.vertices[vid] for vid in vertex_ids}
         edges = {eid: self.edges[eid] for eid in edge_ids}
-        sub = Drawing(self.curves, verts, edges, tol=self.tol)
+        pi = {vid: [se for se in self.pi[vid] if abs(se) in edges] for vid in verts}
+        sub = Drawing(self.curves, verts, edges, tol=self.tol, pi=pi)
         sub.fit_error = self.fit_error
         return sub
 

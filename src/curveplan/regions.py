@@ -57,87 +57,117 @@ def purge_dangling_nodes(drawing):
     """Remove dangling vertices (single incident non-loop edge) recursively.
 
     Isolated vertices (no incident edges at all) are dropped as well; they
-    cannot bound a region.  Returns a new drawing, the input is untouched.
-    """
-    keep_v, keep_e = set(drawing.vertices), set(drawing.edges)
-    while True:
-        incident = {vid: set() for vid in keep_v}
-        for eid in keep_e:
-            e = drawing.edges[eid]
-            incident[e.v_from].add(eid)
-            incident[e.v_to].add(eid)
-        dangling = [vid for vid, here in incident.items()
-                    if not here or len(here) == 1 and not drawing.edges[min(here)].is_loop]
-        if not dangling:
-            return drawing.subdrawing(keep_v, keep_e)
-        keep_v.difference_update(dangling)
-        keep_e.difference_update(*(incident[vid] for vid in dangling))
+    cannot bound a region.  A queue removes each once, with its edges, from
+    its neighbours' incident sets.  Returns a new drawing, the input is
+    untouched."""
+    edges, incident = drawing.edges, {vid: set() for vid in drawing.vertices}
+    for eid, e in edges.items():
+        incident[e.v_from].add(eid)
+        incident[e.v_to].add(eid)
+    queue = list(incident)  # each vertex, then each neighbour of one removed
+    while queue:
+        vid = queue.pop()
+        here = incident.get(vid)
+        if here is not None and (not here or len(here) == 1 and not edges[min(here)].is_loop):
+            for eid in incident.pop(vid):
+                for end in (edges[eid].v_from, edges[eid].v_to):
+                    if end in incident:
+                        incident[end].discard(eid)
+                        queue.append(end)
+    kept = [eid for eid, e in edges.items() if eid in incident.get(e.v_from, ())]
+    return drawing.subdrawing([vid for vid in drawing.vertices if vid in incident], kept)
 
 
 # ---------------------------------------------------------------------------
-# half-edge geometry table
+# half-edge table
 
 #: interior tangent samples per polynomial span for the turning number
 TURN_SAMPLES = 8
 
 
-class HalfEdgeTable:
-    """The geometry of every half-edge of one drawing, evaluated once.
+class _BySigned:
+    """A column read by signed half-edge id: ``get`` of its slot."""
 
-    By signed half-edge id: ``tangent`` (``tangent_into_interior`` at the
-    origin) and ``angle``, its atan2; ``curvature`` (``signed_curvature`` at
-    the origin); ``samples``, the tangent angles ``trail_turning`` sums: both
-    ends and TURN_SAMPLES per span, skipping vanishing derivatives.  By edge
-    id: ``area``, the Gauss-exact integral of x y' - y x' over the edge.  An
-    entry the scalar code cannot compute is None; ``_read`` re-runs it.  By
-    vertex, ``rotation``: the half-edges leaving it counterclockwise; by
-    half-edge, ``place`` there (its tie group's first member, its index) and
-    ``succ``, its successor as an arrival.
+    def __init__(self, slot, get):
+        self.slot, self.get = slot, get
+
+    def __getitem__(self, se):
+        return self.get(self.slot[se])
+
+
+class HalfEdgeTable:
+    """The geometry and rotation system of one drawing's half-edges.
+
+    Slot s holds half-edge ``ses[s]`` (a signed edge id) leaving vertex
+    ``origin[s]``; ``slot`` maps back, ``twin[s]`` is the twin's slot.  By
+    signed id, bit-equal to the scalar code or None where that raises
+    (``_read`` re-runs it): ``tangent`` (``tangent_into_interior`` at the
+    origin), ``angle``, its atan2, ``curvature``, ``samples`` (the tangent
+    angles a trail's turning sums: both ends and TURN_SAMPLES per span
+    without vanishing derivatives, slot s's at ``flat[cuts[s]:cuts[s + 1]]``)
+    and ``area`` (of x y' - y x' over the edge, Gauss-exact, negated for a
+    twin: ``areas``).  ``succ[s]``, the slot of arrival s's successor, is -1
+    while s ends at a vertex of ``pending`` (with an angle tie or a missing
+    angle) until ``_rotation`` orders it and fills ``place``.  Edges are
+    grouped by degree and knots; a twin's net is its edge's, flipped, on the
+    knots ``reversed`` gives.
     """
 
-    def __init__(self):
-        self.tangent, self.angle, self.curvature, self.samples, self.area = {}, {}, {}, {}, {}
-        self.rotation, self.place, self.succ = {}, {}, {}
+    def __init__(self, drawing):
+        edges, groups, jobs = drawing.edges, {}, {}
+        for eid, e in edges.items():
+            groups.setdefault((e.geometry.degree, e.geometry.knots.tobytes()), []).append(eid)
+        for (p, _), eids in groups.items():
+            knots, nets = edges[eids[0]].geometry.knots, [edges[i].geometry.ctrl for i in eids]
+            flipped, nets = knots[0] + knots[-1] - knots[::-1], np.array(nets)
+            for k, ids, net in ((knots, eids, nets), (flipped, [-i for i in eids], nets[:, ::-1])):
+                job = jobs.setdefault((p, k.tobytes()), (k, [], []))
+                job[1].extend(ids), job[2].append(net)
+        parts = [_fill_group(p, k, np.concatenate(nets)) for (p, _), (k, _, nets) in jobs.items()]
+        parts = parts or [_fill_group(1, np.array([0.0, 0.0, 1.0, 1.0]), np.empty((0, 2, 2)))]
+        unit, ok, areas, mids, count, curvature = (np.concatenate(c) for c in zip(*parts))
+        self.ses = [se for _, ids, _ in jobs.values() for se in ids]
+        self.origin = [edges[se].v_from if se > 0 else edges[-se].v_to for se in self.ses]
+        self.slot = slot = dict(zip(self.ses, range(len(self.ses))))
+        ses, twin = np.array(self.ses, int), np.array([slot[-se] for se in self.ses], int)
+        angle = [math.atan2(y, x) if k else None for (x, y), k in zip(unit.tolist(), ok.tolist())]
+        ends = [math.atan2(y, x) for x, y in (-unit[twin]).tolist()]  # the twin's, reversed
+        mid, angles = np.append(0, np.cumsum(count)), np.array(angle, float)  # None: nan
+        self.flat = flat = np.insert(mids, np.repeat(mid, 2)[1:-1], np.c_[angles, ends].ravel())
+        self.cuts = cuts = mid + 2 * np.arange(len(mid))
+        self.areas, good = np.where(ses > 0, areas, -areas[twin]), ok & ok[twin]
+        self.tangent = _BySigned(slot, lambda s: unit[s] if ok[s] else None)
+        self.samples = _BySigned(slot, lambda s: flat[cuts[s] : cuts[s + 1]] if good[s] else None)
+        self.angle, self.curvature, self.area = (
+            _BySigned(slot, c.__getitem__) for c in (angle, curvature, self.areas))
+        self.twin, self.place = twin.tolist(), {}
+        # the rotation system at every vertex without ties: each vertex's
+        # half-edges by angle, then signed id, as _rotation sorts them
+        at = np.array(self.origin, int)
+        order = np.lexsort((ses, angles, at))
+        at, angles, n = at[order], angles[order], len(order)
+        head = np.diff(at, prepend=at[:1] - 1) != 0  # each vertex's first
+        prev = np.arange(n) - 1
+        prev[head] = np.flatnonzero(np.append(head, True)[1:])  # cyclic: its last
+        fine = ~np.isin(at, at[~((angles - angles[prev]) % TWO_PI > ANGLE_TIE)])  # others wait
+        succ = np.full(n, -1)
+        succ[twin[order[fine]]] = order[prev[fine]]
+        self.succ, self.pending = succ.tolist(), set(at[~fine].tolist())
 
 
 def halfedge_table(drawing):
-    """The drawing's HalfEdgeTable, built on first use.
-
-    Half-edges are grouped by degree and knot vector, and each group is
-    evaluated by one stacked de Boor call per quantity over its nets (a
-    twin's net is its edge's, flipped, on the knots ``reversed`` gives),
-    with the per-element operations of the scalar code, so every entry is
-    bit-equal to it.  Edge geometry has the domain [0, 1], so the origin is
-    t = 0.
-    """
-    table = drawing.geometry_table
-    if table is None:
-        table = drawing.geometry_table = HalfEdgeTable()
-        groups, flipped = {}, {}
-        for eid, e in drawing.edges.items():
-            g = e.geometry
-            key = g.knots.tobytes()
-            if key not in flipped:
-                rk = g.knots[0] + g.knots[-1] - g.knots[::-1]
-                flipped[key] = rk, rk.tobytes()
-            rk, rkey = flipped[key]
-            groups.setdefault((g.degree, key), (g.knots, []))[1].append((eid, g.ctrl))
-            groups.setdefault((g.degree, rkey), (rk, []))[1].append((-eid, g.ctrl[::-1]))
-        mids = {}
-        for (p, _), (knots, members) in groups.items():
-            mids.update(_fill_group(table, p, knots, members))
-        for se, mid in mids.items():
-            t1 = table.tangent[-se]  # the twin's, reversed, ends the samples
-            ok = t1 is not None and table.angle[se] is not None
-            table.samples[se] = [table.angle[se], *mid, math.atan2(-t1[1], -t1[0])] if ok else None
-    return table
+    """The drawing's HalfEdgeTable, built on first use."""
+    if drawing.geometry_table is None:
+        drawing.geometry_table = HalfEdgeTable(drawing)
+    return drawing.geometry_table
 
 
-def _fill_group(table, p, knots, members):
-    """Fill the entries of (half-edge, control net) pairs of degree p on one
-    knot vector; returns their interior turning samples.  Only what has no
-    bit-equal array form runs per element: atan2, math.hypot, powers."""
-    nets = np.array([ctrl for _, ctrl in members])
+def _fill_group(p, knots, nets):
+    """Unit tangents at the origin and whether each is defined, areas,
+    interior turning samples (flat) and their count per net, and curvatures
+    of the control ``nets`` of degree p on ``knots``, stacked: one de Boor
+    call per quantity.  Only what has no bit-equal array form runs per
+    element: atan2, math.hypot, powers.  Edges have the domain [0, 1]."""
     k1, p1, hodo = derivative_data(knots, p, nets)
     k2, p2, hodo2 = derivative_data(k1, p1, hodo)
     nodes, weights = gauss01(p + 1)
@@ -153,27 +183,22 @@ def _fill_group(table, p, knots, members):
     terms = w * (pts[..., 0] * d[:, m + 1 :, 1] - pts[..., 1] * d[:, m + 1 :, 0])
     area = sum(terms.T, 0.0)  # node by node, in the scalar loop's order
 
-    lo, hi = nets.min(axis=1), nets.max(axis=1)
+    corners = np.ascontiguousarray(nets.transpose(1, 0, 2))  # faster to reduce
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
     scale = np.maximum(np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]), 1.0)
     norm, speed = _norms(v), np.hypot(v[:, 0], v[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = v / norm[:, None]
-    cross = (v[:, 0] * dd[:, 1] - v[:, 1] * dd[:, 0]).tolist()
-    # the scalar code's tests, NaN included; powers and atan2 per element
-    ok = (~(norm <= 1e-14 * scale)).tolist()
-    live, speed = (~(speed <= 1e-14 * scale)).tolist(), speed.tolist()
+    # the scalar code's tests, NaN included
+    cross, live = (v[:, 0] * dd[:, 1] - v[:, 1] * dd[:, 0]).tolist(), ~(speed <= 1e-14 * scale)
+    curvature = [c / s**3 if k else None for c, s, k in zip(cross, speed.tolist(), live.tolist())]
     # a segment's hodograph is one point, so its samples are all the same
     rep = TURN_SAMPLES if p1 == 0 and len(spans) == 1 else 1
-    floor, samples = (1e-13 * scale).tolist(), d[:, 1 : m + 2 - rep].tolist()
-    mids = {}
-    for i, ((se, _), (ux, uy)) in enumerate(zip(members, unit.tolist())):
-        table.tangent[se] = unit[i] if ok[i] else None
-        table.angle[se] = math.atan2(uy, ux) if ok[i] else None
-        table.curvature[se] = cross[i] / speed[i] ** 3 if live[i] else None
-        mids[se] = [math.atan2(y, x) for x, y in samples[i] if math.hypot(x, y) > floor[i]] * rep
-        if se > 0:
-            table.area[se] = area[i]
-    return mids
+    xy = d[:, 1 : m + 2 - rep].reshape(-1, 2).tolist()
+    keep = np.array([math.hypot(x, y) for x, y in xy]) > np.repeat(1e-13 * scale, m + 1 - rep)
+    angles = np.repeat(np.array([math.atan2(y, x) for x, y in xy])[keep], rep)
+    count = keep.reshape(-1, m + 1 - rep).sum(axis=1) * rep
+    return unit, ~(norm <= 1e-14 * scale), area, angles, count, np.array(curvature, object)
 
 
 def _tangent(drawing, se):
@@ -195,12 +220,12 @@ def _read(drawing, column, se, scalar):
 
 
 def _rotation(drawing, table, at):
-    """Order the half-edges leaving ``at`` counterclockwise, once: by angle,
-    cyclically, where neighbours within ANGLE_TIE join one group,
+    """Order the half-edges leaving a pending vertex ``at`` counterclockwise:
+    by angle, cyclically, where neighbours within ANGLE_TIE join one group,
     transitively, across the -pi/pi seam too, and each group runs by signed
     curvature ascending (curving left is counterclockwise); a curvature tie
-    is a hard error.  Fills ``rotation``, ``place`` and ``succ``."""
-    if at in table.rotation:
+    is a hard error.  Fills ``place`` and ``succ``."""
+    if at not in table.pending:
         return
     ring = sorted((_read(drawing, table.angle, se, _tangent), se) for se in drawing.pi[at])
     gaps = [(b - a) % TWO_PI for (a, _), (b, _) in zip(ring[-1:] + ring, ring)]
@@ -216,8 +241,9 @@ def _rotation(drawing, table, at):
         order += group
         firsts += group[:1] * len(group)
     table.place.update(zip(order, zip(firsts, range(len(order)))))
-    table.succ.update(zip([-se for se in order], order[-1:] + order[:-1]))
-    table.rotation[at] = order
+    for se, nxt in zip(order, order[-1:] + order[:-1]):
+        table.succ[table.slot[-se]] = table.slot[nxt]
+    table.pending.discard(at)
 
 
 def angle_between(drawing, arrival, candidate, at=None):
@@ -235,7 +261,7 @@ def angle_between(drawing, arrival, candidate, at=None):
 
 def _angle(drawing, table, arrival, candidate):
     _rotation(drawing, table, drawing.target(arrival))
-    (group, i), (twin_group, j) = table.place.get(candidate, (None, 0)), table.place[-arrival]
+    (group, i), (twin_group, j) = (table.place.get(se, (se, 0)) for se in (candidate, -arrival))
     if group == twin_group:  # by the place in the twin's tie group
         return 0.0 if i >= j else TWO_PI
     return (_read(drawing, table.angle, candidate, _tangent) - table.angle[-arrival]) % TWO_PI
@@ -253,11 +279,11 @@ def next_halfedge(drawing, at, arrival, unvisited):
     _check_incident(drawing, at, arrival, unvisited)
     table = halfedge_table(drawing)
     _rotation(drawing, table, at)
-    se = table.succ[arrival]
+    s = table.succ[table.slot[arrival]]
     for _ in drawing.pi[at]:
-        if se in unvisited:
-            return se
-        se = table.succ[-se]  # the next half-edge clockwise
+        if table.ses[s] in unvisited:
+            return table.ses[s]
+        s = table.succ[table.twin[s]]  # the next half-edge clockwise
     raise GeometryError(f"empty unvisited path list at vertex {at}")
 
 
@@ -270,20 +296,18 @@ def extract_regions(drawing):
     """
     purged = purge_dangling_nodes(drawing)
     table = halfedge_table(purged)
-    used, regions = set(), []
-    for vid in sorted(purged.vertices):
-        for start in purged.pi[vid]:
-            if start in used:
-                continue
-            trail, at, se = [], vid, start
-            while se not in used:
-                used.add(se)
-                trail.append((at, se))
-                at = purged.target(se)
-                if se not in table.succ:
-                    _rotation(purged, table, at)
-                se = table.succ[se]
-            regions.append(Region(trail=trail))
+    succ, ses, origin = table.succ, table.ses, table.origin
+    used, regions = [False] * len(ses), []
+    for start in [table.slot[se] for vid in sorted(purged.vertices) for se in purged.pi[vid]]:
+        trail, s = [], start
+        while not used[s]:
+            used[s] = True
+            trail.append(s)
+            if succ[s] < 0:
+                _rotation(purged, table, origin[table.twin[s]])
+            s = succ[s]
+        if trail:
+            regions.append(Region(trail=[(origin[s], ses[s]) for s in trail]))
     return RegionSet(regions=regions, outer=[], drawing=purged)
 
 
@@ -291,49 +315,43 @@ def extract_regions(drawing):
 # classification
 
 
-def _wrap_pi(x):
-    return (x + math.pi) % TWO_PI - math.pi
+def _folds(rows, terms, n):
+    """0.0 + t0 + t1 + ... over the terms of each of n rows (``rows`` names
+    each term's, ascending), added left to right as a scalar loop adds (not
+    pairwise as np.sum, nor compensated as the builtin sum from Python 3.12):
+    one cumsum along zero-padded rows.  A running total from +0.0 is never
+    -0.0, so the padding's +0.0 changes nothing."""
+    counts = np.bincount(rows, minlength=n)
+    grid = np.zeros((n, np.max(counts, initial=0) + 1))
+    grid[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] + 1] = terms
+    return np.cumsum(grid, axis=1)[:, -1]
 
 
-def trail_turning(drawing, trail):
-    """Total tangent turning around the trail, angles accumulated in [-pi, pi].
-
-    Equals +2pi for a counterclockwise region boundary and -2pi for the
-    clockwise walk around a component's outside.
-    """
-    table = halfedge_table(drawing)
-    total, prev = 0.0, None
-    for _, se in trail:
-        angles = _read(drawing, table.samples, se, lambda d, s: (_tangent(d, s), _tangent(d, -s)))
-        if prev is None:
-            first_start = angles[0]
-        else:
-            total += _corner(drawing, table, prev, se, angles[0] - prev_end)
-        for a0, a1 in zip(angles, angles[1:]):
-            if a1 != a0:  # a repeated sample turns by exactly 0
-                total += _wrap_pi(a1 - a0)
-        prev, prev_end = se, angles[-1]
-    return total + _corner(drawing, table, prev, trail[0][1], first_start - prev_end)
-
-
-def _corner(drawing, table, arrival, departure, turn):
-    """The turning ``turn`` at a corner, wrapped; a departure in the tie group
-    of the arrival's twin turns +pi if clockwise of the twin there, else -pi."""
-    turn = _wrap_pi(turn)
-    if abs(turn) < math.pi - 0.1:  # a tie group spans far less than 0.1 rad
-        return turn
-    score = _angle(drawing, table, arrival, departure)
-    return math.pi if score == TWO_PI else -math.pi if score == 0.0 else turn
-
-
-def region_signed_area(drawing, region):
-    """Signed area by the boundary integral (1/2) * contour(x dy - y dx)."""
-    area = halfedge_table(drawing).area
-    total = 0.0
-    for _, se in region.trail:
-        term = area[abs(se)]
-        total += term if se > 0 else -term
-    return 0.5 * total
+def _trail_sums(drawing, table, trails):
+    """Signed area and turning of each trail: half its half-edges' areas
+    summed (the boundary integral (1/2) * contour(x dy - y dx)), and the
+    differences of successive tangent samples around it, wrapped to [-pi,
+    pi], summed: +2pi for a counterclockwise region boundary, -2pi around a
+    component's outside.  At a corner of pi - 0.1 or more (a tie group
+    spans far less) a departure in the tie group of the arrival's twin turns
+    +pi if clockwise of the twin, -pi if counterclockwise."""
+    slots = np.array([table.slot[se] for trail in trails for _, se in trail], int)
+    counts = np.array([len(trail) for trail in trails], int)
+    row, tail = np.repeat(np.arange(len(trails)), counts), np.cumsum(counts) - 1
+    head = tail - counts + 1
+    areas = 0.5 * _folds(row, table.areas[slots], len(trails))
+    first, lens = table.cuts[slots], table.cuts[slots + 1] - table.cuts[slots]
+    ends = np.cumsum(lens)
+    angles = table.flat[np.arange(lens.sum()) + np.repeat(first - ends + lens, lens)]
+    after, nxt = np.arange(1, len(angles) + 1), np.arange(1, len(slots) + 1)
+    after[ends[tail] - 1], nxt[tail] = ends[head] - lens[head], head  # back to the first
+    turn = (angles[after] - angles + math.pi) % TWO_PI - math.pi
+    for p in np.flatnonzero(np.abs(turn[ends - 1]) >= math.pi - 0.1).tolist():
+        score = _angle(drawing, table, table.ses[slots[p]], table.ses[slots[nxt[p]]])
+        if score in (0.0, TWO_PI):
+            turn[ends[p] - 1] = math.pi if score == TWO_PI else -math.pi
+    keep = turn != 0.0  # a repeated sample turns by +0.0, a no-op
+    return areas.tolist(), _folds(np.repeat(row, lens)[keep], turn[keep], len(trails)).tolist()
 
 
 def classify_regions(region_set):
@@ -342,19 +360,17 @@ def classify_regions(region_set):
     The signed area is the primary classifier; the accumulated-angle turning
     number must agree in sign, otherwise the geometry is declared degenerate.
     """
-    drawing = region_set.drawing
+    drawing, regions = region_set.drawing, region_set.all_regions()
+    areas, turnings = _trail_sums(drawing, halfedge_table(drawing), [r.trail for r in regions])
     interior, outer = [], []
-    for region in region_set.all_regions():
-        area = region_signed_area(drawing, region)
-        turning = trail_turning(drawing, region.trail)
+    for region, area, turning in zip(regions, areas, turnings):
         rot = turning / TWO_PI
         if abs(rot - round(rot)) > 0.25 or round(rot) == 0 or (area > 0) != (rot > 0):
             raise GeometryError(
                 "region classifiers disagree: signed area "
                 f"{area:.3e} vs turning {turning:.3f}"
             )
-        region.signed_area = float(area)
-        region.turning = float(turning)
+        region.signed_area, region.turning = area, turning
         region.orientation = "interior" if area > 0 else "outer"
         (interior if area > 0 else outer).append(region)
     return RegionSet(regions=interior, outer=outer, drawing=drawing)
