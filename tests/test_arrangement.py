@@ -137,6 +137,19 @@ def test_self_intersection_overflow_is_not_an_overlap(monkeypatch):
     assert type(info.value) is GeometryError
 
 
+def test_injective_adds_the_net_differences_left_to_right():
+    # added left to right, the x differences cancel to 0.0 and every
+    # difference points down; a compensated sum (the builtin sum from
+    # Python 3.12 on) leaves -0.342, against which the last one points back
+    net = [
+        (0.343955334558234, 0.21272028717314972),
+        (0.0019356515434031678, -0.43108645001130363),
+        (-6793665709621873.0, -0.9228287905595522),
+        (0.011138407227351595, -0.9652733984304414),
+    ]
+    assert arrangement._injective(net)
+
+
 def test_square_drawing_counts():
     d = build_drawing(square_curves())
     assert len(d.vertices) == 4

@@ -92,6 +92,70 @@ def test_seam_loop_not_dangling():
     assert len(p.vertices) == 1 and len(p.edges) == 1
 
 
+def _purge_by_rounds(drawing):
+    """The round-based purge the queue replaced: each round rebuilds every
+    incident set and drops the dangling vertices with their edges; the
+    result's path lists are sorted anew."""
+    from curveplan.arrangement import Drawing
+
+    keep_v, keep_e = set(drawing.vertices), set(drawing.edges)
+    while True:
+        incident = {vid: set() for vid in keep_v}
+        for eid in keep_e:
+            e = drawing.edges[eid]
+            incident[e.v_from].add(eid)
+            incident[e.v_to].add(eid)
+        dangling = [vid for vid, here in incident.items()
+                    if not here or len(here) == 1 and not drawing.edges[min(here)].is_loop]
+        if not dangling:
+            return Drawing(drawing.curves, {vid: drawing.vertices[vid] for vid in keep_v},
+                           {eid: drawing.edges[eid] for eid in keep_e})
+        keep_v.difference_update(dangling)
+        keep_e.difference_update(*(incident[vid] for vid in dangling))
+
+
+@st.composite
+def _whisker_trees(draw):
+    """A unit square with trees of whiskers hung on its corners and on each
+    other; a whisker may carry a loop or a second edge to its parent (both
+    keep it and its path to the square), and some vertices are isolated."""
+    vertices = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}
+    edges = {k: (segment(vertices[k], vertices[k % 4 + 1]), k, k % 4 + 1) for k in range(1, 5)}
+    for kind in draw(st.lists(st.sampled_from(["whisker"] * 4 + ["loop", "double", "isolated"]),
+                              max_size=16)):
+        vid = len(vertices) + 1
+        vertices[vid] = (0.5 + 0.1 * vid, -0.1 * vid)
+        if kind == "isolated":
+            continue
+        parent = draw(st.integers(1, vid - 1))
+        for _ in range(1 + (kind == "double")):
+            edges[len(edges) + 1] = (segment(vertices[parent], vertices[vid]), parent, vid)
+        if kind == "loop":
+            p = np.asarray(vertices[vid])
+            loop = ParamCurve("bezier", [p, p + (0.05, -0.1), p + (0.1, -0.05), p])
+            edges[len(edges) + 1] = (loop, vid, vid)
+    return _hand_drawing(vertices, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_whisker_trees())
+def test_queue_purge_equals_round_purge_on_whisker_trees(drawing):
+    got, want = purge_dangling_nodes(drawing), _purge_by_rounds(drawing)
+    assert set(got.vertices) == set(want.vertices) and set(got.edges) == set(want.edges)
+    assert {1, 2, 3, 4} <= set(got.vertices)
+    assert got.pi == want.pi
+
+
+def test_purge_strips_a_long_chain_to_empty():
+    # a zig-zag of 4,000 segments meeting end to end is one path of 3,998
+    # edges; every vertex is stripped, from both ends inwards
+    pts = [(i / 4000, (i % 2) / 4000) for i in range(4001)]
+    d = build_drawing([segment(p, q) for p, q in zip(pts, pts[1:])])
+    assert len(d.edges) == 3998
+    p = purge_dangling_nodes(d)
+    assert len(p.vertices) == 0 and len(p.edges) == 0
+
+
 # -- angles ------------------------------------------------------------------
 
 
@@ -711,6 +775,21 @@ _curve = st.one_of(
 # a circle and an ellipse that touch tangentially near (0.07, 0.6) and share
 # their seam point (0.55, 0.6)
 @example([_closed_bspline(0.3, 0.6, 0.25, 0.25, 0.0), _closed_bspline(0.3, 0.6, 0.25, 0.125, 0.0)])
+# two quadratics leave (0.5, 0.5) to the left, at angles pi and -pi + 4e-10:
+# one tie group across the -pi/pi seam
+@example([
+    ParamCurve("bezier", [(0.5, 0.5), (0.25, 0.5), (0, 1)]),
+    ParamCurve("bezier", [(0.5, 0.5), (0.25, 0.5 - 1e-10), (0, 0)]),
+    segment((0.5, 0), (0.5, 1)),
+    segment((0, 0), (0, 1)),
+])
+# a whisker through the top side of a square, crossed once more: its end
+# vertex holds a single half-edge until the purge
+@example(square_curves(0.5) + [segment((0.25, 0.25), (0.25, 0.75)), segment((0.125, 0.625), (0.375, 0.625))])
+# two components
+@example(square_curves(0.25) + square_curves(0.25, origin=(0.5, 0.5)))
+# a closed quartic whose seam vertex has a vanishing tangent: both raise
+@example([ParamCurve("bezier", [(0.5, 0.5), (0.5, 0.5), (1, 0.75), (0.75, 1), (0.5, 0.5)])])
 def test_walk_and_table_equal_scalar_code_on_mixed_drawings(curves):
     drawing = _or_error(build_drawing, curves)
     if not isinstance(drawing, tuple):
