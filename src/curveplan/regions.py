@@ -132,7 +132,7 @@ class HalfEdgeTable:
         ses, twin = np.array(self.ses, int), np.array([slot[-se] for se in self.ses], int)
         angle = [math.atan2(y, x) if k else None for (x, y), k in zip(unit.tolist(), ok.tolist())]
         ends = [math.atan2(y, x) for x, y in (-unit[twin]).tolist()]  # the twin's, reversed
-        mid, angles = np.append(0, np.cumsum(count)), np.array(angle, float)  # None: nan
+        mid, angles = np.append(0, np.cumsum(count)), np.array(angle, float)
         self.flat = flat = np.insert(mids, np.repeat(mid, 2)[1:-1], np.c_[angles, ends].ravel())
         self.cuts = cuts = mid + 2 * np.arange(len(mid))
         self.areas, good = np.where(ses > 0, areas, -areas[twin]), ok & ok[twin]
@@ -141,15 +141,15 @@ class HalfEdgeTable:
         self.angle, self.curvature, self.area = (
             _BySigned(slot, c.__getitem__) for c in (angle, curvature, self.areas))
         self.twin, self.place = twin.tolist(), {}
-        # the rotation system at every vertex without ties: each vertex's
-        # half-edges by angle, then signed id, as _rotation sorts them
+        # each vertex's half-edges by angle, then signed id, as _rotation sorts them;
+        # a vertex with a gap <= ANGLE_TIE or a missing angle (nan) waits for it
         at = np.array(self.origin, int)
         order = np.lexsort((ses, angles, at))
         at, angles, n = at[order], angles[order], len(order)
         head = np.diff(at, prepend=at[:1] - 1) != 0  # each vertex's first
         prev = np.arange(n) - 1
         prev[head] = np.flatnonzero(np.append(head, True)[1:])  # cyclic: its last
-        fine = ~np.isin(at, at[~((angles - angles[prev]) % TWO_PI > ANGLE_TIE)])  # others wait
+        fine = ~np.isin(at, at[~((angles - angles[prev]) % TWO_PI > ANGLE_TIE)])
         succ = np.full(n, -1)
         succ[twin[order[fine]]] = order[prev[fine]]
         self.succ, self.pending = succ.tolist(), set(at[~fine].tolist())
