@@ -57,9 +57,8 @@ def purge_dangling_nodes(drawing):
     """Remove dangling vertices (single incident non-loop edge) recursively.
 
     Isolated vertices (no incident edges at all) are dropped as well; they
-    cannot bound a region.  A queue removes each once, with its edges, from
-    its neighbours' incident sets.  Returns a new drawing, the input is
-    untouched."""
+    cannot bound a region.  A queue removes each once, with its edges from
+    its neighbours' incident sets.  Returns a new drawing; input untouched."""
     edges, incident = drawing.edges, {vid: set() for vid in drawing.vertices}
     for eid, e in edges.items():
         incident[e.v_from].add(eid)
@@ -99,18 +98,17 @@ class HalfEdgeTable:
     """The geometry and rotation system of one drawing's half-edges.
 
     Slot s holds half-edge ``ses[s]`` (a signed edge id) leaving vertex
-    ``origin[s]``; ``slot`` maps back, ``twin[s]`` is the twin's slot.  By
-    signed id, bit-equal to the scalar code or None where that raises
-    (``_read`` re-runs it): ``tangent`` (``tangent_into_interior`` at the
-    origin), ``angle``, its atan2, ``curvature``, ``samples`` (the tangent
-    angles a trail's turning sums: both ends and TURN_SAMPLES per span
-    without vanishing derivatives, slot s's at ``flat[cuts[s]:cuts[s + 1]]``)
-    and ``area`` (of x y' - y x' over the edge, Gauss-exact, negated for a
-    twin: ``areas``).  ``succ[s]``, the slot of arrival s's successor, is -1
-    while s ends at a vertex of ``pending`` (with an angle tie or a missing
-    angle) until ``_rotation`` orders it and fills ``place``.  Edges are
-    grouped by degree and knots; a twin's net is its edge's, flipped, on the
-    knots ``reversed`` gives.
+    ``origin[s]``; ``slot`` maps back, ``twin[s]`` is the twin's slot.
+    Read by signed id, bit-equal to the scalar code or None where that
+    raises (``_read`` re-runs it): ``tangent`` (``tangent_into_interior``
+    at the origin), ``angle`` (its atan2), ``curvature``, ``samples`` (the
+    tangent angles a trail's turning sums, both ends and TURN_SAMPLES per
+    span without vanishing derivatives: ``flat[cuts[s]:cuts[s + 1]]``) and
+    ``area`` (the Gauss-exact integral of x y' - y x', negated for a twin:
+    ``areas``).  ``succ[s]`` is the slot of arrival s's successor, or -1
+    while s ends at a vertex of ``pending`` (with an angle tie or no angle),
+    which ``_rotation`` orders when reached.  Nets are stacked per degree
+    and knot vector; a twin's is its edge's, flipped.
     """
 
     def __init__(self, drawing):
@@ -124,7 +122,8 @@ class HalfEdgeTable:
                 job = jobs.setdefault((p, k.tobytes()), (k, [], []))
                 job[1].extend(ids), job[2].append(net)
         parts = [_fill_group(p, k, np.concatenate(nets)) for (p, _), (k, _, nets) in jobs.items()]
-        parts = parts or [_fill_group(1, np.array([0.0, 0.0, 1.0, 1.0]), np.empty((0, 2, 2)))]
+        parts = parts or [(np.empty((0, 2)), np.empty(0, bool), *np.empty((2, 0)), np.empty(0, int),
+                           np.empty(0, object))]  # no edges
         unit, ok, areas, mids, count, curvature = (np.concatenate(c) for c in zip(*parts))
         self.ses = [se for _, ids, _ in jobs.values() for se in ids]
         self.origin = [edges[se].v_from if se > 0 else edges[-se].v_to for se in self.ses]
@@ -132,24 +131,24 @@ class HalfEdgeTable:
         ses, twin = np.array(self.ses, int), np.array([slot[-se] for se in self.ses], int)
         angle = [math.atan2(y, x) if k else None for (x, y), k in zip(unit.tolist(), ok.tolist())]
         ends = [math.atan2(y, x) for x, y in (-unit[twin]).tolist()]  # the twin's, reversed
-        mid, angles = np.append(0, np.cumsum(count)), np.array(angle, float)
-        self.flat = flat = np.insert(mids, np.repeat(mid, 2)[1:-1], np.c_[angles, ends].ravel())
-        self.cuts = cuts = mid + 2 * np.arange(len(mid))
-        self.areas, good = np.where(ses > 0, areas, -areas[twin]), ok & ok[twin]
+        angles, self.cuts = np.array(angle, float), np.concatenate(([0], np.cumsum(count + 2)))
+        self.flat, inner, cuts = np.empty(self.cuts[-1]), np.ones(self.cuts[-1], bool), self.cuts
+        inner[cuts[:-1]] = inner[cuts[1:] - 1] = False
+        self.flat[cuts[:-1]], self.flat[cuts[1:] - 1], self.flat[inner] = angles, ends, mids
+        self.areas, good, flat = np.where(ses > 0, areas, -areas[twin]), ok & ok[twin], self.flat
         self.tangent = _BySigned(slot, lambda s: unit[s] if ok[s] else None)
         self.samples = _BySigned(slot, lambda s: flat[cuts[s] : cuts[s + 1]] if good[s] else None)
         self.angle, self.curvature, self.area = (
             _BySigned(slot, c.__getitem__) for c in (angle, curvature, self.areas))
         self.twin, self.place = twin.tolist(), {}
-        # each vertex's half-edges by angle, then signed id, as _rotation sorts them;
-        # a vertex with a gap <= ANGLE_TIE or a missing angle (nan) waits for it
+        # by vertex, angle, signed id as _rotation sorts; a tie or a nan angle waits for it
         at = np.array(self.origin, int)
         order = np.lexsort((ses, angles, at))
         at, angles, n = at[order], angles[order], len(order)
-        head = np.diff(at, prepend=at[:1] - 1) != 0  # each vertex's first
-        prev = np.arange(n) - 1
+        head = at != np.concatenate((at[:1] - 1, at[:-1]))  # each vertex's first
+        group, prev = np.cumsum(head) - 1, np.arange(n) - 1
         prev[head] = np.flatnonzero(np.append(head, True)[1:])  # cyclic: its last
-        fine = ~np.isin(at, at[~((angles - angles[prev]) % TWO_PI > ANGLE_TIE)])
+        fine = np.bincount(group, ~((angles - angles[prev]) % TWO_PI > ANGLE_TIE))[group] == 0
         succ = np.full(n, -1)
         succ[twin[order[fine]]] = order[prev[fine]]
         self.succ, self.pending = succ.tolist(), set(at[~fine].tolist())
@@ -316,11 +315,10 @@ def extract_regions(drawing):
 
 
 def _folds(rows, terms, n):
-    """0.0 + t0 + t1 + ... over the terms of each of n rows (``rows`` names
-    each term's, ascending), added left to right as a scalar loop adds (not
-    pairwise as np.sum, nor compensated as the builtin sum from Python 3.12):
-    one cumsum along zero-padded rows.  A running total from +0.0 is never
-    -0.0, so the padding's +0.0 changes nothing."""
+    """0.0 + t0 + t1 + ... over the terms of each of n rows (``rows``, ascending,
+    names each term's), added left to right like a scalar loop, not pairwise
+    (np.sum) nor compensated (the builtin sum from Python 3.12): one cumsum
+    along zero-padded rows, whose +0.0 cannot move a total begun at +0.0."""
     counts = np.bincount(rows, minlength=n)
     grid = np.zeros((n, np.max(counts, initial=0) + 1))
     grid[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] + 1] = terms
@@ -339,7 +337,6 @@ def _trail_sums(drawing, table, trails):
     counts = np.array([len(trail) for trail in trails], int)
     row, tail = np.repeat(np.arange(len(trails)), counts), np.cumsum(counts) - 1
     head = tail - counts + 1
-    areas = 0.5 * _folds(row, table.areas[slots], len(trails))
     first, lens = table.cuts[slots], table.cuts[slots + 1] - table.cuts[slots]
     ends = np.cumsum(lens)
     angles = table.flat[np.arange(lens.sum()) + np.repeat(first - ends + lens, lens)]
@@ -350,8 +347,10 @@ def _trail_sums(drawing, table, trails):
         score = _angle(drawing, table, table.ses[slots[p]], table.ses[slots[nxt[p]]])
         if score in (0.0, TWO_PI):
             turn[ends[p] - 1] = math.pi if score == TWO_PI else -math.pi
-    keep = turn != 0.0  # a repeated sample turns by +0.0, a no-op
-    return areas.tolist(), _folds(np.repeat(row, lens)[keep], turn[keep], len(trails)).tolist()
+    keep, n = turn != 0.0, len(trails)  # a repeated sample turns by +0.0, a no-op
+    rows = np.concatenate((row, n + np.repeat(row, lens)[keep]))  # areas, then turnings
+    sums = _folds(rows, np.concatenate((table.areas[slots], turn[keep])), 2 * n)
+    return (0.5 * sums[:n]).tolist(), sums[n:].tolist()
 
 
 def classify_regions(region_set):
@@ -361,7 +360,8 @@ def classify_regions(region_set):
     number must agree in sign, otherwise the geometry is declared degenerate.
     """
     drawing, regions = region_set.drawing, region_set.all_regions()
-    areas, turnings = _trail_sums(drawing, halfedge_table(drawing), [r.trail for r in regions])
+    trails = [r.trail for r in regions]
+    areas, turnings = _trail_sums(drawing, halfedge_table(drawing), trails) if trails else ([], [])
     interior, outer = [], []
     for region, area, turning in zip(regions, areas, turnings):
         rot = turning / TWO_PI
