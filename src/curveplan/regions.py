@@ -122,8 +122,7 @@ class HalfEdgeTable:
                 job = jobs.setdefault((p, k.tobytes()), (k, [], []))
                 job[1].extend(ids), job[2].append(net)
         parts = [_fill_group(p, k, np.concatenate(nets)) for (p, _), (k, _, nets) in jobs.items()]
-        parts = parts or [(np.empty((0, 2)), np.empty(0, bool), *np.empty((2, 0)), np.empty(0, int),
-                           np.empty(0, object))]  # no edges
+        parts = parts or [_fill_group(1, np.array([0.0, 0.0, 1.0, 1.0]), np.empty((0, 2, 2)))]
         unit, ok, areas, mids, count, curvature = (np.concatenate(c) for c in zip(*parts))
         self.ses = [se for _, ids, _ in jobs.values() for se in ids]
         self.origin = [edges[se].v_from if se > 0 else edges[-se].v_to for se in self.ses]
@@ -170,7 +169,7 @@ def _fill_group(p, knots, nets):
     k1, p1, hodo = derivative_data(knots, p, nets)
     k2, p2, hodo2 = derivative_data(k1, p1, hodo)
     nodes, weights = gauss01(p + 1)
-    brk = np.unique(knots[p : len(knots) - p])
+    brk = sorted(set(knots[p : len(knots) - p].tolist()))
     spans = list(zip(brk[:-1], brk[1:]))
     inner = [np.linspace(u0, u1, TURN_SAMPLES + 2)[1:-1] for u0, u1 in spans]
     ts = np.concatenate([u0 + (u1 - u0) * nodes for u0, u1 in spans])
@@ -294,6 +293,8 @@ def extract_regions(drawing):
     cycles, followed from its first half-edge in vertex order.
     """
     purged = purge_dangling_nodes(drawing)
+    if not purged.edges:
+        return RegionSet(regions=[], outer=[], drawing=purged)
     table = halfedge_table(purged)
     succ, ses, origin = table.succ, table.ses, table.origin
     used, regions = [False] * len(ses), []
@@ -320,7 +321,7 @@ def _folds(rows, terms, n):
     (np.sum) nor compensated (the builtin sum from Python 3.12): one cumsum
     along zero-padded rows, whose +0.0 cannot move a total begun at +0.0."""
     counts = np.bincount(rows, minlength=n)
-    grid = np.zeros((n, np.max(counts, initial=0) + 1))
+    grid = np.zeros((n, counts.max(initial=0) + 1))
     grid[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] + 1] = terms
     return np.cumsum(grid, axis=1)[:, -1]
 
@@ -328,11 +329,10 @@ def _folds(rows, terms, n):
 def _trail_sums(drawing, table, trails):
     """Signed area and turning of each trail: half its half-edges' areas
     summed (the boundary integral (1/2) * contour(x dy - y dx)), and the
-    differences of successive tangent samples around it, wrapped to [-pi,
-    pi], summed: +2pi for a counterclockwise region boundary, -2pi around a
-    component's outside.  At a corner of pi - 0.1 or more (a tie group
-    spans far less) a departure in the tie group of the arrival's twin turns
-    +pi if clockwise of the twin, -pi if counterclockwise."""
+    wrapped differences of successive tangent samples around it summed:
+    +2pi for a counterclockwise region boundary, -2pi around a component's
+    outside.  At a corner of pi - 0.1 or more (a tie group spans far less) a
+    departure in the tie group of the arrival's twin turns +pi if clockwise of it, else -pi."""
     slots = np.array([table.slot[se] for trail in trails for _, se in trail], int)
     counts = np.array([len(trail) for trail in trails], int)
     row, tail = np.repeat(np.arange(len(trails)), counts), np.cumsum(counts) - 1
