@@ -7,6 +7,7 @@ plain numpy data or a new curve.
 """
 
 import functools
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def find_span(knots, degree, t):
         while knots[i] == knots[i + 1]:
             i += 1
         return i
-    return int(np.searchsorted(knots, t, side="right")) - 1
+    return bisect_right(knots, t) - 1
 
 
 def find_spans(knots, degree, t):
@@ -147,10 +148,6 @@ def derivative_data(knots, degree, ctrl):
     return np.asarray(knots[1:-1], dtype=float), degree - 1, dctrl
 
 
-def _multiplicity(knots, t, tol):
-    return int(np.sum(np.abs(knots - t) <= tol))
-
-
 def _boehm_steps(kn, degree, pts, k, t, reps):
     """Insert the interior parameter t ``reps`` times in one pass (A5.1).
 
@@ -173,26 +170,33 @@ def _boehm_steps(kn, degree, pts, k, t, reps):
     return pts
 
 
-def split_bspline(knots, degree, ctrl, t):
-    """Split a clamped B-spline at t into two independent clamped curves."""
-    knots = np.asarray(knots, dtype=float)
-    ctrl = np.asarray(ctrl, dtype=float)
-    span_len = knots[-1] - knots[0]
-    snap = _KNOT_SNAP * max(span_len, 1.0)
-    near = knots[np.abs(knots - t) <= snap]
-    if len(near):
-        t = near[0]
-    reps = degree + 1 - _multiplicity(knots, t, snap)
+def _split_floats(knots, degree, pts, t):
+    """Split a clamped B-spline at t into two clamped pieces, on a float
+    list of knots, a list of (x, y) points and a float t; returns
+    ((knots, points), (knots, points)) as lists.
+
+    A t within the knot snap of a knot moves onto the first such knot; t is
+    then inserted by ``_boehm_steps`` up to multiplicity degree + 1.
+    """
+    snap = _KNOT_SNAP * max(knots[-1] - knots[0], 1.0)
+    t = next((k for k in knots if abs(k - t) <= snap), t)
+    reps = degree + 1 - sum(abs(k - t) <= snap for k in knots)
     if reps > 0:
         k = find_span(knots, degree, t)
-        ctrl = np.array(_boehm_steps(knots.tolist(), degree, ctrl.tolist(), k, float(t), reps))
-        knots = np.concatenate((knots[: k + 1], np.full(reps, float(t)), knots[k + 1 :]))
-    j = int(np.searchsorted(knots, t - snap, side="left"))
+        pts = _boehm_steps(knots, degree, pts, k, t, reps)
+        knots = knots[: k + 1] + [t] * reps + knots[k + 1 :]
+    j = bisect_left(knots, t - snap)
     while abs(knots[j] - t) > snap:
         j += 1
-    left = (knots[: j + degree + 1].copy(), ctrl[:j].copy())
-    right = (knots[j:].copy(), ctrl[j:].copy())
-    return left, right
+    return (knots[: j + degree + 1], pts[:j]), (knots[j:], pts[j:])
+
+
+def split_bspline(knots, degree, ctrl, t):
+    """Split a clamped B-spline at t into two independent clamped curves:
+    ``_split_floats`` on arrays."""
+    ctrl = np.asarray(ctrl, dtype=float)
+    pieces = _split_floats(np.asarray(knots, dtype=float).tolist(), degree, ctrl.tolist(), float(t))
+    return tuple((np.array(k), np.array(p).reshape(-1, *ctrl.shape[1:])) for k, p in pieces)
 
 
 @functools.cache
@@ -264,6 +268,8 @@ class ParamCurve:
                 raise SchemaError(
                     "knot count must equal control count + degree + 1", field="knots"
                 )
+            if not np.all(np.isfinite(knots)):
+                raise SchemaError("knots must be finite", field="knots")
             if np.any(np.diff(knots) < 0):
                 raise SchemaError("knots must be non-decreasing", field="knots")
             if np.any(knots[: degree + 1] != knots[0]) or np.any(knots[-degree - 1 :] != knots[-1]):
@@ -429,22 +435,23 @@ class ParamCurve:
             cur = self._restricted_span(float(t_lo), float(t_hi), snap)
             if cur is not None:
                 return cur
-        knots, ctrl = self.knots, self.ctrl
+        knots, pts = self.knots.tolist(), self.ctrl.tolist()
         if t_lo > a + snap:
-            (_, _), (knots, ctrl) = split_bspline(knots, self.degree, ctrl, t_lo)
+            _, (knots, pts) = _split_floats(knots, self.degree, pts, float(t_lo))
         if t_hi < b - snap:
-            (knots, ctrl), (_, _) = split_bspline(knots, self.degree, ctrl, t_hi)
+            (knots, pts), _ = _split_floats(knots, self.degree, pts, float(t_hi))
         lo, hi = knots[0], knots[-1]
         if not hi > lo:  # both ends snapped onto one knot
             raise GeometryError("restriction interval is narrower than the knot snap")
-        knots = (knots - lo) / (hi - lo)
-        return self._rewrap(knots, ctrl, allow_c0=self.reduced_continuity)
+        knots = (np.array(knots) - lo) / (hi - lo)
+        return self._rewrap(knots, np.array(pts), allow_c0=self.reduced_continuity)
 
     def _restricted_span(self, t_lo, t_hi, snap):
         """``restricted`` of a one-span curve by the Boehm steps of
-        split_bspline on its float net, skipping its array round trips and
-        checks (a segment's two written out, same float operations); None
-        where split_bspline would snap a split onto an end.  The piece keeps its net."""
+        _split_floats on its float net, skipping its list building and the
+        checked constructor (a segment's two written out, same float
+        operations); None where _split_floats would snap a split onto an
+        end.  The piece keeps its net."""
         a, b = self.domain
         d, pts, lo = self.degree, self.nets()[0][2], a
         for t, right in ((t_lo, True), (t_hi, False)):

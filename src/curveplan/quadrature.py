@@ -261,8 +261,13 @@ class Wedge(Tile):
     def __init__(self, center, piece):
         self.center = center = np.asarray(center, dtype=float)
         ends = (piece.ctrl[0], piece.ctrl[-1], center)
-        south, north, west = (trusted_bezier(np.array([center, q])) for q in ends)
-        super().__init__(south=south, east=piece, north=north, west=west)
+        self.south, self.north, self.west = (trusted_bezier(np.array([center, q])) for q in ends)
+        self.east = piece
+        if len(piece.knots) != 2 * piece.degree + 2 or piece.domain != (0.0, 1.0):
+            raise TileError("tile side is not one polynomial span on [0, 1]", tile=self)
+        # the corners are the ends of the sides built here, so they meet
+        self.c00, self.c10 = self.south.ctrl
+        self.c01, self.c11 = self.north.ctrl
 
     def _kernel(self):
         return _wedge_grids, (self.east.ctrl, self.center[None])

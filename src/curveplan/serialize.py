@@ -145,11 +145,11 @@ def space_from_dict(data, where="spline"):
     degrees = _require(data, "degrees", list, where)
     if len(degrees) != 2:
         raise SchemaError(f"{where}: degrees must be a pair", field="degrees")
-    return TensorSplineSpace(
-        (int(degrees[0]), int(degrees[1])),
-        _require(data, "knots_u", list, where),
-        _require(data, "knots_v", list, where),
-    )
+    knots_u, knots_v = _require(data, "knots_u", list, where), _require(data, "knots_v", list, where)
+    try:
+        return TensorSplineSpace((int(degrees[0]), int(degrees[1])), knots_u, knots_v)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}", field=exc.field) from None
 
 
 def map_from_dict(data, where="map"):

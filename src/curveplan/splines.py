@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import build_drawing, intersect_curve_pair
+from .arrangement import _apart, _box, build_drawing, intersect_curve_pair
 from .curves import (
     ParamCurve,
     _norms,
@@ -52,6 +52,8 @@ class TensorSplineSpace:
         for name, t, d in (("knots_u", self.tu, self.du), ("knots_v", self.tv, self.dv)):
             if len(t) < 2 * (d + 1):
                 raise SchemaError(f"{name}: too few knots for degree {d}", field=name)
+            if not np.all(np.isfinite(t)):
+                raise SchemaError(f"{name}: knots must be finite", field=name)
             if np.any(np.diff(t) < 0):
                 raise SchemaError(f"{name}: knots must be non-decreasing", field=name)
             if t[0] != 0.0 or t[-1] != 1.0:
@@ -415,19 +417,27 @@ def _inside_arcs(T1, gammas):
     of T1's boundary curves: at the ends of a stretch where they run
     together (``_shared_cuts``, maps that share a boundary), else at the
     hits of ``intersect_curve_pair`` at T1's inversion tolerance, whose
-    errors propagate.  The midpoints of all pieces are inverted in one
-    batch, and consecutive inside pieces join into one arc.
+    errors propagate.  A pair whose boxes lie farther apart than that
+    tolerance meets in neither, unless both are segments: their closed form
+    can report a touch just past the pad.  The midpoints of all pieces are
+    inverted in one batch, and consecutive inside pieces join into one arc.
     """
     tol = T1.invert_tol
-    walls = [w for c in boundary_curves(T1) for w in c.spans()]
+    walls = [(w, _box(w.nets()[0][2])) for c in boundary_curves(T1) for w in c.spans()]
     cuts = []
     for gamma in gammas:
         brk = gamma.breakpoints()
         ts = list(brk)
         for u0, u1, span in zip(brk[:-1], brk[1:], gamma.spans()):
             s0, s1 = span.domain
-            for wall in walls:
-                local = _shared_cuts(span, wall, tol)
+            box = _box(span.nets()[0][2])
+            for wall, wall_box in walls:
+                if not _apart(box, wall_box, tol):
+                    local = _shared_cuts(span, wall, tol)
+                elif span.kind == wall.kind == "segment":
+                    local = None
+                else:
+                    continue
                 if local is None:
                     local = [h.t_a for h in intersect_curve_pair(span, wall, tol)]
                 ts += [u0 + (t - s0) * ((u1 - u0) / (s1 - s0)) for t in local]

@@ -106,6 +106,42 @@ def test_malformed_knots_exit_2(tmp_path, capsys):
     assert err["error"]["field"] == "knots"
 
 
+_NAN_KNOTS = [0, 0, 0, float("nan"), 1, 1, 1]
+_INF_KNOTS = [0, 0, 0, 0.5, float("inf"), float("inf"), float("inf")]
+
+
+@pytest.mark.parametrize("knots", [_NAN_KNOTS, _INF_KNOTS], ids=["nan", "infinity"])
+def test_non_finite_curve_knots_exit_2_name_their_curve(tmp_path, capsys, knots):
+    # Python's json reads NaN and Infinity; a segment crosses the curve
+    bad = tmp_path / "knots.json"
+    bad.write_text(json.dumps({
+        "curves": [
+            {"kind": "bspline", "degree": 2, "knots": knots,
+             "points": [[0, 0], [0.3, 1], [0.7, 1], [1, 0]]},
+            {"kind": "segment", "points": [[0.5, -1], [0.5, 2]]},
+        ]
+    }))
+    code = run(["extract", "--input", str(bad), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "SchemaError" and err["field"] == "knots"
+    assert "curves[0]" in err["message"] and "finite" in err["message"]
+
+
+def test_non_finite_map_knots_exit_2_name_their_map(tmp_path, capsys):
+    with open(f"{FIXTURES}/quasi_target.json", encoding="utf-8") as fh:
+        target = json.load(fh)
+    target["map"]["knots_u"] = [0, 0, float("nan"), 1, 1]
+    bad = tmp_path / "target.json"
+    bad.write_text(json.dumps(target))
+    code = run(["quasi-interp", "--source", f"{FIXTURES}/quasi_source.json", "--target", str(bad),
+                "--mode", "llm", "--out", str(tmp_path / "q.json")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "SchemaError" and err["field"] == "knots_u"
+    assert "target.map" in err["message"] and "finite" in err["message"]
+
+
 def test_degree_zero_map_exit_2(tmp_path, capsys):
     bad = tmp_path / "map0.json"
     bad.write_text(json.dumps({

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from curveplan.curves import (
     ParamCurve,
+    concatenate_curves,
     deboor_point,
     derivative,
     evaluate,
@@ -240,20 +241,23 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+_COORDS = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+_SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0]), _COORDS)
+
+
 @st.composite
-def _clamped_curves(draw):
+def _clamped_curves(draw, min_interior=0, coords=_COORDS):
     """Clamped B-splines of degree 1-5 with interior knots of multiplicity
     up to the degree (as in seam concatenations), on shifted domains."""
     degree = draw(st.integers(1, 5))
     a = draw(st.sampled_from([0.0, -1.5, 0.3]))
     b = a + draw(st.sampled_from([1.0, 0.25, 3.0]))
-    fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
+    fracs = draw(st.lists(st.floats(0.01, 0.99), min_size=min_interior, max_size=4))
     vals = np.unique([a + (b - a) * f for f in fracs])
     vals = vals[(vals > a) & (vals < b)]
     mults = draw(st.lists(st.integers(1, degree), min_size=len(vals), max_size=len(vals)))
     knots = [a] * (degree + 1) + list(np.repeat(vals, mults)) + [b] * (degree + 1)
     n = len(knots) - degree - 1
-    coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
     ctrl = draw(arrays(np.float64, (n, 2), elements=coords))
     return ParamCurve("bspline", ctrl, degree=degree, knots=knots, _allow_c0=True)
 
@@ -346,16 +350,16 @@ def test_split_equals_repeated_boehm_insertion(curve_and_t):
         assert _same_bits(gk, wk) and _same_bits(gc, wc)
 
 
-def _restricted_reference(curve, t_lo, t_hi):
-    """ParamCurve.restricted by split_bspline alone, as before the one-span
+def _restricted_reference(curve, t_lo, t_hi, split=split_bspline):
+    """ParamCurve.restricted by ``split`` alone, as before the one-span
     path: both splits, then the knots rescaled to [0, 1]."""
     a, b = curve.domain
     snap = 1e-12 * max(b - a, 1.0)
     knots, ctrl = curve.knots, curve.ctrl
     if t_lo > a + snap:
-        (_, _), (knots, ctrl) = split_bspline(knots, curve.degree, ctrl, t_lo)
+        (_, _), (knots, ctrl) = split(knots, curve.degree, ctrl, t_lo)
     if t_hi < b - snap:
-        (knots, ctrl), (_, _) = split_bspline(knots, curve.degree, ctrl, t_hi)
+        (knots, ctrl), (_, _) = split(knots, curve.degree, ctrl, t_hi)
     if not knots[-1] > knots[0]:
         raise GeometryError("restriction interval is narrower than the knot snap")
     knots = (knots - knots[0]) / (knots[-1] - knots[0])
@@ -377,8 +381,7 @@ def _one_span_restrictions(draw):
     degree = draw(st.integers(1, 5))
     a = draw(st.sampled_from([0.0, -1.5, 0.3]))
     b = a + draw(st.sampled_from([1.0, 0.25, 3.0]))
-    coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
-    ctrl = draw(arrays(np.float64, (degree + 1, 2), elements=coords))
+    ctrl = draw(arrays(np.float64, (degree + 1, 2), elements=_COORDS))
     if a == 0.0 and b == 1.0 and draw(st.booleans()):
         curve = ParamCurve("segment" if degree == 1 else "bezier", ctrl, degree=degree)
     else:
@@ -415,6 +418,39 @@ def test_one_span_restriction_equals_split_bspline(case):
     curve, t_lo, t_hi = case
     got = _curve_or_error(curve.restricted, t_lo, t_hi)
     assert got == _curve_or_error(_restricted_reference, curve, t_lo, t_hi)
+
+
+@st.composite
+def _multi_span_restrictions(draw):
+    """Multi-span curves, with signed zeros among their coordinates and C0
+    joins by ``concatenate_curves`` among them, and restriction intervals
+    with ends on breakpoints, within their knot snap and just outside it."""
+    curve = draw(_clamped_curves(min_interior=1, coords=_SIGNED_ZEROS))
+    if draw(st.booleans()):
+        d = curve.degree
+        tail = draw(arrays(np.float64, (d, 2), elements=_SIGNED_ZEROS))
+        curve = concatenate_curves(curve, ParamCurve("bezier", np.vstack([curve.ctrl[-1:], tail])))
+    a, b = curve.domain
+    snap = 1e-12 * max(b - a, 1.0)
+    brk = curve.breakpoints().tolist()
+    near = [k + f * snap for k in brk for f in (-2.0, -0.5, 0.5, 2.0)]
+    ts = st.one_of(st.floats(a, b), st.sampled_from(brk), st.sampled_from(near))
+    t_lo, t_hi = sorted(draw(st.lists(ts, min_size=2, max_size=2)))
+    assume(a - snap <= t_lo < t_hi <= b + snap)  # restricted checks these first
+    return curve, t_lo, t_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multi_span_restrictions())
+# both ends within the snap of one interior knot, and of its neighbours
+@example((ParamCurve("bspline", [(0, -0.0), (1, 2), (-0.0, 3), (4, 0)], degree=2,
+                     knots=[0, 0, 0, 0.5, 1, 1, 1]), 0.5 - 0.5 * _SNAP, 0.5 + 0.5 * _SNAP))
+@example((ParamCurve("bspline", [(0, -0.0), (1, 2), (-0.0, 3), (4, 0)], degree=2,
+                     knots=[0, 0, 0, 0.5, 1, 1, 1]), 0.5 + 0.5 * _SNAP, 1.0 - 0.5 * _SNAP))
+def test_multi_span_restriction_equals_repeated_boehm_insertion(case):
+    curve, t_lo, t_hi = case
+    got = _curve_or_error(curve.restricted, t_lo, t_hi)
+    assert got == _curve_or_error(_restricted_reference, curve, t_lo, t_hi, _split_reference)
 
 
 def test_sub_snap_restriction_raises_geometry_error():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from curveplan import arrangement, splines
 from curveplan.curves import ParamCurve, basis_row, basis_rows, derivative_data, find_span
-from curveplan.errors import FitError, GeometryError, InversionError
+from curveplan.errors import CurveplanError, FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01, tile_region
 from curveplan.regions import extract_and_classify
 from curveplan.splines import (
@@ -506,6 +506,108 @@ def test_cold_batched_probing_loses_no_coverage(name, T1, T2):
         want = reference_inside_arcs(T1, gamma)
         assert len(arcs) == len(want), (name, arcs, want)
         assert np.allclose(arcs, want, rtol=0.0, atol=1e-10), (name, arcs, want)
+
+
+def _all_pairs_inside_arcs(T1, gammas):
+    """``splines._inside_arcs`` with every span tested against every wall,
+    as before pairs whose boxes lie apart were skipped."""
+    tol = T1.invert_tol
+    walls = [w for c in boundary_curves(T1) for w in c.spans()]
+    cuts = []
+    for gamma in gammas:
+        brk = gamma.breakpoints()
+        ts = list(brk)
+        for u0, u1, span in zip(brk[:-1], brk[1:], gamma.spans()):
+            s0, s1 = span.domain
+            for wall in walls:
+                local = splines._shared_cuts(span, wall, tol)
+                if local is None:
+                    local = [h.t_a for h in arrangement.intersect_curve_pair(span, wall, tol)]
+                ts += [u0 + (t - s0) * ((u1 - u0) / (s1 - s0)) for t in local]
+        cuts.append(np.unique(ts))
+    mids = [g.point(0.5 * (t[:-1] + t[1:])) for g, t in zip(gammas, cuts)]
+    ok = np.split(invert_points(T1, np.concatenate(mids))[1], np.cumsum([len(m) for m in mids]))
+    arcs = []
+    for gamma, t, inside in zip(gammas, cuts, ok):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], inside, [0])).astype(int)))
+        a, b = gamma.domain
+        arcs.append([
+            (float(t[i]), float(t[j]))
+            for i, j in zip(edges[::2], edges[1::2])
+            if t[j] - t[i] > 1e-9 * (b - a)
+        ])
+    return arcs
+
+
+def _arcs_or_error(inside_arcs, T1, gammas):
+    try:
+        return repr(inside_arcs(T1, gammas))  # repr keeps signed zeros
+    except CurveplanError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_arcs_equal_all_pairs(T1, gammas):
+    got = _arcs_or_error(splines._inside_arcs, T1, gammas)
+    assert got == _arcs_or_error(_all_pairs_inside_arcs, T1, gammas)
+
+
+@pytest.mark.parametrize("name, T1, T2", list(_coverage_pairs()))
+def test_inside_arcs_equal_all_pairs(name, T1, T2):
+    _assert_arcs_equal_all_pairs(T1, knot_iso_curves(T2) + boundary_curves(T2))
+
+
+def test_inside_arcs_keep_segment_touches_past_the_box_pad():
+    # a segment parallel to T1's bottom wall, 0.9 tol outside it, starts
+    # just past the wall's end: the padded boxes lie apart, yet the closed
+    # form of two segments reports a touch, at a parameter before 0
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), transform=lambda u, v: (c * u - s * v, s * u + c * v))
+    tol = T1.invert_tol
+    wall = boundary_curves(T1)[0].spans()[1]
+    end, d = wall.ctrl[-1], np.array([c, s])
+    start = end + 0.585 * tol * d + 0.9 * tol * np.array([s, -c])
+    gamma = ParamCurve("segment", [start, start + 0.5 * d])
+    assert wall.kind == gamma.kind == "segment"
+    assert arrangement._apart(arrangement._box(gamma.nets()[0][2]), arrangement._box(wall.nets()[0][2]), tol)
+    assert arrangement.intersect_curve_pair(gamma, wall, tol)
+    _assert_arcs_equal_all_pairs(T1, [gamma])
+
+
+@st.composite
+def _bilinear_pairs_on_a_line(draw):
+    """T1 bilinear on the unit square; T2 one bilinear box on 1-3 elements
+    per direction with a side on the line of T1's bottom, that side
+    shorter or longer than T1's, turned to another side of T1 by quarter
+    turns, and both maps in one turned frame."""
+    knots = st.sampled_from([(), (0.5,), (0.3, 0.7)])
+    ku1, kv1, ku2, kv2 = (draw(knots) for _ in range(4))
+    x0 = draw(st.floats(-0.5, 0.9))
+    x1 = x0 + draw(st.floats(0.05, 1.5))
+    h = draw(st.floats(0.05, 0.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    y0, y1 = min(0.0, h), max(0.0, h)
+    turns = draw(st.integers(0, 3))
+    angle = draw(st.sampled_from([0.0, np.pi / 4, 0.6]))
+    c, s = np.cos(angle), np.sin(angle)
+
+    def frame(x, y):
+        return c * x - s * y, s * x + c * y
+
+    def box(u, v):
+        x, y = x0 + (x1 - x0) * u, y0 + (y1 - y0) * v
+        for _ in range(turns):  # a quarter turn about the square's centre
+            x, y = 1.0 - y, x
+        return frame(x, y)
+
+    T1 = make_map(knots_u=(0, 0, *ku1, 1, 1), knots_v=(0, 0, *kv1, 1, 1), transform=frame)
+    T2 = make_map(knots_u=(0, 0, *ku2, 1, 1), knots_v=(0, 0, *kv2, 1, 1), transform=box)
+    return T1, T2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bilinear_pairs_on_a_line())
+def test_inside_arcs_of_bilinear_pairs_on_a_line_equal_all_pairs(pair):
+    T1, T2 = pair
+    _assert_arcs_equal_all_pairs(T1, knot_iso_curves(T2) + boundary_curves(T2))
 
 
 # -- iso curves and pull-back ---------------------------------------------------
