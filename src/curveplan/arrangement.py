@@ -92,12 +92,13 @@ def _segment_segment(a, b, tol):
             raise OverlapError("collinear segments overlap over an interval")
         if ohi < olo - tol / l1:
             return []
-        s = 0.5 * (olo + ohi)
-        t = (s - s0) / (s1 - s0)
+        # across a gap the middle lies past both: the clamped points decide
+        s = min(max(0.5 * (olo + ohi), 0.0), 1.0)
+        t = min(max((s - s0) / (s1 - s0), 0.0), 1.0)
         ax, ay = p0x + s * d1x, p0y + s * d1y
         if math.hypot(ax - (q0x + t * d2x), ay - (q0y + t * d2y)) > tol:
             return []
-        return [IntersectionHit(s, min(max(t, 0.0), 1.0), np.array([ax, ay]), tangential=True)]
+        return [IntersectionHit(s, t, np.array([ax, ay]), tangential=True)]
     s = (ox * d2y - oy * d2x) / denom
     t = (ox * d1y - oy * d1x) / denom
     if not (-tol / l1 <= s <= 1 + tol / l1 and -tol / l2 <= t <= 1 + tol / l2):

@@ -129,6 +129,13 @@ def deboor_points(knots, degree, ctrl, t):
     return d[..., degree, :]
 
 
+def _distinct(t):
+    """The distinct values of a sorted 1-d array, the first of each run of
+    equal values: ``np.unique`` without its sort, whose first call imports
+    ``numpy.ma``."""
+    return np.concatenate((t[:1], t[1:][t[1:] != t[:-1]]))
+
+
 def _norms(r):
     """Norms of the rows of an (n, 2) array, each the root of a BLAS dot as
     in ``np.linalg.norm`` of one row; ``axis=1`` would round differently."""
@@ -303,10 +310,10 @@ class ParamCurve:
         interior = knots[degree + 1 : -degree - 1]
         if len(interior) == 0:
             return False
-        vals, counts = np.unique(interior, return_counts=True)
+        vals = _distinct(interior)
         if np.any(vals <= knots[0]) or np.any(vals >= knots[-1]):
             raise SchemaError("interior knots must be strictly inside the domain", field="knots")
-        max_mult = int(counts.max())
+        max_mult = int(np.diff(np.searchsorted(interior, vals, side="right"), prepend=0).max())
         if max_mult > degree:
             raise SchemaError("interior knot multiplicity exceeds degree", field="knots")
         if allow_c0:
@@ -326,7 +333,7 @@ class ParamCurve:
         return len(self.ctrl)
 
     def interior_knots(self):
-        return np.unique(self.knots[self.degree + 1 : -self.degree - 1])
+        return _distinct(self.knots[self.degree + 1 : -self.degree - 1])
 
     def breakpoints(self):
         """Unique knot values spanning the domain (polynomial piece bounds)."""
@@ -334,7 +341,7 @@ class ParamCurve:
             brk = self.knots[self.degree : len(self.knots) - self.degree]
             # one span (2 degree + 2 knots): the two domain ends are unique
             one = len(brk) == 2 and brk[0] < brk[1]
-            self._brk = brk.copy() if one else np.unique(brk)
+            self._brk = brk.copy() if one else _distinct(brk)
             self._brk.flags.writeable = False
         return self._brk
 
@@ -470,7 +477,7 @@ class ParamCurve:
         return trusted_bezier(np.array(pts), tuple(map(tuple, pts)))
 
     def _rewrap(self, knots, ctrl, allow_c0=False):
-        if len(np.unique(knots)) == 2:  # single polynomial piece
+        if np.all((knots == knots[0]) | (knots == knots[-1])):  # single polynomial piece
             return trusted_bezier(ctrl)
         return ParamCurve("bspline", ctrl, degree=self.degree, knots=knots, _allow_c0=allow_c0)
 

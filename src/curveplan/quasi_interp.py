@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import basis_rows
+from .curves import _distinct, basis_rows
 from .errors import GeometryError
 from .quadrature import gauss01
 from .splines import SplineFunc2D, _coupling_blocks, composed_field
@@ -41,7 +41,7 @@ def _span_gram_1d(knots, degree):
     """Per-span Gram blocks: list of (u0, u1, first_dof, (d+1)x(d+1) block)."""
     nodes, weights = gauss01(degree + 1)
     out = []
-    brk = np.unique(knots)
+    brk = _distinct(knots)
     for u0, u1 in zip(brk[:-1], brk[1:]):
         first, vals = basis_rows(knots, degree, u0 + (u1 - u0) * nodes)
         block = (vals.T * (weights * (u1 - u0))) @ vals

@@ -11,10 +11,12 @@ curvilinear drawing whose regions are single knot elements of both spaces.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arrangement import _apart, _box, build_drawing, intersect_curve_pair
 from .curves import (
     ParamCurve,
+    _distinct,
     _norms,
     basis_row,
     basis_rows,
@@ -68,16 +70,16 @@ class TensorSplineSpace:
         return (self.du, self.dv)
 
     def breakpoints_u(self):
-        return np.unique(self.tu)
+        return _distinct(self.tu)
 
     def breakpoints_v(self):
-        return np.unique(self.tv)
+        return _distinct(self.tv)
 
     def interior_knots_u(self):
-        return np.unique(self.tu[self.du + 1 : -self.du - 1])
+        return _distinct(self.tu[self.du + 1 : -self.du - 1])
 
     def interior_knots_v(self):
-        return np.unique(self.tv[self.dv + 1 : -self.dv - 1])
+        return _distinct(self.tv[self.dv + 1 : -self.dv - 1])
 
     def elements(self):
         """All knot elements as (iu, iv, (u0, u1, v0, v1))."""
@@ -151,6 +153,7 @@ class SplineMap2D:
         if not np.all(np.isfinite(self.ctrl)):
             raise SchemaError("control net must be finite", field="control")
         self.ctrl.flags.writeable = False
+        self.box = self.ctrl.reshape(-1, 2).min(axis=0), self.ctrl.reshape(-1, 2).max(axis=0)
         nu, nv = space.nu, space.nv
         # hodographs as (knots, degree, net): dT/du on the knots_u side,
         # dT/dv on the knots_v side
@@ -170,6 +173,9 @@ class SplineMap2D:
         self.seed_points = self.point(uu, vv).reshape(-1, 2)
 
     def _check_jacobian_sign(self):
+        """GeometryError unless det J > 0, by certificate or on the sampled grid."""
+        if _jacobian_certified(self):
+            return
         us, vs = [], []
         for brk, d, acc in (
             (self.space.breakpoints_u(), self.space.du, us),
@@ -177,7 +183,7 @@ class SplineMap2D:
         ):
             for a, b in zip(brk[:-1], brk[1:]):
                 acc.extend(np.linspace(a, b, d + 3))
-        uu, vv = np.meshgrid(np.unique(us), np.unique(vs), indexing="ij")
+        uu, vv = np.meshgrid(_distinct(np.array(us)), _distinct(np.array(vs)), indexing="ij")
         det = self.jacobian_det(uu, vv)
         if np.min(det) <= 0.0:
             raise GeometryError(
@@ -200,10 +206,8 @@ class SplineMap2D:
         jac = self.jacobian(u, v)
         return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
 
-    def bbox_diag(self):
-        lo = self.ctrl.reshape(-1, 2).min(axis=0)
-        hi = self.ctrl.reshape(-1, 2).max(axis=0)
-        return float(np.hypot(*(hi - lo)))
+    def bbox_diag(self):  # of the box of the control points, which holds the image
+        return float(np.hypot(*(self.box[1] - self.box[0])))
 
 
 def _jacobian(T, u, v, span=None):
@@ -214,6 +218,19 @@ def _jacobian(T, u, v, span=None):
     dp_du = _tensor_eval(ku, du1, s.tv, s.dv, cu, u, v, None if su is None else (su - 1, sv))
     dp_dv = _tensor_eval(s.tu, s.du, kv, dv1, cv, u, v, None if su is None else (su, sv - 1))
     return np.stack([dp_du, dp_dv], axis=-1)
+
+
+def _jacobian_certified(T):
+    """Whether every cross of a dT/du and a dT/dv control vector active on one
+    knot element is positive: there det J is a convex combination of them, as
+    their bases' products are non-negative and sum to 1, so then det J > 0."""
+    s, cu, cv = T.space, T.hodograph_u[2], T.hodograph_v[2]
+    a = np.flatnonzero(np.diff(s.tu[s.du : s.nu + 1]) > 0)  # the element of knot span a + du
+    b = np.flatnonzero(np.diff(s.tv[s.dv : s.nv + 1]) > 0)
+    wu, wv = (sliding_window_view(c, w, axis=(0, 1))[a][:, b].reshape(len(a), len(b), 2, -1)
+              for c, w in ((cu, (s.du, s.dv + 1)), (cv, (s.du + 1, s.dv))))
+    cross = wu[:, :, 0, :, None] * wv[:, :, 1, None] - wu[:, :, 1, :, None] * wv[:, :, 0, None]
+    return bool(np.all(cross > 0.0))
 
 
 def _piece_point(T, x, span):
@@ -265,6 +282,13 @@ def _newton_steps(jac, r):
         if len(jac) == 1:
             return np.linalg.lstsq(jac[0], -r[0], rcond=None)[0][None]
         return np.concatenate([_newton_steps(j[None], x[None]) for j, x in zip(jac, r)])
+
+
+def _near_box(T, pts, pad):
+    """Which points (n, 2) lie within ``pad`` of T's box, which holds T's image;
+    twice a tolerance as pad absorbs the rounding of the box and the image."""
+    lo, hi = T.box
+    return np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1)
 
 
 def invert_points(T, pts, guess=None):
@@ -418,9 +442,10 @@ def _inside_arcs(T1, gammas):
     together (``_shared_cuts``, maps that share a boundary), else at the
     hits of ``intersect_curve_pair`` at T1's inversion tolerance, whose
     errors propagate.  A pair whose boxes lie farther apart than that
-    tolerance meets in neither, unless both are segments: their closed form
-    can report a touch just past the pad.  The midpoints of all pieces are
-    inverted in one batch, and consecutive inside pieces join into one arc.
+    tolerance meets in neither.  The midpoints of all pieces are inverted in
+    one batch, but for those farther than twice that tolerance outside T1's
+    box (``_near_box``), which cannot invert; consecutive inside pieces join
+    into one arc.
     """
     tol = T1.invert_tol
     walls = [(w, _box(w.nets()[0][2])) for c in boundary_curves(T1) for w in c.spans()]
@@ -432,18 +457,18 @@ def _inside_arcs(T1, gammas):
             s0, s1 = span.domain
             box = _box(span.nets()[0][2])
             for wall, wall_box in walls:
-                if not _apart(box, wall_box, tol):
-                    local = _shared_cuts(span, wall, tol)
-                elif span.kind == wall.kind == "segment":
-                    local = None
-                else:
+                if _apart(box, wall_box, tol):
                     continue
+                local = _shared_cuts(span, wall, tol)
                 if local is None:
                     local = [h.t_a for h in intersect_curve_pair(span, wall, tol)]
                 ts += [u0 + (t - s0) * ((u1 - u0) / (s1 - s0)) for t in local]
-        cuts.append(np.unique(ts))
-    mids = [g.point(0.5 * (t[:-1] + t[1:])) for g, t in zip(gammas, cuts)]
-    ok = np.split(invert_points(T1, np.concatenate(mids))[1], np.cumsum([len(m) for m in mids]))
+        cuts.append(_distinct(np.sort(ts)))
+    mids = np.concatenate([g.point(0.5 * (t[:-1] + t[1:])) for g, t in zip(gammas, cuts)])
+    ok = _near_box(T1, mids, 2.0 * tol)
+    if ok.any():
+        ok[ok] = invert_points(T1, mids[ok])[1]
+    ok = np.split(ok, np.cumsum([len(t) - 1 for t in cuts]))
     arcs = []
     for gamma, t, inside in zip(gammas, cuts, ok):
         edges = np.flatnonzero(np.diff(np.concatenate(([0], inside, [0])).astype(int)))
@@ -589,14 +614,16 @@ def _coupling_blocks(space1, space2, T1, T2, region_set, n):
     at = np.cumsum([0] + [len(x) for x in samples[:-1]])
     samples = np.concatenate(samples)
     physical = T1.point_pairs(samples)
-    inverted = invert_points(T2, physical)[0]
     # a sample on a pull-back of T2's boundary misses its image by the fit
     # error (tenfold, for the error between fitted samples), plus T1's stretch
     # (by its hodograph nets) of the drawing's dedupe tolerance in T1's square
     fit = 10.0 * drawing.fit_error
     stretch = sum(np.max(_norms(h[2].reshape(-1, 2))) for h in (T1.hodograph_u, T1.hodograph_v))
     cover_tol = max(T2.invert_tol, fit + stretch * max(drawing.tol, fit))
-    ok = _norms(T2.point_pairs(inverted) - physical) <= cover_tol
+    near = _near_box(T2, physical, 2.0 * cover_tol)  # the others are uncovered
+    inverted = np.zeros_like(physical)
+    inverted[near] = invert_points(T2, physical[near])[0]
+    ok = near & (_norms(T2.point_pairs(inverted) - physical) <= cover_tol)
     keep = np.flatnonzero(np.logical_and.reduceat(ok, at))
     c1, c2 = (0.5 * (np.minimum.reduceat(x, at) + np.maximum.reduceat(x, at))[keep]
               for x in (samples, inverted))

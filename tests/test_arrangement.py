@@ -108,6 +108,19 @@ def test_collinear_endpoint_touch_is_single_hit():
     assert np.allclose(hits[0].point, [1, 0], atol=1e-12)
 
 
+def test_parallel_touch_across_a_gap_lies_on_both_segments():
+    # collinear ends 0.5 tol apart touch at the ends themselves, in either
+    # order; ends 0.585 tol along and 0.9 tol across apart (1.07 tol) do not
+    tol = DEFAULT_TOL
+    a, b = segment((0, 0), (1, 0)), segment((1 + 0.5 * tol, 0), (2, 0))
+    for (p, q), ends in (((a, b), (1.0, 0.0)), ((b, a), (0.0, 1.0))):
+        (hit,) = intersect_curve_pair(p, q)
+        assert (hit.t_a, hit.t_b) == ends and hit.tangential
+        assert np.array_equal(hit.point, p.point(ends[0]))
+    off = segment((1 + 0.585 * tol, -0.9 * tol), (2, -0.9 * tol))
+    assert intersect_curve_pair(a, off) == intersect_curve_pair(off, a) == []
+
+
 def test_tangential_flagged():
     # the arch apex is (0.5, 0.5): the line y = 0.5 touches without crossing
     hits = intersect_curve_pair(segment((0, 0.5), (1, 0.5)), quadratic_arch(), tol=1e-7)

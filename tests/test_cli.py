@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +359,23 @@ def test_extract_outputs_equal_golden_bytes(tmp_path, source, name):
 
 _QUASI = ["quasi-interp", "--source", f"{FIXTURES}/quasi_source.json",
           "--target", f"{FIXTURES}/quasi_target.json", "--mode"]
+
+
+def test_quasi_interp_leaves_numpy_ma_unimported(tmp_path):
+    # the first call of np.unique imports numpy.ma, about 15 ms of start-up;
+    # the package finds distinct knots without it
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    script = (
+        "import sys\n"
+        "from curveplan.cli import main\n"
+        "for mode in ('llm', 'levelset'):\n"
+        f"    assert main({_QUASI!r} + [mode, '--out', {str(tmp_path / 'q.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,19 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curveplan import arrangement, splines
-from curveplan.curves import ParamCurve, basis_row, basis_rows, derivative_data, find_span
+from curveplan.curves import (
+    ParamCurve,
+    basis_row,
+    basis_rows,
+    derivative_data,
+    find_span,
+    find_spans,
+    project_points,
+)
 from curveplan.errors import CurveplanError, FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01, tile_region
 from curveplan.regions import extract_and_classify
@@ -118,6 +126,100 @@ def test_map_bijectivity_check():
     folded = np.array([[[0.0, 0.0], [0.0, 1.0]], [[-1.0, 0.5], [1.0, 1.0]]])
     with pytest.raises(GeometryError):
         SplineMap2D(space, folded)
+
+
+def _sampled_check(space, ctrl):
+    """The error text of the sampled Jacobian check alone, as SplineMap2D
+    made it before the hodograph certificate, or None if it passes."""
+    T = SplineMap2D(space, ctrl, check_bijective=False)
+    us, vs = [], []
+    for brk, d, acc in ((space.breakpoints_u(), space.du, us), (space.breakpoints_v(), space.dv, vs)):
+        for a, b in zip(brk[:-1], brk[1:]):
+            acc.extend(np.linspace(a, b, d + 3))
+    uu, vv = np.meshgrid(np.unique(us), np.unique(vs), indexing="ij")
+    det = T.jacobian_det(uu, vv)
+    if np.min(det) > 0.0:
+        return None
+    return f"map Jacobian is not positive on the sampled grid (min {np.min(det):.2e})"
+
+
+def _element_dets(T, m):
+    """det J on an m x m grid of every knot element, each on its own piece,
+    so the grid lines on a C0 knot line read both sides."""
+    s = T.space
+    bu, bv = s.breakpoints_u(), s.breakpoints_v()
+    out = []
+    for u0, u1 in zip(bu[:-1], bu[1:]):
+        for v0, v1 in zip(bv[:-1], bv[1:]):
+            uu, vv = (x.ravel() for x in np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m)))
+            span = (find_span(s.tu, s.du, 0.5 * (u0 + u1)), find_span(s.tv, s.dv, 0.5 * (v0 + v1)))
+            jac = splines._jacobian(T, uu, vv, span)
+            out.append(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+    return np.concatenate(out)
+
+
+#: ROADMAP item 11's draws: 3 x 3 degree-(2, 2) nets, the grid plus
+#: N(0, 0.25^2) noise; on these 27 of 4,000 the sampled check passes while
+#: det J < 0 somewhere on a 401 x 401 grid
+_ITEM11_NOISE = np.random.default_rng(0).normal(0.0, 0.25, (4000, 3, 3, 2))
+ITEM11_FOLDS = (397, 537, 568, 585, 826, 969, 1141, 1156, 1196, 1274, 1416, 1444, 1769, 2184,
+                2185, 2455, 2490, 2523, 2545, 2721, 2927, 2978, 3308, 3344, 3595, 3689, 3829)
+
+
+def _item11_case(k):
+    grid = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+    return unit_space((2, 2)), grid + _ITEM11_NOISE[k]
+
+
+@st.composite
+def _jittered_nets(draw):
+    """A space of degree 1-3 per direction with up to two interior knots of
+    multiplicity 1 up to the degree, and its Greville grid jittered by up
+    to a drawn share of the grid step."""
+    degrees, knots = [], []
+    for _ in range(2):
+        d = draw(st.integers(1, 3))
+        inner = draw(st.lists(st.sampled_from([0.2, 0.35, 0.5, 0.8]), max_size=2, unique=True))
+        mult = [draw(st.integers(1, d)) for _ in inner]
+        degrees.append(d)
+        knots.append([0.0] * (d + 1) + [k for k, m in sorted(zip(inner, mult)) for _ in range(m)]
+                     + [1.0] * (d + 1))
+    space = TensorSplineSpace(degrees, *knots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.05, 0.2, 0.4, 0.8]))
+    grid = np.stack(np.meshgrid(greville(space.tu, space.du), greville(space.tv, space.dv),
+                                indexing="ij"), axis=-1)
+    step = 1.0 / max(space.nu - 1, space.nv - 1)
+    return space, grid + share * step * rng.uniform(-1.0, 1.0, grid.shape)
+
+
+def _with_item11_examples(test):
+    for k in ITEM11_FOLDS:
+        test = example(_item11_case(k))(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jittered_nets())
+@_with_item11_examples
+def test_hodograph_certificate_accepts_only_positive_jacobians(case):
+    space, ctrl = case
+    T = SplineMap2D(space, ctrl, check_bijective=False)
+    if splines._jacobian_certified(T):
+        assert np.min(_element_dets(T, 41)) > 0.0
+    # the map accepts or raises exactly as the sampled check alone does
+    try:
+        SplineMap2D(space, ctrl)
+        got = None
+    except GeometryError as exc:
+        got = str(exc)
+    assert got == _sampled_check(space, ctrl)
+
+
+def test_folded_draws_fail_the_certificate():
+    for k in ITEM11_FOLDS:
+        T = SplineMap2D(*_item11_case(k), check_bijective=False)
+        assert not splines._jacobian_certified(T), k
 
 
 # -- tensor evaluation kernel against the per-point tensordot reference --------
@@ -556,10 +658,10 @@ def test_inside_arcs_equal_all_pairs(name, T1, T2):
     _assert_arcs_equal_all_pairs(T1, knot_iso_curves(T2) + boundary_curves(T2))
 
 
-def test_inside_arcs_keep_segment_touches_past_the_box_pad():
+def test_inside_arcs_drop_segment_touches_past_the_box_pad():
     # a segment parallel to T1's bottom wall, 0.9 tol outside it, starts
-    # just past the wall's end: the padded boxes lie apart, yet the closed
-    # form of two segments reports a touch, at a parameter before 0
+    # just past the wall's end: the padded boxes lie apart, and the closed
+    # form of two segments, clamped to both, finds their ends too far apart
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     T1 = make_map(knots_u=(0, 0, 0.5, 1, 1), transform=lambda u, v: (c * u - s * v, s * u + c * v))
     tol = T1.invert_tol
@@ -569,7 +671,8 @@ def test_inside_arcs_keep_segment_touches_past_the_box_pad():
     gamma = ParamCurve("segment", [start, start + 0.5 * d])
     assert wall.kind == gamma.kind == "segment"
     assert arrangement._apart(arrangement._box(gamma.nets()[0][2]), arrangement._box(wall.nets()[0][2]), tol)
-    assert arrangement.intersect_curve_pair(gamma, wall, tol)
+    assert arrangement.intersect_curve_pair(gamma, wall, tol) == []
+    assert splines._inside_arcs(T1, [gamma]) == [[]]
     _assert_arcs_equal_all_pairs(T1, [gamma])
 
 
@@ -608,6 +711,48 @@ def _bilinear_pairs_on_a_line(draw):
 def test_inside_arcs_of_bilinear_pairs_on_a_line_equal_all_pairs(pair):
     T1, T2 = pair
     _assert_arcs_equal_all_pairs(T1, knot_iso_curves(T2) + boundary_curves(T2))
+
+
+@st.composite
+def _points_about_maps(draw):
+    """A jittered map, maybe bent into a polar sector and turned, and points
+    inside its image, on its edges and pushed off its edges away from its
+    centre by 0-10^10 times its inversion tolerance (10^10 is a tenth of
+    the box diagonal), corners included."""
+    degrees, iu, iv = draw(st.sampled_from(KERNEL_CASES))
+    T = _jittered_map(degrees, iu, iv, seed=draw(st.integers(0, 2**16)))
+    bend, angle = draw(st.sampled_from([0.0, 1.5, 3.0])), draw(st.floats(0.0, 2.0 * np.pi))
+    x, y = _polar(T.ctrl[..., 0], T.ctrl[..., 1], bend) if bend else (T.ctrl[..., 0], T.ctrl[..., 1])
+    c, s = np.cos(angle), np.sin(angle)
+    T = SplineMap2D(T.space, np.stack([c * x - s * y, s * x + c * y], axis=-1))
+    unit = st.floats(0.0, 1.0)
+    inner = draw(arrays(np.float64, (draw(st.integers(1, 4)), 2), elements=unit))
+    n = draw(st.integers(1, 12))
+    edge = draw(arrays(np.float64, (n, 2), elements=unit))
+    for k, (axis, value) in enumerate(draw(st.lists(
+            st.sampled_from([(0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)]), min_size=n, max_size=n))):
+        edge[k, axis] = value
+    on_edge = T.point_pairs(np.concatenate([edge, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]]))
+    away = on_edge - T.point(0.5, 0.5)
+    away /= np.linalg.norm(away, axis=1)[:, None]
+    pushes = st.sampled_from([0.0, 1.0, 1.9, 2.0, 2.1, 3.0, 10.0, 1e3, 1e6, 1e9, 1e10])
+    push = np.array(draw(st.lists(pushes, min_size=n + 4, max_size=n + 4)))
+    return T, T.point_pairs(inner), on_edge, on_edge + (push * T.invert_tol)[:, None] * away, push
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points_about_maps())
+def test_box_pruning_drops_only_points_that_miss_the_image(case):
+    T, inner, on_edge, pushed, push = case
+    pad = 2.0 * T.invert_tol
+    pts = np.concatenate([inner, on_edge, pushed])
+    kept = splines._near_box(T, pts, pad)
+    assert kept[: len(inner) + len(on_edge)].all()
+    assert kept[len(inner) + len(on_edge):][push < 2.0].all()  # within the pad of the image
+    dropped = pts[~kept]
+    assert not invert_points(T, dropped)[1].any()
+    gap = np.min([project_points(c, dropped, 65)[1] for c in boundary_curves(T)], axis=0)
+    assert np.all(gap > pad)
 
 
 # -- iso curves and pull-back ---------------------------------------------------
@@ -957,6 +1102,61 @@ def test_covered_regions_of_a_curved_target_map_count_whole(maps, fit_tol, n_cov
     assert len(covered) == n_covered
     got = integrate_spline_product(s1, s2, T1, T2, rs, 4)
     assert abs(got - sum(r.signed_area for r in covered)) < 1e-12
+
+
+def _unpruned_coupling_blocks(space1, space2, T1, T2, region_set, n):
+    """``splines._coupling_blocks`` inverting every boundary sample, as
+    before samples outside T2's control box were marked uncovered."""
+    drawing = region_set.drawing
+    tiles = [splines.region_tiles(region, drawing) for region in region_set.regions]
+    samples = [splines._boundary_samples(t) for t in tiles]
+    at = np.cumsum([0] + [len(x) for x in samples[:-1]])
+    samples = np.concatenate(samples)
+    physical = T1.point_pairs(samples)
+    inverted = invert_points(T2, physical)[0]
+    fit = 10.0 * drawing.fit_error
+    stretch = sum(np.max(splines._norms(h[2].reshape(-1, 2))) for h in (T1.hodograph_u, T1.hodograph_v))
+    cover_tol = max(T2.invert_tol, fit + stretch * max(drawing.tol, fit))
+    ok = splines._norms(T2.point_pairs(inverted) - physical) <= cover_tol
+    keep = np.flatnonzero(np.logical_and.reduceat(ok, at))
+    c1, c2 = (0.5 * (np.minimum.reduceat(x, at) + np.maximum.reduceat(x, at))[keep]
+              for x in (samples, inverted))
+    sizes = [len(tiles[k]) * n * n for k in keep]
+    owner = np.repeat(np.arange(len(keep)), sizes)
+
+    def spans(S, c):
+        su, sv = find_spans(S.tu, S.du, c[:, 0]), find_spans(S.tv, S.dv, c[:, 1])
+        windows = [(slice(a - S.du, a + 1), slice(b - S.dv, b + 1)) for a, b in zip(su, sv)]
+        return windows, (su[owner], sv[owner])
+
+    stack = splines._TileStack(tile for k in keep for tile in tiles[k])
+    x, det = stack.gauss_grids(n)
+    x, det = x.reshape(-1, 2), det.ravel()
+    image = splines._piece_point(T1, x, spans(T1.space, c1)[1])
+    x2, ok = splines._newton(T2, image, c2[owner], spans(T2.space, c2)[1])
+    assert ok.all()
+    (windows1, at1), (windows2, at2) = spans(space1, c1), spans(space2, c2)
+    weight = np.tile(np.outer(*2 * [gauss01(n)[1]]).ravel(), len(stack)) * det
+    cuts = np.cumsum(sizes)[:-1]
+    rows1 = np.split(splines._piece_rows(space1, x, at1), cuts)
+    rows2 = np.split(weight[:, None] * splines._piece_rows(space2, x2, at2), cuts)
+    return [
+        (space1.element_of(*c), w1, w2, r1.T @ r2)
+        for c, w1, w2, r1, r2 in zip(c1, windows1, windows2, rows1, rows2)
+    ]
+
+
+def _blocks_bits(blocks):
+    return [(e, w1, w2, m.shape, m.tobytes()) for e, w1, w2, m in blocks]
+
+
+@pytest.mark.parametrize("name, T1, T2", list(_coverage_pairs()) + [
+    ("warped one element", *_warped_one_element()), ("warped four elements", *_warped_four_elements())])
+def test_coupling_blocks_equal_the_unpruned_blocks(name, T1, T2):
+    # a fit tolerance the warped pull-backs meet (residuals up to 3.6e-3)
+    rs = extract_and_classify(build_interface_drawing(T1, T2, fit_tol=1e-2))
+    args = (T1.space, T2.space, T1, T2, rs, 3)
+    assert _blocks_bits(splines._coupling_blocks(*args)) == _blocks_bits(_unpruned_coupling_blocks(*args))
 
 
 def test_composed_field_zero_extension():
