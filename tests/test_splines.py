@@ -158,17 +158,17 @@ def _element_dets(T, m):
     return np.concatenate(out)
 
 
-#: ROADMAP item 11's draws: 3 x 3 degree-(2, 2) nets, the grid plus
-#: N(0, 0.25^2) noise; on these 27 of 4,000 the sampled check passes while
+#: folded draws: of 4,000 nets of one degree-(2, 2) element, the 3 x 3 grid
+#: plus N(0, 0.25^2) noise, on these 27 the sampled check passes while
 #: det J < 0 somewhere on a 401 x 401 grid
-_ITEM11_NOISE = np.random.default_rng(0).normal(0.0, 0.25, (4000, 3, 3, 2))
-ITEM11_FOLDS = (397, 537, 568, 585, 826, 969, 1141, 1156, 1196, 1274, 1416, 1444, 1769, 2184,
+_FOLD_NOISE = np.random.default_rng(0).normal(0.0, 0.25, (4000, 3, 3, 2))
+FOLDED_DRAWS = (397, 537, 568, 585, 826, 969, 1141, 1156, 1196, 1274, 1416, 1444, 1769, 2184,
                 2185, 2455, 2490, 2523, 2545, 2721, 2927, 2978, 3308, 3344, 3595, 3689, 3829)
 
 
-def _item11_case(k):
+def _folded_draw(k):
     grid = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
-    return unit_space((2, 2)), grid + _ITEM11_NOISE[k]
+    return unit_space((2, 2)), grid + _FOLD_NOISE[k]
 
 
 @st.composite
@@ -193,15 +193,15 @@ def _jittered_nets(draw):
     return space, grid + share * step * rng.uniform(-1.0, 1.0, grid.shape)
 
 
-def _with_item11_examples(test):
-    for k in ITEM11_FOLDS:
-        test = example(_item11_case(k))(test)
+def _with_folded_examples(test):
+    for k in FOLDED_DRAWS:
+        test = example(_folded_draw(k))(test)
     return test
 
 
 @settings(max_examples=200, deadline=None)
 @given(_jittered_nets())
-@_with_item11_examples
+@_with_folded_examples
 def test_hodograph_certificate_accepts_only_positive_jacobians(case):
     space, ctrl = case
     T = SplineMap2D(space, ctrl, check_bijective=False)
@@ -217,8 +217,8 @@ def test_hodograph_certificate_accepts_only_positive_jacobians(case):
 
 
 def test_folded_draws_fail_the_certificate():
-    for k in ITEM11_FOLDS:
-        T = SplineMap2D(*_item11_case(k), check_bijective=False)
+    for k in FOLDED_DRAWS:
+        T = SplineMap2D(*_folded_draw(k), check_bijective=False)
         assert not splines._jacobian_certified(T), k
 
 
