@@ -640,6 +640,9 @@ def uniform_arclength_knots(samples, degree, n_ctrl, sample_params=None):
     parameters; interior knots are placed at parameters splitting the chord
     length of the polyline evenly, kept strictly increasing.
     """
+    n_interior = n_ctrl - degree - 1
+    if n_interior <= 0:
+        return np.array([0.0] * (degree + 1) + [1.0] * (degree + 1))
     samples = np.asarray(samples, dtype=float)
     m = len(samples)
     if sample_params is None:
@@ -648,9 +651,6 @@ def uniform_arclength_knots(samples, degree, n_ctrl, sample_params=None):
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     arc = np.linspace(0.0, 1.0, m) if total <= 0 else cum / total
-    n_interior = n_ctrl - degree - 1
-    if n_interior <= 0:
-        return np.array([0.0] * (degree + 1) + [1.0] * (degree + 1))
     fracs = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
     interior = np.interp(fracs, arc, sample_params)
     gap = 1.0 / (4.0 * (n_interior + 1))

@@ -25,13 +25,16 @@ from math import comb
 import numpy as np
 
 from .curves import trusted_bezier
-from .errors import GeometryError, TileError
+from .errors import GeometryError, SchemaError, TileError
 
 #: default stop threshold of the adaptive doubling loop
 STOP_THRESHOLD = 1e-12
 
 #: most grid nodes per integrand call (2^14 raised peak RSS 1.2 MB)
 BLOCK_NODES = 2**12
+
+#: most nodes of the ``reference="auto"`` level over all tiles (~7 s of sin/exp)
+REFERENCE_NODE_BUDGET = 2**24
 
 _CORNER_TOL = 1e-10
 
@@ -414,13 +417,19 @@ def integrate_adaptive(
     Stops at the first level whose value differs from the previous one by
     less than ``stop_threshold`` (or at max_level).  ``reference`` may be a
     number or "auto", in which case an overkill rule at level max_level + 2
-    supplies the error column.
+    supplies the error column; SchemaError before any level when that level
+    would exceed REFERENCE_NODE_BUDGET nodes.
     """
     if max_level < 1:
         raise GeometryError("max_level must be >= 1")
     tiles = _TileStack(
         tile for region in region_set.regions for tile in region_tiles(region, region_set.drawing)
     )
+    nodes = len(tiles) * 4 ** (max_level + 2)
+    if reference == "auto" and nodes > REFERENCE_NODE_BUDGET:
+        raise SchemaError(f"--reference auto at --max-level {max_level} needs {nodes} nodes "
+                          f"({len(tiles)} tiles), over the budget of {REFERENCE_NODE_BUDGET}",
+                          field="max_level")
     level_value = partial(integrate_tiles, tiles, f)
 
     ref = None

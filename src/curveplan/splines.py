@@ -431,7 +431,9 @@ def _shared_cuts(span, wall, tol):
     on = np.concatenate([t[dist <= tol], np.array(span.domain)[near[1]][back <= tol]])
     if len(on) < 2 or _norms(np.diff(span.point(np.array([on.min(), on.max()])), axis=0))[0] <= tol:
         return None
-    return t[dist <= tol] if _coincident(span.restricted(on.min(), on.max()), wall, tol) else None
+    stretch = span.restricted(on.min(), on.max())
+    pts = stretch.point(np.linspace(*stretch.domain, 17))
+    return t[dist <= tol] if _coincident(pts, wall, tol) else None
 
 
 def _inside_arcs(T1, gammas):
@@ -486,10 +488,11 @@ def pull_back(T1, gamma, fit_tol=1e-8, arc=None):
 
     Samples PULL_BACK_SAMPLES Chebyshev-distributed parameters of the arc
     (by default the longest one inside T1's image), inverts them in one
-    batch, and fits a B-spline of degree max(3, deg gamma) with
-    uniform-arc-length knots.  A fit off by more than ``fit_tol`` raises
-    FitError carrying the curve parameter of the sample with the largest
-    residual as ``worst_sample``.
+    batch, and fits a B-spline of degree max(3, deg gamma) with the fewest
+    spans of two rungs that meets ``fit_tol``: one span, else 12 control
+    points on uniform-arc-length knots.  When neither fit does, FitError
+    carries the second fit's residual and the curve parameter of its
+    sample with the largest residual as ``worst_sample``.
     """
     a, b = gamma.domain
     if arc is None:
@@ -504,33 +507,34 @@ def pull_back(T1, gamma, fit_tol=1e-8, arc=None):
     m = max(PULL_BACK_SAMPLES, 2 * degree + 3)
     ts = _chebyshev_lobatto(lo, hi, m)
     params = (ts - lo) / (hi - lo)
-    inverted, ok = invert_points(T1, gamma.point(ts))
+    target = gamma.point(ts)
+    inverted, ok = invert_points(T1, target)
     if not ok.all():
         raise InversionError(
             f"inversion failed inside a trimmed arc at parameter {ts[np.argmin(ok)]:.6g}"
         )
-    n_ctrl = max(degree + 1, min(12, m // 5))
-    knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
-    ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
-    fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
-    errs = _norms(T1.point_pairs(fit.point(params)) - gamma.point(ts))
-    worst = int(np.argmax(errs))
-    residual = float(errs[worst])
-    if residual > fit_tol:
-        raise FitError(
-            f"pull-back fit residual {residual:.2e} exceeds tolerance {fit_tol:.2e}",
-            worst_sample=float(ts[worst]),
-            residual=residual,
-        )
-    return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
+    for n_ctrl in (degree + 1, max(degree + 1, min(12, m // 5))):
+        knots = uniform_arclength_knots(inverted, degree, n_ctrl, sample_params=params)
+        ctrl = fit_bspline(params, inverted, degree, knots, fix_ends=True)
+        fit = ParamCurve("bspline", ctrl, degree=degree, knots=knots)
+        errs = _norms(T1.point_pairs(fit.point(params)) - target)
+        worst = int(np.argmax(errs))
+        residual = float(errs[worst])
+        if residual <= fit_tol:
+            return PulledBackCurve(fit, residual, (float(lo), float(hi)), trimmed)
+    raise FitError(
+        f"pull-back fit residual {residual:.2e} exceeds tolerance {fit_tol:.2e}",
+        worst_sample=float(ts[worst]),
+        residual=residual,
+    )
 
 
 # ---------------------------------------------------------------------------
 # interface drawing
 
 
-def _coincident(candidate, existing, tol):
-    pts = candidate.point(np.linspace(*candidate.domain, 17))
+def _coincident(pts, existing, tol):
+    """Whether every point of pts, 17 samples of a curve, lies within tol of existing."""
     lo, hi = existing.bbox()
     if np.any(pts < lo - tol) or np.any(pts > hi + tol):
         return False  # a sample lies farther than tol from existing's control hull
@@ -561,7 +565,8 @@ def build_interface_drawing(T1, T2, tol=1e-7, fit_tol=1e-8):
 
     for pb in pulled:
         dedupe_tol = max(tol, 10.0 * pb.residual)
-        if not any(_coincident(pb.curve, c, dedupe_tol) for c in curves):
+        pts = pb.curve.point(np.linspace(*pb.curve.domain, 17))
+        if not any(_coincident(pts, c, dedupe_tol) for c in curves):
             curves.append(pb.curve)
 
     drawing = build_drawing(curves, tol=tol)

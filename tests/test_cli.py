@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from curveplan import quadrature
 from curveplan.cli import build_parser, main
 from curveplan.serialize import region_set_from_json, region_set_to_json
 
@@ -225,6 +226,23 @@ def test_bad_option_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     capsys.readouterr()
+
+
+def test_reference_over_node_budget_exits_2_before_any_level(tmp_path, capsys, monkeypatch):
+    # the lens is one tile, so its reference level at --max-level 12 has
+    # 4^14 nodes: minutes of work, refused before a level is evaluated
+    def no_level(*args):
+        raise AssertionError("a level was evaluated")
+
+    monkeypatch.setattr(quadrature, "integrate_tiles", no_level)
+    code = run([
+        "integrate", "--input", f"{FIXTURES}/integrate_lens.json", "--f", "x",
+        "--max-level", "12", "--reference", "auto", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "SchemaError" and err["field"] == "max_level"
+    assert str(4**14) in err["message"] and str(quadrature.REFERENCE_NODE_BUDGET) in err["message"]
 
 
 def test_mesh_intersect(tmp_path):

@@ -17,7 +17,9 @@ from curveplan.curves import (
     derivative_data,
     find_span,
     find_spans,
+    fit_bspline,
     project_points,
+    uniform_arclength_knots,
 )
 from curveplan.errors import CurveplanError, FitError, GeometryError, InversionError
 from curveplan.quadrature import gauss01, tile_region
@@ -808,6 +810,62 @@ def test_pull_back_held_out_round_trip():
         s = (t - a) / (b - a)
         err = np.linalg.norm(T1.point_pairs(pb.curve.point(s)) - gamma.point(t))
         assert err <= 1e-8
+    # no single cubic meets 1e-8 here, so this is the 12-control fit
+    ts = splines._chebyshev_lobatto(a, b, splines.PULL_BACK_SAMPLES)
+    params = (ts - a) / (b - a)
+    inverted = invert_points(T1, gamma.point(ts))[0]
+    knots = uniform_arclength_knots(inverted, 3, 12, sample_params=params)
+    assert np.array_equal(pb.curve.knots, knots)
+    assert np.array_equal(pb.curve.ctrl, fit_bspline(params, inverted, 3, knots, fix_ends=True))
+
+
+def _held_out_residual(T1, gamma, pb, n=200):
+    a, b = pb.source_range
+    t = np.linspace(a, b, n)
+    fitted = T1.point_pairs(pb.curve.point((t - a) / (b - a)))
+    return float(np.max(splines._norms(fitted - gamma.point(t))))
+
+
+def test_fixture_pull_backs_are_one_cubic_span():
+    T1, T2 = _fixture_map("quasi_target.json", "map"), _fixture_map("quasi_source.json", "map")
+    gammas = knot_iso_curves(T2) + boundary_curves(T2)
+    pulled = [
+        (gamma, pull_back(T1, gamma, arc=arc))
+        for gamma, arcs in zip(gammas, splines._inside_arcs(T1, gammas))
+        for arc in arcs
+    ]
+    assert pulled
+    for gamma, pb in pulled:
+        assert pb.curve.n_ctrl == 4 and pb.residual <= 1e-14
+        assert _held_out_residual(T1, gamma, pb) <= 1e-8
+
+
+@st.composite
+def _affine_pull_backs(draw):
+    """An affine degree-1 T1 with 0-2 interior knots per direction, and a
+    one-span curve of degree 1-3 whose control points lie inside its image."""
+    knots = [sorted(draw(st.lists(st.floats(0.1, 0.9), max_size=2, unique=True))) for _ in "uv"]
+    space = unit_space((1, 1), *knots)
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    c, s = np.cos(angle), np.sin(angle)
+    scale = np.diag([draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))])
+    shear = np.array([[1.0, draw(st.floats(-0.5, 0.5))], [0.0, 1.0]])
+    A = np.array([[c, -s], [s, c]]) @ shear @ scale
+    shift = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    gu, gv = greville(space.tu, 1), greville(space.tv, 1)
+    T1 = SplineMap2D(space, np.stack(np.meshgrid(gu, gv, indexing="ij"), axis=-1) @ A.T + shift)
+    degree = draw(st.integers(1, 3))
+    inner = draw(arrays(float, (degree + 1, 2), elements=st.floats(0.05, 0.95)))
+    return T1, ParamCurve("bezier", inner @ A.T + shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_affine_pull_backs())
+def test_pull_back_through_an_affine_map_is_one_span(case):
+    T1, gamma = case
+    pb = pull_back(T1, gamma)
+    assert pb.curve.n_ctrl == max(3, gamma.degree) + 1
+    assert _held_out_residual(T1, gamma, pb) <= 1e-8
 
 
 def test_pull_back_trims_to_image():
