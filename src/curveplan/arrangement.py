@@ -51,7 +51,7 @@ def intersect_curve_pair(a, b, tol=DEFAULT_TOL):
     spans.  Curves coincident over an interval raise OverlapError; a search
     that exceeds its budget raises GeometryError.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise GeometryError("intersection tolerance must be positive")
     if a is b:
         return _self_intersections(a, tol)
@@ -616,7 +616,7 @@ def build_drawing(curves, tol=DEFAULT_TOL):
     one seam-crossing edge; an intersection-free closed curve receives an
     artificial seam vertex carrying a single loop edge.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise GeometryError("intersection tolerance must be positive")
     curves = list(curves)
     partners = [[] for _ in curves]

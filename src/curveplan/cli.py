@@ -9,6 +9,7 @@ geometric degeneracies 3, convergence failures 4.
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -55,8 +56,8 @@ class JobConfig:
 
     def __post_init__(self):
         for name in ("tol", "fit_tol", "stop_threshold"):
-            if getattr(self, name) <= 0:
-                raise SchemaError(f"--{name.replace('_', '-')} must be positive", field=name)
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise SchemaError(f"--{name.replace('_', '-')} must be finite and > 0", field=name)
         if not 1 <= self.max_level <= MAX_LEVEL_CAP:
             raise SchemaError(
                 f"--max-level must be between 1 and {MAX_LEVEL_CAP}", field="max_level"
@@ -103,10 +104,10 @@ def _cmd_integrate(ns):
     else:
         try:
             reference = float(ns.reference)
-        except ValueError as exc:
-            raise SchemaError(
-                "--reference must be 'auto' or a number", field="reference"
-            ) from exc
+        except ValueError:
+            reference = math.nan
+        if not math.isfinite(reference):
+            raise SchemaError("--reference must be 'auto' or a finite number", field="reference")
     report = integrate_adaptive(
         rs, f, cfg.max_level, stop_threshold=cfg.stop_threshold, reference=reference
     )

@@ -49,35 +49,42 @@ def find_spans(knots, degree, t):
     The spans of the domain ends bound the plain search from both sides.
     """
     n = len(knots) - degree - 1
-    lo = np.searchsorted(knots, knots[degree], side="right") - 1
-    hi = np.searchsorted(knots, knots[n]) - 1
-    return np.minimum(np.maximum(np.searchsorted(knots, t, side="right") - 1, lo), hi)
+    lo = knots.searchsorted(knots[degree], side="right") - 1
+    hi = knots.searchsorted(knots[n]) - 1
+    return np.minimum(np.maximum(knots.searchsorted(t, side="right") - 1, lo), hi)
+
+
+def basis_levels(knots, degree, t, span=None):
+    """First indices (m,) and levels degree (m, degree+1) and degree - 1 of
+    the Cox-de Boor triangle of A2.2 (Piegl & Tiller) at every parameter of
+    a 1-d array, with the scalar recurrence's operation order per element;
+    on the polynomial pieces of the knot spans (m,) when given, extended.
+    Level degree - 1 is the hodograph's basis (its knots drop the first and
+    last, its span is one lower) at the same first index."""
+    knots = np.asarray(knots, dtype=float)
+    t = np.asarray(t, dtype=float)
+    span = find_spans(knots, degree, t) if span is None else span
+    out = np.empty((len(t), degree + 1))
+    out[:, 0] = 1.0
+    low, left, right = None, [None], [None]
+    for j in range(1, degree + 1):
+        if j == degree:
+            low = out[:, :j].copy()
+        left.append(t - knots[span + (1 - j)])
+        right.append(knots[span + j] - t)
+        saved = 0.0
+        for r in range(j):
+            tmp = out[:, r] / (right[r + 1] + left[j - r])
+            out[:, r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        out[:, j] = saved
+    return span - degree, out, low
 
 
 def basis_rows(knots, degree, t, span=None):
     """First indices (m,) and values (m, degree+1) of the non-zero basis
-    functions at every parameter of a 1-d array.
-
-    The Cox-de Boor triangle of A2.2 (Piegl & Tiller) run on all parameters
-    at once, with the scalar recurrence's operation order per element.
-    Given knot spans (m,), the rows are those of each span's polynomial
-    piece, extended to parameters outside the span.
-    """
-    knots = np.asarray(knots, dtype=float)
-    t = np.asarray(t, dtype=float)
-    span = find_spans(knots, degree, t) if span is None else span
-    out = [np.ones_like(t)]
-    left, right = [None], [None]
-    for j in range(1, degree + 1):
-        left.append(t - knots[span + 1 - j])
-        right.append(knots[span + j] - t)
-        saved = 0.0
-        for r in range(j):
-            tmp = out[r] / (right[r + 1] + left[j - r])
-            out[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        out.append(saved)
-    return span - degree, np.stack(out, axis=-1)
+    functions at every parameter of a 1-d array: the top level of ``basis_levels``."""
+    return basis_levels(knots, degree, t, span)[:2]
 
 
 def basis_row(knots, degree, t):

@@ -18,6 +18,7 @@ from .curves import (
     ParamCurve,
     _distinct,
     _norms,
+    basis_levels,
     basis_row,
     basis_rows,
     derivative_data,
@@ -64,6 +65,8 @@ class TensorSplineSpace:
                 raise SchemaError(f"{name}: knots must be clamped", field=name)
         self.nu = len(self.tu) - self.du - 1
         self.nv = len(self.tv) - self.dv - 1
+        #: flat offsets of the (du + 1) x (dv + 1) window of a net in rows of nv
+        self.window = (np.arange(self.du + 1)[:, None] * self.nv + np.arange(self.dv + 1)).ravel()
 
     @property
     def degrees(self):
@@ -105,32 +108,25 @@ class TensorSplineSpace:
         return basis_row(self.tv, self.dv, float(t))
 
 
-def _tensor_eval(knots_u, du, knots_v, dv, net, u, v, span=None):
-    """Evaluate sum_ij net[i, j] N_i(u) M_j(v) at scalar or same-shape u, v.
-
-    N and M are the degree-du and degree-dv B-splines on knots_u and knots_v.
-    Per point this is the (1, m) @ (m, k) product over the flattened
-    (du+1)(dv+1) block of non-zero basis functions, the same product
-    ``np.tensordot(np.outer(bu, bv), block, axes=2)`` forms.  All points of
-    a block go through one stacked ``np.matmul``, which runs that product
-    per point; einsum or a plain sum would round differently.  Given a pair
-    of knot span arrays that broadcast to u's shape, each point is evaluated
-    on the polynomial piece of its spans, extended beyond them.
-    """
-    m = (du + 1) * (dv + 1)
-    u = np.asarray(u, dtype=float)
-    uu, vv = u.ravel(), np.asarray(v, dtype=float).ravel()
-    su, sv = (None, None) if span is None else (np.broadcast_to(s, u.shape).ravel() for s in span)
-    out = np.empty((len(uu), 1, net[0, 0].size))
-    for s in range(0, len(uu), _BLOCK):
-        b = slice(s, s + _BLOCK)
-        fu, bu = basis_rows(knots_u, du, uu[b], None if su is None else su[b])
-        fv, bv = basis_rows(knots_v, dv, vv[b], None if sv is None else sv[b])
-        rows = (fu[:, None] + np.arange(du + 1))[:, :, None]
-        cols = (fv[:, None] + np.arange(dv + 1))[:, None, :]
-        block = net[rows, cols].reshape(len(fu), m, -1)
-        out[s : s + _BLOCK] = np.matmul((bu[:, :, None] * bv[:, None, :]).reshape(-1, 1, m), block)
-    return out.reshape(u.shape + net.shape[2:])
+def _tensor_eval(space, flat, window, x, span=None, terms=((0, 0, slice(None)),)):
+    """Per term (a, b, cols), sum_ij net[i, j] N_i(u) M_j(v) at the pairs x
+    (..., 2), on the pieces of the spans (su, sv) when given: N and M of
+    levels du - a and dv - b of ``basis_levels``, net the columns cols of one
+    gather from the flat net (rows of nv points) at fu * nv + fv + window.
+    Per point a stacked ``np.matmul`` forms the (1, m) @ (m, k) product of
+    ``np.tensordot(np.outer(bu, bv), net, axes=2)``; einsum rounds otherwise."""
+    shape, x = x.shape[:-1], x.reshape(-1, 2)
+    su, sv = (None, None) if span is None else (np.broadcast_to(a, shape).ravel() for a in span)
+    out = [np.empty((len(x), 1, flat.shape[1])) for _ in terms]
+    for k in range(0, len(x), _BLOCK):
+        b = slice(k, k + _BLOCK)
+        fu, *bu = basis_levels(space.tu, space.du, x[b, 0], None if su is None else su[b])
+        fv, *bv = basis_levels(space.tv, space.dv, x[b, 1], None if sv is None else sv[b])
+        block = flat[(fu * space.nv + fv)[:, None] + window]
+        for o, (i, j, cols) in zip(out, terms):
+            o[b] = np.matmul((bu[i][:, :, None] * bv[j][:, None, :]).reshape(len(block), 1, -1),
+                             block[:, cols])
+    return [o.reshape(shape + o.shape[2:]) for o in out]
 
 
 class SplineMap2D:
@@ -155,13 +151,17 @@ class SplineMap2D:
         self.ctrl.flags.writeable = False
         self.box = self.ctrl.reshape(-1, 2).min(axis=0), self.ctrl.reshape(-1, 2).max(axis=0)
         nu, nv = space.nu, space.nv
-        # hodographs as (knots, degree, net): dT/du on the knots_u side,
-        # dT/dv on the knots_v side
+        # hodographs as (knots, degree, net); ``flat`` holds T's net and theirs in
+        # rows of nv points (dT/dv's padded), so one index starts all three windows
         ku, du1, cu = derivative_data(space.tu, space.du, self.ctrl.reshape(nu, -1))
         self.hodograph_u = (ku, du1, cu.reshape(-1, nv, 2))
-        flat_u = np.moveaxis(self.ctrl, 1, 0).reshape(nv, -1)
-        kv, dv1, cv = derivative_data(space.tv, space.dv, flat_u)
-        self.hodograph_v = (kv, dv1, np.moveaxis(cv.reshape(-1, nu, 2), 0, 1))
+        self.hodograph_v = derivative_data(space.tv, space.dv, self.ctrl)
+        pad = np.concatenate([self.hodograph_v[2], np.zeros((nu, 1, 2))], axis=1)
+        self.flat = np.concatenate([self.ctrl, self.hodograph_u[2], pad]).reshape(-1, 2)
+        w, n = space.window.reshape(space.du + 1, space.dv + 1), nu * nv
+        self.window = np.concatenate([w, w[:-1] + n, w[:, :-1] + 2 * n - nv], axis=None)
+        m, c = w.size, w.size + w[:-1].size
+        self.terms = [(0, 0, slice(0, m)), (1, 0, slice(m, c)), (0, 1, slice(c, None))]
         if check_bijective:
             self._check_jacobian_sign()
         # Newton inversion: residual tolerance and the seed grid it starts
@@ -191,12 +191,10 @@ class SplineMap2D:
             )
 
     def point(self, u, v):
-        s = self.space
-        return _tensor_eval(s.tu, s.du, s.tv, s.dv, self.ctrl, u, v)
+        return _piece_point(self, np.stack(np.broadcast_arrays(u, v), axis=-1), None)
 
     def point_pairs(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return self.point(pts[..., 0], pts[..., 1])
+        return _piece_point(self, np.asarray(pts, dtype=float), None)
 
     def jacobian(self, u, v):
         """Columns dT/du and dT/dv, shape (..., 2, 2)."""
@@ -211,13 +209,17 @@ class SplineMap2D:
 
 
 def _jacobian(T, u, v, span=None):
-    """``T.jacobian``, on the pieces of the knot spans (su, sv) when given;
-    a hodograph's knots drop the first knot, so its spans are one lower."""
-    s, (ku, du1, cu), (kv, dv1, cv) = T.space, T.hodograph_u, T.hodograph_v
-    su, sv = (None, None) if span is None else span
-    dp_du = _tensor_eval(ku, du1, s.tv, s.dv, cu, u, v, None if su is None else (su - 1, sv))
-    dp_dv = _tensor_eval(s.tu, s.du, kv, dv1, cv, u, v, None if su is None else (su, sv - 1))
-    return np.stack([dp_du, dp_dv], axis=-1)
+    """``T.jacobian``, on the pieces of the knot spans (su, sv) when given."""
+    return _point_jac(T, np.stack(np.broadcast_arrays(u, v), axis=-1), span)[1]
+
+
+def _point_jac(T, x, span=None):
+    """T and its Jacobian, shapes (..., 2) and (..., 2, 2), at the pairs x
+    (..., 2), on the pieces of the knot spans (su, sv) when given: one
+    triangle per direction and one gather serve the products with the nets
+    of T, dT/du and dT/dv, each bit for bit ``_piece_point``'s on its net."""
+    p, ju, jv = _tensor_eval(T.space, T.flat, T.window, x, span, T.terms)
+    return p, np.stack([ju, jv], axis=-1)
 
 
 def _jacobian_certified(T):
@@ -235,8 +237,7 @@ def _jacobian_certified(T):
 
 def _piece_point(T, x, span):
     """T at parameter pairs x (..., 2), on the pieces of ``span`` when given."""
-    s = T.space
-    return _tensor_eval(s.tu, s.du, s.tv, s.dv, T.ctrl, x[..., 0], x[..., 1], span)
+    return _tensor_eval(T.space, T.flat, T.space.window, x, span)[0]
 
 
 class SplineFunc2D:
@@ -252,8 +253,8 @@ class SplineFunc2D:
             )
 
     def value(self, u, v):
-        s = self.space
-        return _tensor_eval(s.tu, s.du, s.tv, s.dv, self.coeffs[..., None], u, v)[..., 0]
+        x = np.stack(np.broadcast_arrays(u, v), axis=-1)
+        return _tensor_eval(self.space, self.coeffs.reshape(-1, 1), self.space.window, x)[0][..., 0]
 
     def __call__(self, u, v):
         return self.value(u, v)
@@ -299,7 +300,8 @@ def invert_points(T, pts, guess=None):
     takes Newton steps scaled by 1, 1/2, ..., 1/2048 until the residual
     drops.  A lane stops when its residual is within tolerance (ok), when
     no trial improves, or after INVERT_MAX_ITER steps; uv then holds its last
-    iterate.  Lanes do not interact: each is bit-for-bit ``invert``.
+    iterate.  Lanes do not interact: each is bit-for-bit ``invert``.  A step
+    evaluates T and J at the full step (``_point_jac``), T alone at the rest.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     if guess is None:
@@ -309,42 +311,52 @@ def invert_points(T, pts, guess=None):
     return _newton(T, pts, uv)
 
 
-def _newton(T, pts, uv, span=None):
+def _newton(T, pts, uv, span=None, tol=None):
     """The Newton loop of ``invert_points`` from the iterates uv, updated in
-    place.  Given per-lane knot spans (su, sv), each lane solves on the
-    polynomial piece of its spans, unclamped, so it may leave the square."""
+    place, and whether each residual is within tol (default: where lanes
+    stop).  Given per-lane knot spans (su, sv), each lane solves on the
+    polynomial piece of its spans, unclamped, so it may leave the square.
+    A full step's evaluation brings J; a lane a shorter step moves is stale."""
 
     def lanes(at, x):  # the spans of lanes ``at`` for parameters x (len(at), ..., 2)
         return None if span is None else [s[at].reshape(-1, *[1] * (x.ndim - 2)) for s in span]
 
-    tol = T.invert_tol
-    r = _piece_point(T, uv, lanes(slice(None), uv)) - pts
+    p, jac = _point_jac(T, uv, lanes(slice(None), uv))
+    r, stale = p - pts, np.zeros(len(uv), dtype=bool)
     res = _norms(r)
-    live = np.flatnonzero(res > tol)
+    live = np.flatnonzero(res > T.invert_tol)
     for _ in range(INVERT_MAX_ITER):
         if not len(live):
             break
-        jac = _jacobian(T, uv[live, 0], uv[live, 1], lanes(live, uv[live]))
-        steps = _newton_steps(jac, r[live])
+        redo = live[stale[live]]
+        if len(redo):
+            jac[redo], stale[redo] = _point_jac(T, uv[redo], lanes(redo, uv[redo]))[1], False
+        steps = _newton_steps(jac[live], r[live])
         # the full step on every lane, then all shorter ones at once on the
         # lanes it fails; a lane takes the first scale that improves
         search = live
-        for lams in (_LINE_SEARCH[:1], _LINE_SEARCH[1:]):
+        for full, lams in ((True, _LINE_SEARCH[:1]), (False, _LINE_SEARCH[1:])):
             if not len(search):
                 break
             trial = uv[search, None] + lams[:, None] * steps[:, None]
             if span is None:
                 trial = np.where(trial < 0.0, 0.0, trial)  # max(x, 0.0), then
                 trial = np.where(trial > 1.0, 1.0, trial)  # min(x, 1.0) of floats
-            r2 = _piece_point(T, trial, lanes(search, trial)) - pts[search, None]
+            at = lanes(search, trial)
+            p2, j2 = _point_jac(T, trial, at) if full else (_piece_point(T, trial, at), None)
+            r2 = p2 - pts[search, None]
             n2 = _norms(r2.reshape(-1, 2)).reshape(len(search), len(lams))
             better = n2 < res[search, None]
-            found = np.flatnonzero(better.any(axis=1))
+            miss = ~better.any(axis=1)
+            found = np.flatnonzero(~miss)
             pick, hit = np.argmax(better[found], axis=1), search[found]
             uv[hit], r[hit], res[hit] = trial[found, pick], r2[found, pick], n2[found, pick]
-            search, steps = np.delete(search, found), np.delete(steps, found, axis=0)
-        live = live[(res[live] > tol) & ~np.isin(live, search)]
-    return uv, res <= tol
+            stale[hit] = not full
+            if full:
+                jac[hit] = j2[found, 0]
+            search, steps = search[miss], steps[miss]
+        live = live[(res[live] > T.invert_tol) & ~np.isin(live, search)]
+    return uv, res <= (T.invert_tol if tol is None else tol)
 
 
 def invert(T, p, guess=None):
@@ -626,9 +638,8 @@ def _coupling_blocks(space1, space2, T1, T2, region_set, n):
     stretch = sum(np.max(_norms(h[2].reshape(-1, 2))) for h in (T1.hodograph_u, T1.hodograph_v))
     cover_tol = max(T2.invert_tol, fit + stretch * max(drawing.tol, fit))
     near = _near_box(T2, physical, 2.0 * cover_tol)  # the others are uncovered
-    inverted = np.zeros_like(physical)
-    inverted[near] = invert_points(T2, physical[near])[0]
-    ok = near & (_norms(T2.point_pairs(inverted) - physical) <= cover_tol)
+    inverted, ok, pts = np.zeros_like(physical), np.zeros(len(physical), dtype=bool), physical[near]
+    inverted[near], ok[near] = _newton(T2, pts, _seed_guesses(T2, pts), tol=cover_tol)
     keep = np.flatnonzero(np.logical_and.reduceat(ok, at))
     c1, c2 = (0.5 * (np.minimum.reduceat(x, at) + np.maximum.reduceat(x, at))[keep]
               for x in (samples, inverted))

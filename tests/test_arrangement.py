@@ -30,6 +30,15 @@ def test_disjoint_segments():
     assert intersect_curve_pair(segment((0, 0), (1, 0)), segment((0, 1), (1, 1))) == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan])
+def test_a_tolerance_that_is_not_positive_raises(tol):
+    a, b = segment((0, 0), (1, 1)), segment((0, 1), (1, 0))
+    with pytest.raises(GeometryError, match="must be positive"):
+        intersect_curve_pair(a, b, tol)
+    with pytest.raises(GeometryError, match="must be positive"):
+        build_drawing([a, b], tol=tol)
+
+
 def test_line_against_arch():
     # oracle: the arch height is y(t) = 2t(1-t); solving 2t(1-t) = 1/4 in
     # closed form gives t = (2 +- sqrt(2)) / 4, and x(t) = t

@@ -228,6 +228,34 @@ def test_bad_option_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: every subcommand with the options it validates as finite and positive
+_SUBCOMMAND_OPTIONS = {
+    "extract": (["--input", f"{FIXTURES}/extract_square_diagonal.json"], ["tol"]),
+    "integrate": (["--input", f"{FIXTURES}/integrate_lens.json", "--f", "1"],
+                  ["tol", "stop_threshold", "reference"]),
+    "mesh-intersect": (["--map1", f"{FIXTURES}/map_grid_2x2.json",
+                        "--map2", f"{FIXTURES}/map_offset.json"], ["tol", "fit_tol"]),
+    "quasi-interp": (["--source", f"{FIXTURES}/quasi_source.json",
+                      "--target", f"{FIXTURES}/quasi_target.json"], ["tol", "fit_tol"]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (_, names) in _SUBCOMMAND_OPTIONS.items() for name in names])
+def test_non_finite_option_values_exit_2_name_their_field(tmp_path, capsys, command, name, value):
+    # before, --tol nan gave the lens an area of 0 with exit 0, and other
+    # values crashed, failed to converge or never stopped early
+    args, _ = _SUBCOMMAND_OPTIONS[command]
+    out = [] if command == "mesh-intersect" else ["--out", str(tmp_path / "out")]
+    code = run([command, *args, *out, f"--{name.replace('_', '-')}={value}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "SchemaError" and err["field"] == name
+    assert "finite" in err["message"]
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_reference_over_node_budget_exits_2_before_any_level(tmp_path, capsys, monkeypatch):
     # the lens is one tile, so its reference level at --max-level 12 has
     # 4^14 nodes: minutes of work, refused before a level is evaluated

@@ -315,6 +315,57 @@ def test_tensor_kernel_matches_tensordot_reference(degrees, iu, iv):
         )
 
 
+def reference_piece_point_jac(T, x, su, sv):
+    """Per-point tensordot T and Jacobian at x (n, 2) on the pieces of the
+    knot spans (su, sv): the scalar triangle (A2.2) at each given span, and
+    each hodograph's on its own knots at one span lower."""
+    s, (ku, du1, cu), (kv, dv1, cv) = T.space, T.hodograph_u, T.hodograph_v
+    p, jac = np.zeros((len(x), 2)), np.zeros((len(x), 2, 2))
+    for k, ((u, v), a, b) in enumerate(zip(x, su, sv)):
+        bu, bv = reference_basis_funs(s.tu, s.du, a, u), reference_basis_funs(s.tv, s.dv, b, v)
+        hu, hv = reference_basis_funs(ku, du1, a - 1, u), reference_basis_funs(kv, dv1, b - 1, v)
+        i, j = a - s.du, b - s.dv
+        p[k] = np.tensordot(np.outer(bu, bv), T.ctrl[i : i + s.du + 1, j : j + s.dv + 1], axes=2)
+        jac[k, :, 0] = np.tensordot(np.outer(hu, bv), cu[i : i + s.du, j : j + s.dv + 1], axes=2)
+        jac[k, :, 1] = np.tensordot(np.outer(bu, hv), cv[i : i + s.du + 1, j : j + s.dv], axes=2)
+    return p, jac
+
+
+@st.composite
+def _kernel_lanes(draw):
+    """A map of degree 1-3 per direction with repeated interior knots,
+    parameters in and beyond the square (breakpoints among them) and, per
+    lane, the spans of any non-empty knot interval."""
+    space, ctrl = draw(_jittered_nets())
+    T = SplineMap2D(space, ctrl, check_bijective=False)
+    brk = sorted(set(space.breakpoints_u()) | set(space.breakpoints_v()))
+    x = draw(arrays(np.float64, (draw(st.integers(1, 12)), 2),
+                    elements=st.floats(-0.25, 1.25) | st.sampled_from(brk)))
+    span = []
+    for t, d in ((space.tu, space.du), (space.tv, space.dv)):
+        pieces = (np.flatnonzero(np.diff(t[d : len(t) - d]) > 0) + d).tolist()
+        span.append(np.array(draw(st.lists(st.sampled_from(pieces), min_size=len(x), max_size=len(x)))))
+    return T, x, span
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_lanes())
+def test_point_jac_equals_the_tensordot_references(case):
+    T, x, span = case
+    s = T.space
+    p, jac = splines._point_jac(T, x)
+    assert p.tobytes() == reference_tensor_eval(s, T.ctrl, x[:, 0], x[:, 1]).tobytes()
+    assert jac.tobytes() == reference_tensor_jacobian(s, T.ctrl, x[:, 0], x[:, 1]).tobytes()
+    own = [find_spans(s.tu, s.du, x[:, 0]), find_spans(s.tv, s.dv, x[:, 1])]
+    ref_p, ref_jac = reference_piece_point_jac(T, x, *own)
+    assert ref_p.tobytes() == p.tobytes() and ref_jac.tobytes() == jac.tobytes()
+    # other pieces, extended to the lanes' parameters, in Newton's trial shape
+    p, jac = splines._point_jac(T, x[:, None], [a[:, None] for a in span])
+    ref_p, ref_jac = reference_piece_point_jac(T, x, *span)
+    assert p[:, 0].tobytes() == ref_p.tobytes() and jac[:, 0].tobytes() == ref_jac.tobytes()
+    assert splines._piece_point(T, x, span).tobytes() == ref_p.tobytes()
+
+
 @pytest.mark.parametrize("degrees, iu, iv", KERNEL_CASES)
 def test_invert_is_deterministic(degrees, iu, iv):
     T = _jittered_map(degrees, iu, iv, seed=21)
@@ -435,6 +486,60 @@ def test_invert_points_singular_jacobian_lanes_take_least_squares_steps():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(T.jacobian(guesses[:, 0], guesses[:, 1]), np.ones((4, 2, 1)))
     _assert_lanes_match_reference(T, pts, guesses)
+
+
+def reference_piece_newton(T, p, guess, su, sv):
+    """Scalar damped Newton on the piece of the spans (su, sv), unclamped:
+    the per-lane loop ``splines._newton`` batches.  Returns the last
+    iterate, its residual and the scale each step took."""
+    x, at = np.array(guess, dtype=float), ([su], [sv])
+    r = reference_piece_point_jac(T, x[None], *at)[0][0] - p
+    res, scales = float(np.linalg.norm(r)), []
+    for _ in range(splines.INVERT_MAX_ITER):
+        if res <= T.invert_tol:
+            break
+        jac = reference_piece_point_jac(T, x[None], *at)[1][0]
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        for lam in splines._LINE_SEARCH:
+            r2 = reference_piece_point_jac(T, (x + lam * step)[None], *at)[0][0] - p
+            if np.linalg.norm(r2) < res:
+                x, r, res = x + lam * step, r2, float(np.linalg.norm(r2))
+                scales.append(lam)
+                break
+        else:
+            break
+    return x, res, scales
+
+
+@pytest.mark.parametrize("degrees, iu, iv", KERNEL_CASES)
+def test_newton_on_pieces_equals_scalar_unclamped_newton(monkeypatch, degrees, iu, iv):
+    # every lane starts at the centre of an element of a polar-bent map and
+    # solves on that element's piece, so most leave their element, full
+    # steps overshoot and lanes accepted at a shorter scale go on
+    T = _jittered_map(degrees, iu, iv, seed=5)
+    T = SplineMap2D(T.space, np.stack(_polar(T.ctrl[..., 0], T.ctrl[..., 1], 3.0), axis=-1))
+    s = T.space
+    pts = T.point_pairs(np.random.default_rng(6).uniform(0.0, 1.0, (8, 2)))
+    centres = np.array([[0.5 * (a + b), 0.5 * (c + d)] for _, _, (a, b, c, d) in s.elements()])
+    pts, guess = np.repeat(pts, len(centres), axis=0), np.tile(centres, (len(pts), 1))
+    span = [find_spans(s.tu, s.du, guess[:, 0]), find_spans(s.tv, s.dv, guess[:, 1])]
+    calls, point_jac = [], splines._point_jac
+    monkeypatch.setattr(splines, "_point_jac", lambda T, x, at: calls.append(x.shape) or point_jac(T, x, at))
+    uv, ok = splines._newton(T, pts, guess.copy(), span)
+    taken = []
+    for k, (p, g, a, b) in enumerate(zip(pts, guess, *span)):
+        x, res, scales = reference_piece_newton(T, p, g, a, b)
+        assert uv[k].tobytes() == x.tobytes() and ok[k] == (res <= T.invert_tol), k
+        taken.append(scales)
+    assert not ok.all()  # some lanes end outside their piece's reach
+    # a lane took a shorter scale and then another step, whose Jacobian a
+    # call on the stale lanes (parameters (n, 2); the full steps' are
+    # (n, 1, 2)) recomputed
+    assert any(lam < 1.0 for scales in taken for lam in scales[:-1])
+    assert any(len(shape) == 2 for shape in calls[1:])
 
 
 def test_invert_points_empty_and_one_lane():
