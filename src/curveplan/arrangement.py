@@ -249,7 +249,9 @@ def _roots_to_hits(a, b, roots, tol, self_pair=False):
     for grp in groups:
         ss = [_near(g[0], grp[0][0], per_a) for g in grp]
         ts = [_near(g[1], grp[0][1], per_b) for g in grp]
-        s, t = _into(float(np.mean(ss)), a0, per_a), _into(float(np.mean(ts)), b0, per_b)
+        # np.mean of one value v is 0.0 + v: +0.0 for -0.0
+        mean = (lambda xs: 0.0 + xs[0]) if len(grp) == 1 else (lambda xs: float(np.mean(xs)))
+        s, t = _into(mean(ss), a0, per_a), _into(mean(ts), b0, per_b)
         if len(grp) > 1 and _gap(a, b, s, t) > tol:
             # a smeared run whose mean parameters miss: report its best root
             s, t = min(grp, key=lambda g: _gap(a, b, *g))
@@ -271,9 +273,27 @@ def _self_intersections(c, tol):
         lo, hi, net = stack.pop()
         if not _injective(net) and hi - lo > gap:
             mid, (left, right) = 0.5 * (lo + hi), _split(net, 0.5)
-            pairs.append((lo, mid, left, mid, hi, right))
+            pairs.append((lo, mid, left, _box(left), mid, hi, right, _box(right)))
             stack += [(lo, mid, left), (mid, hi, right)]
+    pairs = [pair for pair in pairs if not _adjacent_apart(*pair, gap, tol)]
     return _clip_intersections(c, c, pairs, tol, gap)
+
+
+def _adjacent_apart(s0, s1, p, _bp, t0, t1, q, _bq, gap, tol):
+    """Whether nets p and q of one curve that share the breakpoint s1 = t0
+    keep more than 2 ``tol`` apart at parameters more than ``gap`` apart:
+    the derivative, in the hull of p's and q's hodograph control vectors,
+    has a component of at least m along the direction u of their summed
+    net differences, so such points lie at least m gap apart along u, less
+    the gap between p's end and q's start."""
+    if s1 != t0:
+        return False
+    diffs = [((x1 - x0, y1 - y0), (len(net) - 1) / (u1 - u0)) for u0, u1, net in
+             ((s0, s1, p), (t0, t1, q)) for (x0, y0), (x1, y1) in zip(net, net[1:])]
+    ux, uy = map(math.fsum, zip(*(d for d, _ in diffs)))
+    norm = math.hypot(ux, uy)
+    m = min(c * (dx * ux + dy * uy) for (dx, dy), c in diffs) / norm if norm > 0.0 else 0.0
+    return m * gap - math.dist(p[-1], q[0]) > 2.0 * tol
 
 
 def _injective(net):
@@ -297,11 +317,11 @@ def _apart(bp, bq, tol):
 
 
 def _span_pairs(nets_a, nets_b, tol, self_pair=False):
-    """(s0, s1, p, t0, t1, q) for the span nets p of a and q of b whose
-    ``tol``-padded boxes meet; for a self pair only spans i < j."""
+    """(s0, s1, p, box of p, t0, t1, q, box of q) for the span nets p of a and
+    q of b whose ``tol``-padded boxes meet; for a self pair only spans i < j."""
     boxes_a, boxes_b = [_box(p) for _, _, p in nets_a], [_box(q) for _, _, q in nets_b]
     return [
-        (s0, s1, p, t0, t1, q)
+        (s0, s1, p, boxes_a[i], t0, t1, q, boxes_b[j])
         for i, (s0, s1, p) in enumerate(nets_a)
         for j, (t0, t1, q) in enumerate(nets_b)
         if (j > i or not self_pair) and not _apart(boxes_a[i], boxes_b[j], tol)
@@ -310,13 +330,17 @@ def _span_pairs(nets_a, nets_b, tol, self_pair=False):
 
 def _split(net, u):
     """de Casteljau at local parameter u: the nets of [0, u] and [u, 1]."""
+    return _half(net, u, 0), _half(net, u, -1)
+
+
+def _half(net, u, end):
+    """One net of ``_split``: of [0, u] for ``end`` 0, of [u, 1] for -1."""
     v = 1.0 - u
-    left, right, pts = [net[0]], [net[-1]], net
+    half, pts = [net[end]], net
     while len(pts) > 1:
         pts = [(v * x0 + u * x1, v * y0 + u * y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-        left.append(pts[0])
-        right.append(pts[-1])
-    return left, right[::-1]
+        half.append(pts[end])
+    return half if end == 0 else half[::-1]
 
 
 def _clip(p, q, pad):
@@ -327,7 +351,7 @@ def _clip(p, q, pad):
     points.  p's signed distance to the chord is a Bézier function with
     coefficients d_i, inside the convex hull of the points (i/n, d_i); the
     interval is that hull's extent within the padded band, over every point
-    and every pair of points."""
+    and every pair of points: all of [0, 1] when p's ends lie in the band."""
     (x0, y0), (x1, y1) = q[0], q[-1]
     nx, ny = y0 - y1, x1 - x0
     norm = math.hypot(nx, ny)
@@ -337,21 +361,25 @@ def _clip(p, q, pad):
     dq = [(x - x0) * nx + (y - y0) * ny for x, y in q]
     lo, hi = min(dq) - pad, max(dq) + pad
     n = len(p) - 1
-    hull = [(i / n, (x - x0) * nx + (y - y0) * ny) for i, (x, y) in enumerate(p)]
-    u0, u1 = 1.0, 0.0
-    for i, (ui, di) in enumerate(hull):
+    d = [(x - x0) * nx + (y - y0) * ny for x, y in p]
+    if lo <= d[0] <= hi and lo <= d[n] <= hi:
+        return 0.0, 1.0, p
+    u0, u1 = 1.0, 0.0  # min() and max() as comparisons: the same values, no calls
+    for i, di in enumerate(d):
+        ui = i / n
         if lo <= di <= hi:
-            u0, u1 = min(u0, ui), max(u1, ui)
-        for uj, dj in hull[i + 1 :]:
+            u0, u1 = ui if ui < u0 else u0, ui if ui > u1 else u1
+        for j in range(i + 1, n + 1):
+            dj = d[j]
             for level in (lo, hi):
                 if (di - level) * (dj - level) < 0.0:
-                    u = ui + (uj - ui) * (level - di) / (dj - di)
-                    u0, u1 = min(u0, u), max(u1, u)
-    u0, u1 = max(u0, 0.0), min(u1, 1.0)
+                    u = ui + (j / n - ui) * (level - di) / (dj - di)
+                    u0, u1 = u if u < u0 else u0, u if u > u1 else u1
+    u0, u1 = 0.0 if 0.0 > u0 else u0, 1.0 if 1.0 < u1 else u1
     if u0 <= u1 and u1 < 1.0:
-        p = _split(p, u1)[0]
+        p = _half(p, u1, 0)
     if 0.0 < u0 <= u1:
-        p = _split(p, u0 / u1)[1]
+        p = _half(p, u0 / u1, -1)
     return u0, u1, p
 
 
@@ -377,9 +405,10 @@ def _clip_intersections(a, b, pairs, tol, gap=None):
     """Intersections of a and b from pairs of their span nets, by Bézier
     clipping (Sederberg & Nishita, CAD 22(9), 1990).
 
-    ``pairs`` holds (s0, s1, p, t0, t1, q): a net p of a on [s0, s1] and a
-    net q of b on [t0, t1].  Each step clips p against q's fat line, then q
-    against p's, and halves the wider net when neither clip removes 20 %.
+    ``pairs`` holds (s0, s1, p, bp, t0, t1, q, bq): nets p of a on [s0, s1]
+    and q of b on [t0, t1] with their boxes, which the stack carries.  Each
+    step clips p against q's fat line, then q against p's, and halves the
+    wider net when neither clip removes 20 %.
     A pair whose clipped nets' boxes are both at most ``floor`` wide is a
     candidate, which Newton refines once, when it is found.  With ``gap``
     (a self pair, s1 <= t0) pairs and candidates closer than ``gap`` in
@@ -395,33 +424,36 @@ def _clip_intersections(a, b, pairs, tol, gap=None):
             roots, squeezed = _distinct_roots(a, b, roots, tol), True
         if len(roots) > _MAX_CANDIDATES or steps > _MAX_STEPS or len(stack) > _MAX_STACK:
             _blowup(a, b, tol, where)
-        s0, s1, p, t0, t1, q = stack.pop()
+        s0, s1, p, bp, t0, t1, q, bq = stack.pop()
         if gap is not None and t1 - s0 <= gap:
             continue  # any candidate here would be parameter-adjacent
-        if _apart(_box(p), _box(q), tol):
+        if _apart(bp, bq, tol):
             continue
-        u0, u1, p = _clip(p, q, tol)
+        u0, u1, clipped = _clip(p, q, tol)
         if u0 > u1:
             continue
+        if clipped is not p:
+            p, bp = clipped, _box(clipped)
         s0, s1 = s0 + u0 * (s1 - s0), s0 + u1 * (s1 - s0)
-        v0, v1, q = _clip(q, p, tol)
+        v0, v1, clipped = _clip(q, p, tol)
         if v0 > v1:
             continue
+        if clipped is not q:
+            q, bq = clipped, _box(clipped)
         t0, t1 = t0 + v0 * (t1 - t0), t0 + v1 * (t1 - t0)
-        bp, bq = _box(p), _box(q)
         wp, wq = max(bp[2] - bp[0], bp[3] - bp[1]), max(bq[2] - bq[0], bq[3] - bq[1])
         if max(wp, wq) <= floor:
             s, t = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
             if gap is None or t - s > gap:
                 roots.append(_newton_refine(a, b, s, t, scale))
         elif u1 - u0 <= 0.8 or v1 - v0 <= 0.8:
-            stack.append((s0, s1, p, t0, t1, q))
+            stack.append((s0, s1, p, bp, t0, t1, q, bq))
         elif wp >= wq:
             sm, (p1, p2) = 0.5 * (s0 + s1), _split(p, 0.5)
-            stack += [(s0, sm, p1, t0, t1, q), (sm, s1, p2, t0, t1, q)]
+            stack += [(s0, sm, p1, _box(p1), t0, t1, q, bq), (sm, s1, p2, _box(p2), t0, t1, q, bq)]
         else:
             tm, (q1, q2) = 0.5 * (t0 + t1), _split(q, 0.5)
-            stack += [(s0, s1, p, t0, tm, q1), (s0, s1, p, tm, t1, q2)]
+            stack += [(s0, s1, p, bp, t0, tm, q1, _box(q1)), (s0, s1, p, bp, tm, t1, q2, _box(q2))]
     return _roots_to_hits(a, b, roots, tol, self_pair=gap is not None)
 
 

@@ -427,7 +427,10 @@ class ParamCurve:
 
     def is_closed(self, tol=1e-9):
         """Whether the ends meet within ``tol``: a clamped curve starts and
-        ends at its end control points, which ``deboor_point`` returns."""
+        ends at its end control points, which ``deboor_point`` returns.  A
+        segment is never closed, however short."""
+        if self.kind == "segment":
+            return False
         (x0, y0), *_, (x1, y1) = self._net() or self.ctrl[[0, -1]].tolist()
         if 1e-150 < max(abs(x1 - x0), abs(y1 - y0)) > 2.0 * tol:  # a normal square: norm > tol
             return False

@@ -3,9 +3,9 @@
 Each region is covered by four-sided Coons maps whose curved sides are the
 exact region edges: one patch for a region bounded by four polynomial
 spans, otherwise one wedge per span, apexed at the region's area centroid.
-Every side is one polynomial span on [0, 1], so the points and Jacobians
-of all tiles of one kind on a Gauss grid are one product of their stacked
-Bezier nets per side degree with Bernstein matrices cached per (degree, n).
+Every side is one polynomial span on [0, 1], so on a Gauss grid the sides
+of all tiles are one product per degree and axis of their stacked Bezier
+nets with Bernstein matrices cached per (degree, n).
 Tiles are signed: their maps run along the region boundary, so by Green's
 theorem (as in the Gauss-Green cubature of Sommariva and Vianello, 2009)
 their signed integrals sum to the region's, exact when f is smooth on the
@@ -85,19 +85,12 @@ def _gauss_axis(n, rows=slice(None)):
     return gauss01(n)[0][rows], lambda d: bernstein_table(d, n)[rows]
 
 
-def _by_row(points):
-    """Stacked points (T, k, 2) as k arrays (T, 2)."""
-    return points.swapaxes(0, 1)
-
-
-def _coons_grids(axis_u, axis_v, part):
-    """Points and Jacobians of Coons maps on the grid u x v, tiles first;
-    ``part(j, fn)`` is ``fn`` of their arrays j stacked: south, north, west
-    and east nets (T, d + 1, 2), then corners (T, 4, 2)."""
-    (u, basis_u), (v, basis_v) = axis_u, axis_v
-    (s, ds), (n, dn) = (part(j, partial(_values, basis=basis_u)) for j in (0, 1))
-    (w, dw), (e, de) = (part(j, partial(_values, basis=basis_v)) for j in (2, 3))
-    c00, c10, c11, c01 = (c[:, None] for c in part(4, _by_row))
+def _coons_grids(u, v, sides, corners):
+    """Points and Jacobians of Coons maps on the grid u x v, tiles first,
+    from the (points, derivatives) of their south and north sides on u and
+    their west and east sides on v, (T, len, 2) each, and corners (T, 4, 2)."""
+    (s, ds), (n, dn), (w, dw), (e, de) = sides
+    c00, c10, c11, c01 = (c[:, None] for c in corners.swapaxes(0, 1))
     # less the lerps of their corners, south and north make the Coons
     # map a sum of two ruled surfaces
     s, ds = s - c00 - u[:, None] * (c10 - c00), ds - (c10 - c00)
@@ -109,11 +102,11 @@ def _coons_grids(axis_u, axis_v, part):
     return pts, _cross(dpdu, dpdv)
 
 
-def _wedge_grids(axis_u, axis_v, part):
+def _wedge_grids(u, v, sides, center):
     """The same for star wedges C + u (p(v) - C), of Jacobian u g(v) with
-    g = (p - C) x p': arrays of the nets of p, then centres C (T, 1, 2)."""
-    (p, dp), (center,) = part(0, partial(_values, basis=axis_v[1])), part(1, _by_row)
-    rel, u = p - center[:, None], axis_u[0][:, None]
+    g = (p - C) x p': from p on v and centres C (T, 2)."""
+    ((p, dp),) = sides
+    rel, u = p - center[:, None], u[:, None]
     return center[:, None, None] + u[:, None] * rel[:, None], u * _cross(rel, dp)[:, None]
 
 
@@ -127,59 +120,75 @@ def _groups(items, key):
     return list(groups.values())
 
 
-def _runs(groups, lo, hi, evaluate):
-    """The arrays that ``evaluate(data, a, b)`` gives for the run a:b of
-    each (sorted rows, data) group with rows in [lo, hi), in row order."""
-    parts = []
-    for rows, data in groups:
-        a, b = bisect_left(rows, lo), bisect_left(rows, hi)
-        if a < b:
-            parts.append((np.subtract(rows[a:b], lo), evaluate(data, a, b)))
-    if len(parts) == 1:  # the groups hold each row once
-        return parts[0][1]
-    out = [np.empty((hi - lo, *x.shape[1:])) for x in parts[0][1]]
-    for at, arrays in parts:
-        for o, x in zip(out, arrays):
-            o[at] = x
-    return out
-
-
 class _TileStack:
-    """Tiles grouped by kind, each array of a kind stacked per shape on a
-    tile axis: the grids of all tiles of a kind are one Bernstein product
-    per side and degree and one broadcast of its map.  A stack lives as
-    long as the call that built it."""
+    """Tiles with every side net stacked once per degree, with its
+    hodograph net: on a grid axis, the points and derivatives of all sides
+    are one Bernstein product per degree, and each tile kind reads its
+    sides back by one gather per side.  A stack lives as long as the call
+    that built it."""
 
     def __init__(self, tiles):
         self.tiles = list(tiles)
-        self.kinds = []  # (tile positions, (kernel, per array its (rows, stacked) per shape))
-        for positions, kinds in _groups([tile._kernel() for tile in self.tiles], lambda k: k[0]):
-            arrays = zip(*(arrays for _, arrays in kinds))
-            stacked = [[(rows, np.array(a)) for rows, a in _groups(each, len)] for each in arrays]
-            self.kinds.append((positions, (kinds[0][0], stacked)))
+        by_degree = {}  # degree -> (tile positions, nets), in tile order
+        kinds = {}  # kernel -> (tile positions, per side (axis, [(degree, rank)]), extras)
+        for k, tile in enumerate(self.tiles):
+            kernel, sides, extra = tile._kernel()
+            pos, slots, extras = kinds.setdefault(kernel, ([], [(a, []) for a, _ in sides], []))
+            pos.append(k)
+            extras.append(extra)
+            for (_, slot), (_, net) in zip(slots, sides):
+                at, nets = by_degree.setdefault(len(net) - 1, ([], []))
+                slot.append((len(net) - 1, len(at)))
+                at.append(k)
+                nets.append(net)
+        # the sides of one degree fill consecutive rows of a grid's side values
+        self.groups, self.rows, start = [], 0, {}
+        for d, (at, nets) in by_degree.items():
+            nets = np.array(nets)
+            self.groups.append((d, self.rows, at, nets, d * (nets[:, 1:] - nets[:, :-1])))
+            start[d], self.rows = self.rows, self.rows + len(at)
+        self.kinds = [  # per kind: its sides' axes and gather rows (sides, tiles)
+            (kernel, positions, np.array(extras), [axis for axis, _ in slots],
+             np.array([[start[d] + r for d, r in slot] for _, slot in slots]))
+            for kernel, (positions, slots, extras) in kinds.items()
+        ]
 
     def __len__(self):
         return len(self.tiles)
 
     def grids(self, axis_u, axis_v, index=slice(None)):
         """Points and Jacobians of the tiles in the slice ``index`` on the
-        grid u x v, shapes (T, len(u), len(v), 2) and (T, len(u), len(v))."""
+        grid u x v, shapes (T, len(u), len(v), 2) and (T, len(u), len(v));
+        one product per degree serves both axes when they are one object."""
         first, stop, _ = index.indices(len(self))
-        if stop <= first:
-            shape = (0, len(axis_u[0]), len(axis_v[0]))
-            return np.empty((*shape, 2)), np.empty(shape)
-
-        def kind(data, lo, hi):
-            kernel, arrays = data
-            # array j of the kind's rows lo..hi-1 is a run of rows of each shape
-            part = lambda j, fn: _runs(arrays[j], lo, hi, lambda a, x, y: fn(a[x:y]))  # noqa: E731
-            return kernel(axis_u, axis_v, part)
-
-        return _runs(self.kinds, first, stop, kind)
+        axes = [axis_u] if axis_u is axis_v else [axis_u, axis_v]
+        # per axis: points and derivatives of the sides, (2, sides, len(axis), 2)
+        values = [np.empty((2, self.rows, len(t), 2)) for t, _ in axes]
+        for d, row, at, nets, hodographs in self.groups:
+            a, b = bisect_left(at, first), bisect_left(at, stop)
+            for (_, basis), out in zip(axes, values) if a < b else ():
+                out[0, row + a : row + b] = basis(d) @ nets[a:b]
+                out[1, row + a : row + b] = basis(d - 1) @ hodographs[a:b]
+        values = values[0], values[-1]  # of the sides on u and on v
+        parts = []
+        for kernel, positions, extras, on, rows in self.kinds:
+            a, b = bisect_left(positions, first), bisect_left(positions, stop)
+            if a < b:
+                sides = [values[axis][:, side[a:b]] for axis, side in zip(on, rows)]
+                parts.append((positions[a:b], kernel(axis_u[0], axis_v[0], sides, extras[a:b])))
+        if len(parts) == 1:
+            return parts[0][1]
+        shape = (max(stop - first, 0), len(axis_u[0]), len(axis_v[0]))
+        pts, det = np.empty((*shape, 2)), np.empty(shape)
+        for positions, (p, j) in parts:
+            at = np.subtract(positions, first)
+            pts[at], det[at] = p, j
+        return pts, det
 
     def gauss_grids(self, n, rows=slice(None), index=slice(None)):
         """``grids`` on the ``gauss01(n)`` nodes, u limited to ``rows``."""
-        return self.grids(_gauss_axis(n, rows), _gauss_axis(n), index)
+        axis = _gauss_axis(n)
+        return self.grids(axis if rows == slice(None) else _gauss_axis(n, rows), axis, index)
 
     def blocks(self, n):
         """(tiles, rows) slices of the n x n grids, in tile order: runs of
@@ -188,7 +197,7 @@ class _TileStack:
         per_block = max(1, BLOCK_NODES // (n * min(rows, n)))
         for k in range(0, len(self), per_block):
             for r in range(0, n, rows):
-                yield slice(k, k + per_block), slice(r, r + rows)
+                yield slice(k, k + per_block), slice(r, r + rows) if rows < n else slice(None)
 
 
 @dataclass(frozen=True)
@@ -235,21 +244,17 @@ class Tile:
     def grids(self, u, v):
         """Points (len(u), len(v), 2) and Jacobian determinants
         (len(u), len(v)) on the tensor grid u x v."""
-        return self._grids(_axis(u), _axis(v))
+        return tuple(a[0] for a in _TileStack([self]).grids(_axis(u), _axis(v)))
 
     def gauss_grids(self, n, rows=slice(None)):
         """``grids`` on the ``gauss01(n)`` nodes, u limited to ``rows``."""
-        return self._grids(_gauss_axis(n, rows), _gauss_axis(n))
+        return tuple(a[0] for a in _TileStack([self]).gauss_grids(n, rows))
 
     def _kernel(self):
-        """The grid kernel of the tile and its arrays (see ``_coons_grids``)."""
-        sides = (self.south, self.north, self.west, self.east)
-        return _coons_grids, (*(side.ctrl for side in sides), np.array(self.corners()))
-
-    def _grids(self, axis_u, axis_v):
-        kernel, arrays = self._kernel()
-        pts, det = kernel(axis_u, axis_v, lambda j, fn: fn(arrays[j][None]))
-        return pts[0], det[0]
+        """The grid kernel of the tile, its sides as (axis, net), axis 0
+        for u and 1 for v, and its corners (see ``_coons_grids``)."""
+        sides = ((0, self.south), (0, self.north), (1, self.west), (1, self.east))
+        return _coons_grids, [(axis, side.ctrl) for axis, side in sides], np.array(self.corners())
 
 
 class Wedge(Tile):
@@ -273,7 +278,7 @@ class Wedge(Tile):
         self.c01, self.c11 = self.north.ctrl
 
     def _kernel(self):
-        return _wedge_grids, (self.east.ctrl, self.center[None])
+        return _wedge_grids, ((1, self.east.ctrl),), self.center
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +369,7 @@ def integrate_tiles(tiles, f, n):
     total = 0.0
     for index, rows in stack.blocks(n):
         pts, det = stack.gauss_grids(n, rows, index)
-        weight = np.tile(np.outer(w[rows], w).ravel(), len(det)) * det.ravel()
+        weight = (det * np.outer(w[rows], w)).ravel()
         pts = pts.reshape(-1, 2)
         vals = np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float), weight.shape)
         if not np.all(np.isfinite(vals)):

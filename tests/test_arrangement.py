@@ -11,6 +11,7 @@ from curveplan import arrangement
 from curveplan.arrangement import DEFAULT_TOL, build_drawing, intersect_curve_pair
 from curveplan.curves import ParamCurve, derivative_data, split_bspline
 from curveplan.errors import CurveplanError, GeometryError, OverlapError
+from curveplan.regions import extract_and_classify
 
 from arrangement_oracle import SegmentArrangement
 from test_curves import _restricted_reference
@@ -170,6 +171,19 @@ def test_injective_adds_the_net_differences_left_to_right():
         (0.011138407227351595, -0.9652733984304414),
     ]
     assert arrangement._injective(net)
+
+
+@pytest.mark.parametrize("p, q", [
+    ((0.5 - 3e-8, 1e-8), (0.5 + 3e-8, -1e-8)),  # across the bottom side
+    ((0.5, 0.5), (0.5 + 5e-8, 0.5)),  # inside, meeting nothing
+])
+def test_a_segment_shorter_than_tol_is_not_closed(p, q):
+    # as a closed curve it got a seam-crossing edge from one vertex to itself
+    tiny = segment(p, q)
+    assert not tiny.is_closed(DEFAULT_TOL)
+    rs = extract_and_classify(build_drawing(square_curves() + [tiny], DEFAULT_TOL))
+    assert len(rs.regions) == 1
+    assert abs(rs.regions[0].signed_area - 1.0) <= 1e-12
 
 
 def test_square_drawing_counts():
@@ -469,6 +483,9 @@ def test_build_drawing_equals_all_pairs_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
+# a segment shorter than tol, across another: never a closed curve's wrap edge
+@example([segment((0.0, 0.0), (1.0, 0.0)), segment((0.5, -1.0), (0.5, 1.0)),
+          segment((0.5 - 3e-8, 1e-8), (0.5 + 3e-8, -1e-8))], DEFAULT_TOL)
 def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
     # every edge is its curve's restriction to the edge interval, bit for
     # bit, as split_bspline computes it, nets included
@@ -870,3 +887,117 @@ def _polyline_gap(poly, p):
     seg = poly[1:] - poly[:-1]
     u = np.clip(np.sum((p - poly[:-1]) * seg, axis=1) / np.sum(seg * seg, axis=1), 0.0, 1.0)
     return float(np.min(np.linalg.norm(poly[:-1] + u[:, None] * seg - p, axis=1)))
+
+
+# ---------------------------------------------------------------------------
+# the clip stage against the code it replaced
+
+
+def _reference_split(net, u):
+    """de Casteljau at local parameter u: the nets of [0, u] and [u, 1]."""
+    v = 1.0 - u
+    left, right, pts = [net[0]], [net[-1]], net
+    while len(pts) > 1:
+        pts = [(v * x0 + u * x1, v * y0 + u * y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        left.append(pts[0])
+        right.append(pts[-1])
+    return left, right[::-1]
+
+
+def _reference_clip(p, q, pad):
+    """Fat-line clip of p against q with min() and max() over the hull and
+    both halves of every split."""
+    (x0, y0), (x1, y1) = q[0], q[-1]
+    nx, ny = y0 - y1, x1 - x0
+    norm = math.hypot(nx, ny)
+    if norm == 0.0:
+        return 0.0, 1.0, p
+    nx, ny = nx / norm, ny / norm
+    dq = [(x - x0) * nx + (y - y0) * ny for x, y in q]
+    lo, hi = min(dq) - pad, max(dq) + pad
+    n = len(p) - 1
+    hull = [(i / n, (x - x0) * nx + (y - y0) * ny) for i, (x, y) in enumerate(p)]
+    u0, u1 = 1.0, 0.0
+    for i, (ui, di) in enumerate(hull):
+        if lo <= di <= hi:
+            u0, u1 = min(u0, ui), max(u1, ui)
+        for uj, dj in hull[i + 1 :]:
+            for level in (lo, hi):
+                if (di - level) * (dj - level) < 0.0:
+                    u = ui + (uj - ui) * (level - di) / (dj - di)
+                    u0, u1 = min(u0, u), max(u1, u)
+    u0, u1 = max(u0, 0.0), min(u1, 1.0)
+    if u0 <= u1 and u1 < 1.0:
+        p = _reference_split(p, u1)[0]
+    if 0.0 < u0 <= u1:
+        p = _reference_split(p, u0 / u1)[1]
+    return u0, u1, p
+
+
+@st.composite
+def _clip_cases(draw):
+    """Nets p and q of degree 1 to 4 on grid or free coordinates, q's chord
+    of zero length one time in eight, and a pad."""
+    p, q = (draw(st.lists(_point, min_size=d + 1, max_size=d + 1))
+            for d in (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    if draw(st.integers(0, 7)) == 0:
+        q[-1] = q[0]
+    return p, q, draw(st.sampled_from([DEFAULT_TOL, 1e-4, _T]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clip_cases(), st.floats(0.0, 1.0))
+@example(([(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.0, 0.0)], _T), 0.5)  # zero-length chord
+@example(([(0.0, 0.0), (1.0, 1.0)], [(-1.0, 0.0), (1.0, 0.0)], _T), 0.5)  # clip ends at u = 0
+@example(([(1.0, 1.0), (0.5, 0.5), (0.0, 0.0)], [(-1.0, 0.0), (1.0, 0.0)], _T), 0.5)  # at u = 1
+@example(([(0.0, -1.0), (0.5, 1.0), (1.0, -1.0)], [(-1.0, 0.0), (1.0, 0.0)], _T), 0.0)  # inside
+def test_clip_and_split_equal_the_reference_bit_for_bit(case, u):
+    p, q, pad = case
+    assert repr(arrangement._clip(p, q, pad)) == repr(_reference_clip(p, q, pad))
+    left, right = _reference_split(p, u)
+    assert repr(arrangement._split(p, u)) == repr((left, right))
+    assert repr(arrangement._half(p, u, 0)) == repr(left)
+    assert repr(arrangement._half(p, u, -1)) == repr(right)
+
+
+def _bits(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return [(repr(h.t_a), repr(h.t_b), h.point.tobytes(), h.tangential) for h in outcome]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spline_curve, st.sampled_from([DEFAULT_TOL, 1e-4]))
+def test_adjacent_span_test_drops_no_self_hit(c, tol):
+    got = _outcome(intersect_curve_pair, c, c, tol)
+    with mock.patch.object(arrangement, "_adjacent_apart", lambda *args: False):
+        full = _outcome(intersect_curve_pair, c, c, tol)
+    if isinstance(full, GeometryError) and not isinstance(got, GeometryError):
+        # the full loop overflowed on a pair that the test dropped
+        _check_against_reference(c, c, got, _outcome(_reference_self_intersections, c, tol), tol)
+    else:
+        assert _bits(got) == _bits(full)
+
+
+def test_adjacent_spans_of_a_circle_are_not_clipped():
+    # every pair of neighbouring spans is dropped, the seam pair is not
+    c = _closed_bspline(0.5, 0.5, 0.25, 0.25, 0.0)
+    seen = []
+
+    def record(a, b, pairs, tol, gap=None):
+        seen.extend((s0, s1, t0, t1) for s0, s1, _, _, t0, t1, _, _ in pairs)
+        return []
+
+    with mock.patch.object(arrangement, "_clip_intersections", record):
+        intersect_curve_pair(c, c, DEFAULT_TOL)
+    (a0, a1), brk = c.domain, c.breakpoints().tolist()
+    assert not [pair for pair in seen if pair[1] == pair[2]]
+    assert (a0, brk[1], brk[-2], a1) in seen
+    assert intersect_curve_pair(c, c, DEFAULT_TOL) == []
+
+
+def test_a_root_at_negative_zero_reads_positive_zero():
+    # np.mean([-0.0]) is +0.0, and a group of one root keeps that
+    arch, line = quadratic_arch(), segment((0.0, -1.0), (0.0, 1.0))
+    (hit,) = arrangement._roots_to_hits(arch, line, [(-0.0, 0.5, 0.0)], DEFAULT_TOL)
+    assert math.copysign(1.0, hit.t_a) == 1.0 and hit.t_b == 0.5

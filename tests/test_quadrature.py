@@ -398,6 +398,67 @@ def test_stacked_grids_equal_each_tile(tiles, n, data):
             assert np.max(np.abs(d - ref_det)) <= 1e-14 * scale**2
 
 
+def _reference_side_values(nets, basis):
+    """Points and derivatives of each side net, one product per net shape
+    as ``_values`` took them, in net order."""
+    pts, ders = [None] * len(nets), [None] * len(nets)
+    for size in {len(net) for net in nets}:
+        at = [k for k, net in enumerate(nets) if len(net) == size]
+        net, d = np.array([nets[k] for k in at]), size - 1
+        p, dp = basis(d) @ net, basis(d - 1) @ (d * (net[..., 1:, :] - net[..., :-1, :]))
+        for k, pk, dk in zip(at, p, dp):
+            pts[k], ders[k] = pk, dk
+    return np.array(pts), np.array(ders)
+
+
+def _reference_stacked_grids(tiles, n, rows, index):
+    """The grids of the tiles in ``index`` from products per side and net
+    shape, per tile kind, scattered into tile order: the per-side path that
+    the per-degree stacks replaced, with its Coons and wedge arithmetic."""
+    u, v = gauss01(n)[0][rows], gauss01(n)[0]
+    basis_u, basis_v = (lambda d: bernstein_table(d, n)[rows]), (lambda d: bernstein_table(d, n))
+    tiles = tiles[index]
+    pts, det = np.empty((len(tiles), len(u), len(v), 2)), np.empty((len(tiles), len(u), len(v)))
+    coons = [k for k, t in enumerate(tiles) if not isinstance(t, Wedge)]
+    wedges = [k for k, t in enumerate(tiles) if isinstance(t, Wedge)]
+    if coons:
+        (s, ds), (nn, dn) = (_reference_side_values([getattr(tiles[k], side).ctrl for k in coons],
+                                                    basis_u) for side in ("south", "north"))
+        (w, dw), (e, de) = (_reference_side_values([getattr(tiles[k], side).ctrl for k in coons],
+                                                   basis_v) for side in ("west", "east"))
+        corners = np.array([np.array(tiles[k].corners()) for k in coons]).swapaxes(0, 1)
+        c00, c10, c11, c01 = (c[:, None] for c in corners)
+        s, ds = s - c00 - u[:, None] * (c10 - c00), ds - (c10 - c00)
+        nn, dn = nn - c01 - u[:, None] * (c11 - c01), dn - (c11 - c01)
+        uu, vv = u[:, None, None], v[None, :, None]
+        pts[coons] = ((1 - vv) * s[:, :, None] + vv * nn[:, :, None]
+                      + (1 - uu) * w[:, None] + uu * e[:, None])
+        dpdu = (1 - vv) * ds[:, :, None] + vv * dn[:, :, None] + (e - w)[:, None]
+        dpdv = (nn - s)[:, :, None] + (1 - uu) * dw[:, None] + uu * de[:, None]
+        det[coons] = dpdu[..., 0] * dpdv[..., 1] - dpdu[..., 1] * dpdv[..., 0]
+    if wedges:
+        p, dp = _reference_side_values([tiles[k].east.ctrl for k in wedges], basis_v)
+        center = np.array([tiles[k].center for k in wedges])
+        rel, uc = p - center[:, None], u[:, None]
+        pts[wedges] = center[:, None, None] + uc[:, None] * rel[:, None]
+        det[wedges] = uc * (rel[..., 0] * dp[..., 1] - rel[..., 1] * dp[..., 0])[:, None]
+    return pts, det
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tile_lists(), st.integers(1, 40), st.data())
+def test_stacked_grids_equal_the_per_side_reference(tiles, n, data):
+    stack = _TileStack(tiles)
+    first = data.draw(st.integers(0, len(tiles) - 1))
+    index = slice(first, data.draw(st.integers(first + 1, len(tiles))))
+    r0 = data.draw(st.integers(0, n - 1))
+    for rows in (slice(None), slice(r0, data.draw(st.integers(r0 + 1, n)))):
+        for tiles_in in (slice(None), index):
+            pts, det = stack.gauss_grids(n, rows, tiles_in)
+            ref_pts, ref_det = _reference_stacked_grids(tiles, n, rows, tiles_in)
+            assert np.array_equal(pts, ref_pts) and np.array_equal(det, ref_det)
+
+
 def _per_tile_integral(tiles, f, n):
     """``integrate_tiles`` as one-tile grids: the same (tile, rows) parts,
     at most BLOCK_NODES nodes per integrand call."""
