@@ -4,10 +4,6 @@ quadrature for splines on intersecting meshes."""
 from .arrangement import Drawing, IntersectionHit, build_drawing, intersect_curve_pair
 from .curves import (
     ParamCurve,
-    bbox,
-    derivative,
-    evaluate,
-    restrict,
     signed_curvature,
     tangent_into_interior,
 )
@@ -22,11 +18,9 @@ from .errors import (
 )
 from .quadrature import (
     ConvergenceReport,
-    QuadratureRule,
     Tile,
     integrate_adaptive,
     integrate_region,
-    tensor_rule,
     tile_region,
 )
 from .quasi_interp import LevelSetField, LlmResult, level_set_coeffs, llm_project

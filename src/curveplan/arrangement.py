@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .curves import ParamCurve, project_points
+from .curves import _KNOT_SNAP, project_points, trusted_bezier
 from .errors import GeometryError, OverlapError
 
 DEFAULT_TOL = 1e-7
@@ -470,15 +470,24 @@ class Vertex:
     tangential: bool = False
 
 
-@dataclass
 class Edge:
-    id: int
-    curve_id: int
-    t_lo: float
-    t_hi: float  # may exceed the curve domain end for seam-crossing edges
-    v_from: int
-    v_to: int
-    geometry: ParamCurve  # oriented v_from -> v_to, reparameterized to [0, 1]
+    """Curve ``curve_id`` on [t_lo, t_hi] (t_hi may exceed the curve domain
+    end for seam-crossing edges), oriented v_from -> v_to.  ``geometry`` is
+    that restriction reparameterized to [0, 1]; a segment edge of
+    ``build_drawing`` holds its net as row ``row`` of the drawing's stacked
+    nets ``stack`` (n, 2, 2) instead and builds its geometry on first use."""
+
+    def __init__(self, id, curve_id, t_lo, t_hi, v_from, v_to, geometry=None, stack=None, row=None):
+        self.id, self.curve_id, self.t_lo, self.t_hi = id, curve_id, t_lo, t_hi
+        self.v_from, self.v_to, self.stack, self.row = v_from, v_to, stack, row
+        self._geometry = geometry
+
+    @property
+    def geometry(self):
+        if self._geometry is None:
+            net = tuple(map(tuple, self.stack[self.row].tolist()))
+            self._geometry = trusted_bezier(np.array(net), net)
+        return self._geometry
 
     @property
     def is_loop(self):
@@ -663,26 +672,16 @@ def build_drawing(curves, tol=DEFAULT_TOL):
             for h in intersect_curve_pair(ca, curves[j], tol):
                 records.append((i, h.t_a, j, h.t_b, h.point, h.tangential))
 
-    labels = _cluster_points([r[4] for r in records], tol)
-    clusters = {}
-    first_seen = {}
-    for idx, (rec, lab) in enumerate(zip(records, labels)):
+    clusters = {}  # by label, in the order first seen
+    for rec, lab in zip(records, _cluster_points([r[4] for r in records], tol)):
         clusters.setdefault(lab, []).append(rec)
-        first_seen.setdefault(lab, idx)
 
     vertices = {}
     next_vid = 1
-    for lab in sorted(clusters, key=first_seen.get):
-        recs = clusters[lab]
+    for recs in clusters.values():
         pos = recs[0][4] if len(recs) == 1 else np.mean([r[4] for r in recs], axis=0)
-        hits = []
-        for ci, ti, cj, tj, _, _ in recs:
-            hits.append((ci, float(ti)))
-            hits.append((cj, float(tj)))
-        hits = sorted(set(hits))
-        vertices[next_vid] = Vertex(
-            next_vid, pos, hits, tangential=any(r[5] for r in recs)
-        )
+        hits = sorted({(c, float(t)) for r in recs for c, t in (r[:2], r[2:4])})
+        vertices[next_vid] = Vertex(next_vid, pos, hits, tangential=any(r[5] for r in recs))
         next_vid += 1
 
     per_curve = {i: [] for i in range(len(curves))}
@@ -691,12 +690,10 @@ def build_drawing(curves, tol=DEFAULT_TOL):
             per_curve[ci].append((t, v.id))
 
     edges = {}
-    next_eid = 1
 
     def add_edge(ci, t0, t1, v0, v1, geometry):
-        nonlocal next_eid
-        edges[next_eid] = Edge(next_eid, ci, float(t0), float(t1), v0, v1, geometry)
-        next_eid += 1
+        eid = len(edges) + 1
+        edges[eid] = Edge(eid, ci, float(t0), float(t1), v0, v1, geometry)
 
     for ci, curve in enumerate(curves):
         hits = sorted(per_curve[ci])
@@ -745,9 +742,10 @@ def build_drawing(curves, tol=DEFAULT_TOL):
                 needs_wrap = True
 
         for (t0, v0), (t1, v1) in zip(merged[:-1], merged[1:]):
-            if t1 - t0 <= ptol:
+            if t1 - t0 <= ptol and v0 == v1:
                 continue
-            add_edge(ci, t0, t1, v0, v1, curve.restricted(t0, t1))
+            segment = curve.kind == "segment"  # cut in one pass with all others, below
+            add_edge(ci, t0, t1, v0, v1, None if segment else curve.restricted(t0, t1))
 
         if needs_wrap:
             t0, v0 = merged[-1]
@@ -755,4 +753,32 @@ def build_drawing(curves, tol=DEFAULT_TOL):
             wrap_hi = t1 + (b - a)
             add_edge(ci, t0, wrap_hi, v0, v1, curve.cyclic_restricted(t0, wrap_hi))
 
+    _cut_segments(curves, [e for e in edges.values() if e._geometry is None])
     return Drawing(curves, vertices, edges, tol=tol)
+
+
+def _cut_segments(curves, cut):
+    """Give the segment edges ``cut`` their nets, bit-equal to ``restricted``
+    of their curves, in one array pass: on a segment's domain [0, 1], a
+    split at t0 > snap keeps m + 0.0 q of m = (1 - t0) p + t0 q, then one at
+    t1 < 1 - snap keeps (1 - al) m' + al q, al = (t1 - lo) / (1 - lo), as
+    ``_boehm_steps`` computes them.  An edge that ``restricted`` refuses, or
+    whose split it would snap onto an end, gets ``restricted``'s curve."""
+    if not cut:
+        return
+    pq = np.array([curves[e.curve_id].nets()[0][2] for e in cut], float)
+    t0, t1 = np.array([(e.t_lo, e.t_hi) for e in cut]).T
+    p, q, snap = pq[:, 0], pq[:, 1], _KNOT_SNAP
+    right, left = t0 > snap, t1 < 1.0 - snap
+    lo, al = np.where(right, t0, 0.0), t0[:, None]  # (t0 - 0.0) / (1.0 - 0.0)
+    start = np.where(right[:, None], ((1.0 - al) * p + al * q) + 0.0 * q, p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused lanes
+        al = ((t1 - lo) / (1.0 - lo))[:, None]
+    stack = np.stack((start, np.where(left[:, None], (1.0 - al) * start + al * q, q)), axis=1)
+    bad = ~((t0 < t1) & (t0 >= -snap) & (t1 <= 1.0 + snap))
+    bad |= right & (np.abs(1.0 - t0) <= snap) | left & (np.abs(lo - t1) <= snap)
+    for row, (e, refused) in enumerate(zip(cut, bad.tolist())):
+        if refused:
+            e._geometry = curves[e.curve_id].restricted(e.t_lo, e.t_hi)
+        else:
+            e.stack, e.row = stack, row

@@ -200,23 +200,6 @@ class _TileStack:
                 yield slice(k, k + per_block), slice(r, r + rows) if rows < n else slice(None)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product Gauss rule on the unit square."""
-
-    nodes: np.ndarray  # (m, 2)
-    weights: np.ndarray  # (m,)
-
-
-def tensor_rule(n):
-    u, w = gauss01(n)
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(w, w)
-    return QuadratureRule(
-        nodes=np.column_stack([uu.ravel(), vv.ravel()]), weights=ww.ravel()
-    )
-
-
 class Tile:
     """A four-sided curved patch realized as a Coons map of its boundaries.
 

@@ -108,16 +108,21 @@ class HalfEdgeTable:
     ``areas``).  ``succ[s]`` is the slot of arrival s's successor, or -1
     while s ends at a vertex of ``pending`` (with an angle tie or no angle),
     which ``_rotation`` orders when reached.  Nets are stacked per degree
-    and knot vector; a twin's is its edge's, flipped.
+    and knot vector, segment edges' read from their drawing's stack; a
+    twin's is its edge's, flipped.
     """
 
     def __init__(self, drawing):
         edges, groups, jobs = drawing.edges, {}, {}
         for eid, e in edges.items():
-            groups.setdefault((e.geometry.degree, e.geometry.knots.tobytes()), []).append(eid)
-        for (p, _), eids in groups.items():
-            knots, nets = edges[eids[0]].geometry.knots, [edges[i].geometry.ctrl for i in eids]
-            flipped, nets = knots[0] + knots[-1] - knots[::-1], np.array(nets)
+            g = e.geometry if e.stack is None else None
+            key = (1, id(e.stack)) if g is None else (g.degree, g.knots.tobytes())
+            group = groups.setdefault(key, (e.stack, [], []))
+            group[1].append(eid), group[2].append(e.row if g is None else g.ctrl)
+        for (p, _), (stack, eids, part) in groups.items():  # rows of a stack, or nets
+            knots = edges[eids[0]].geometry.knots
+            nets = np.array(part) if stack is None else stack[part]
+            flipped = knots[0] + knots[-1] - knots[::-1]
             for k, ids, net in ((knots, eids, nets), (flipped, [-i for i in eids], nets[:, ::-1])):
                 job = jobs.setdefault((p, k.tobytes()), (k, [], []))
                 job[1].extend(ids), job[2].append(net)

@@ -5,6 +5,7 @@ newline) so identical inputs produce byte-identical files.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -98,6 +99,12 @@ _REGION = '\n    {\n      "orientation": %s,\n      "signed_area": %s,\n      "t
 _TRAIL_ENTRY = '\n        {\n          "edge": %d,\n          "vertex": %d\n        }'
 
 
+def _number(x):
+    """``json.dumps`` of a float: the encoder writes a finite float as its
+    repr and is needed only for NaN and the infinities."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _array(items, indent):
     """Encoded items as a JSON array whose closing bracket sits at ``indent``."""
     return f"[{','.join(items)}\n{indent}]" if items else "[]"
@@ -112,7 +119,7 @@ def region_set_to_json(region_set, keep_outer=False):
         return _array([
             _REGION % (
                 json.dumps(r.orientation),
-                json.dumps(float(r.signed_area)),
+                _number(float(r.signed_area)),
                 _array([_TRAIL_ENTRY % (se, vid) for vid, se in r.trail], "      "),
             )
             for r in rs

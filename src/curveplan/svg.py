@@ -15,9 +15,7 @@ PALETTE = [
 
 CUBIC_TOL = 1e-4
 
-
-def _fmt(x):
-    return f"{x:.9g}"
+_fmt = "{:.9g}".format  # a number as SVG writes it
 
 
 def _cubic_hermite(p0, d0, p1, d1):
@@ -43,53 +41,60 @@ def _points(pts):
     return " ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
 
 
-def _start(ctrl, degree):
-    """``point(0.0)`` of a clamped curve from its float control points: at
-    the domain start every alpha of the de Boor recurrence is 0, so it is
-    ctrl[0] plus zero terms, which can turn -0.0 into 0.0."""
-    d = ctrl[: degree + 1]
+def _start(edge, se):
+    """``point(0.0)`` of half-edge ``se`` of ``edge`` from its float control
+    points: at the domain start every alpha of the de Boor recurrence is 0,
+    so it is ctrl[0] plus zero terms, which can turn -0.0 into 0.0."""
+    g = edge.geometry if edge.stack is None else None
+    ctrl, degree = (edge.stack[edge.row].tolist(), 1) if g is None else (g.ctrl.tolist(), g.degree)
+    d = (ctrl if se > 0 else ctrl[::-1])[: degree + 1]
     for r in range(1, degree + 1):
         for j in range(degree, r - 1, -1):  # deboor_point's loop at alpha = 0
             d[j] = [u + 0.0 * v for u, v in zip(d[j - 1], d[j])]
     return d[degree]
 
 
-def _piece_commands(geometry, se):
-    """SVG path commands (sans initial move) for half-edge ``se`` of an edge
-    of this geometry, from its Bézier span nets; a twin reads them in
-    reverse order, each reversed."""
-    nets = [net for _, _, net in geometry.nets()]
+def _net_commands(nets):
+    """SVG path commands of consecutive Bézier nets, as one string."""
     cmds = []
-    for net in nets if se > 0 else [net[::-1] for net in reversed(nets)]:
+    for net in nets:
         if len(net) <= 4:
             cmds.append(f"{'LQC'[len(net) - 2]} {_points(net[1:])}")
         else:
             cubics = _cubics_for(trusted_bezier(np.array(net), net))
             cmds.extend(f"C {_points(ctrl[1:])}" for ctrl in cubics)
-    return cmds
+    return " ".join(cmds)
 
 
-def region_path(drawing, region):
-    """Closed SVG path data for one region boundary."""
-    se = region.trail[0][1]
-    g = drawing.edges[abs(se)].geometry
-    ctrl = g.ctrl.tolist()
-    x, y = _start(ctrl if se > 0 else ctrl[::-1], g.degree)
-    parts = [f"M {_fmt(x)} {_fmt(y)}"]
-    for _, se in region.trail:
-        parts.extend(_piece_commands(drawing.edges[abs(se)].geometry, se))
-    parts.append("Z")
-    return " ".join(parts)
+def _edge_commands(edges):
+    """SVG path commands (sans initial move) per signed half-edge id, each
+    formatted once, a twin's in reverse order, each reversed; and the
+    control points of the edges, segment edges' read from their stacks."""
+    cmds, stacks, ctrl = {}, {}, []
+    for eid, e in edges.items():
+        if e.stack is None:
+            nets = [net for _, _, net in e.geometry.nets()]
+            cmds[eid] = _net_commands(nets)
+            cmds[-eid] = _net_commands([net[::-1] for net in nets[::-1]])
+            ctrl.append(e.geometry.ctrl)
+        else:
+            stacks.setdefault(id(e.stack), (e.stack, []))[1].append(e)
+    for stack, group in stacks.values():
+        ctrl.append(stack[[e.row for e in group]].reshape(-1, 2))
+        f = iter(map(_fmt, ctrl[-1].ravel().tolist()))
+        for e, x0, y0, x1, y1 in zip(group, f, f, f, f):
+            cmds[e.id], cmds[-e.id] = f"L {x1} {y1}", f"L {x0} {y0}"
+    return cmds, ctrl
 
 
 def regions_svg(region_set, include_outer=False, stroke="#333333", stroke_width=None):
     """A complete SVG document with one filled path per interior region."""
     drawing = region_set.drawing
-    pts = np.array([v.position for v in drawing.vertices.values()])
-    if len(pts) == 0:
+    cmds, ctrl = _edge_commands(drawing.edges)
+    if not drawing.vertices:
         lo, hi = np.zeros(2), np.ones(2)
     else:
-        pts = np.vstack([pts, *(e.geometry.ctrl for e in drawing.edges.values())])
+        pts = np.vstack([np.array([v.position for v in drawing.vertices.values()]), *ctrl])
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     pad = 0.05 * float(max(span))
@@ -104,8 +109,11 @@ def regions_svg(region_set, include_outer=False, stroke="#333333", stroke_width=
     body = []
     for k, region in enumerate(regions):
         color = "none" if region.orientation == "outer" else PALETTE[k % len(PALETTE)]
+        se = region.trail[0][1]
+        x, y = _start(drawing.edges[abs(se)], se)
+        path = " ".join([f"M {_fmt(x)} {_fmt(y)}", *(cmds[se] for _, se in region.trail), "Z"])
         body.append(
-            f'  <path d="{region_path(drawing, region)}" fill="{color}" '
+            f'  <path d="{path}" fill="{color}" '
             f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>'
         )
 

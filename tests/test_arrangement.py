@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curveplan import arrangement
-from curveplan.arrangement import DEFAULT_TOL, build_drawing, intersect_curve_pair
+from curveplan.arrangement import DEFAULT_TOL, Edge, build_drawing, intersect_curve_pair
 from curveplan.curves import ParamCurve, derivative_data, split_bspline
 from curveplan.errors import CurveplanError, GeometryError, OverlapError
 from curveplan.regions import extract_and_classify
@@ -497,6 +497,100 @@ def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
         assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
         assert e.geometry.knots.tobytes() == want.knots.tobytes()
         assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
+
+
+def _cross_grid(eps):
+    """The unit square, its midlines x = 0.5 and y = 0.5 and the segment
+    (0, eps)-(1, 1 + eps): for eps of a few tol the diagonal's hits near
+    (0.5, 0.5) cluster into vertices between tol and 4 tol apart."""
+    return square_curves() + [segment((0.5, 0.0), (0.5, 1.0)), segment((0.0, 0.5), (1.0, 0.5)),
+                              segment((0.0, eps), (1.0, 1.0 + eps))]
+
+
+@pytest.mark.parametrize("eps", [1.5e-7, 2e-7, 3e-7, 3.9e-7, 5e-7])
+def test_a_short_edge_between_distinct_vertices_is_kept(eps):
+    # an edge shorter than the parameter tolerance joins two vertices that
+    # clustering kept apart; dropping it broke the drawing into fewer,
+    # wrong regions (3 summing to 0.4999998, or 4 summing to 0.75)
+    rs = extract_and_classify(build_drawing(_cross_grid(eps), tol=1e-7))
+    assert len(rs.regions) == 7
+    assert abs(sum(r.signed_area for r in rs.regions) - 1.0) <= 1e-12
+
+
+def _verticals(*xs):
+    return [segment((x, -1.0), (x, 1.0)) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
+# edge ends within the knot snap (1e-12) of 0 and 1, which restricted does
+# not split at, and just outside it
+@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(5e-13, 0.5, 1.0 - 5e-13)], DEFAULT_TOL)
+@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(2e-12, 0.5, 1.0 - 2e-12)], DEFAULT_TOL)
+# a short edge between two distinct vertices
+@example(_cross_grid(2e-7), 1e-7)
+def test_stacked_segment_edges_equal_restricted(curves, tol):
+    # the one array pass gives every segment edge the kind, control points,
+    # knots and nets of its curve's restriction, bit for bit, and the stack
+    # row the half-edge table and the SVG writer read holds the same net
+    drawing = _drawing_or_error(curves, tol)
+    if isinstance(drawing, tuple):  # overlapping or point-like segments
+        return
+    for e in drawing.edges.values():
+        want = curves[e.curve_id].restricted(e.t_lo, e.t_hi)
+        assert (e.geometry.kind, e.geometry.degree) == (want.kind, want.degree)
+        assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
+        assert e.geometry.knots.tobytes() == want.knots.tobytes()
+        assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
+        assert e.stack[e.row].tobytes() == want.ctrl.tobytes()
+
+
+_SNAP = 1e-12  # the knot snap of a segment's domain [0, 1]
+
+
+@st.composite
+def _segment_cuts(draw):
+    """Segments and edge intervals on them, with ends on, near and within
+    the knot snap of 0, of 1 and of each other."""
+    curves = draw(st.lists(_segment, min_size=1, max_size=3))
+    special = [0.0, 1.0, 0.5 * _SNAP, 1.0 - 0.5 * _SNAP, 2 * _SNAP, 1.0 - 2 * _SNAP]
+    ts = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        t0, t1 = sorted(draw(st.lists(ts, min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            t1 = min(1.0, t0 + draw(st.sampled_from([0.5, 2.0, 1e3])) * _SNAP)
+        lanes.append((draw(st.integers(0, len(curves) - 1)), t0, t1))
+    return curves, lanes
+
+
+def _cut_or_error(fn):
+    try:
+        c = fn()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return c.kind, c.degree, c.knots.tobytes(), c.ctrl.tobytes(), repr(c.nets())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_cuts())
+@example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 0.3 + 0.5 * _SNAP)]))
+@example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 1.0 - 0.5 * _SNAP, 1.0), (0, 0.2, 0.7)]))
+@example(([segment((-0.0, 0.5), (0.75, -0.0))], [(0, 0.0, 0.5), (0, 0.25, 1.0)]))
+def test_cut_segments_equals_restricted(case):
+    # lane by lane, the array pass equals restricted, whose error a lane
+    # that it refuses or would snap raises in lane order
+    curves, lanes = case
+    edges = [Edge(k + 1, ci, t0, t1, 1, 2) for k, (ci, t0, t1) in enumerate(lanes)]
+    wants = [_cut_or_error(lambda: curves[ci].restricted(t0, t1)) for ci, t0, t1 in lanes]
+    errors = [want for want in wants if len(want) == 2]
+    try:
+        arrangement._cut_segments(curves, edges)
+    except GeometryError as exc:
+        assert errors and (type(exc), str(exc)) == errors[0]
+        return
+    assert not errors
+    assert [_cut_or_error(lambda: e.geometry) for e in edges] == wants
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         # (SVG cubics by _cubics_for) and a closed cubic B-spline with a
         # seam-crossing edge
         pytest.param(os.path.join(GOLDEN, "extract_curved.json"), "extract_curved", id="curved"),
+        # perfbench's scenes.dense_segments(default_rng(1), n=16): a warped
+        # 8 x 8 grid of crossings, 49 regions
+        pytest.param(os.path.join(GOLDEN, "extract_dense.json"), "extract_dense", id="dense"),
     ],
 )
 def test_extract_outputs_equal_golden_bytes(tmp_path, source, name):

@@ -11,11 +11,8 @@ from curveplan.curves import (
     ParamCurve,
     concatenate_curves,
     deboor_point,
-    derivative,
-    evaluate,
     find_span,
     project_points,
-    restrict,
     signed_curvature,
     split_bspline,
     tangent_into_interior,
@@ -28,12 +25,12 @@ from util import circle_bspline, quadratic_arch, segment
 
 def test_evaluate_quadratic_bezier_midpoint():
     arch = quadratic_arch()
-    assert np.allclose(evaluate(arch, 0.5), [0.5, 0.5], atol=1e-15)
+    assert np.allclose(arch.point(0.5), [0.5, 0.5], atol=1e-15)
 
 
 def test_evaluate_segment():
     s = segment((0, 0), (2, 0))
-    assert np.allclose(evaluate(s, 0.25), [0.5, 0.0], atol=1e-15)
+    assert np.allclose(s.point(0.25), [0.5, 0.0], atol=1e-15)
 
 
 def test_evaluate_clamped_cubic_endpoint():
@@ -43,23 +40,23 @@ def test_evaluate_clamped_cubic_endpoint():
         degree=3,
         knots=[0, 0, 0, 0, 1, 1, 1, 1],
     )
-    assert np.allclose(evaluate(c, 0.0), [0.0, 0.0], atol=1e-15)
-    assert np.allclose(evaluate(c, 1.0), [0.0, 1.0], atol=1e-15)
+    assert np.allclose(c.point(0.0), [0.0, 0.0], atol=1e-15)
+    assert np.allclose(c.point(1.0), [0.0, 1.0], atol=1e-15)
 
 
 def test_evaluate_outside_domain_raises():
     with pytest.raises(GeometryError):
-        evaluate(segment((0, 0), (1, 0)), 1.5)
+        segment((0, 0), (1, 0)).point(1.5)
 
 
 def test_derivative_examples():
     arch = quadratic_arch()
-    assert np.allclose(derivative(arch, 0.0, 1), [1.0, 2.0], atol=1e-15)
+    assert np.allclose(arch.deriv(0.0, 1), [1.0, 2.0], atol=1e-15)
     s = segment((0, 0), (2, 0))
-    assert np.allclose(derivative(s, 0.7, 1), [2.0, 0.0], atol=1e-15)
-    assert np.allclose(derivative(s, 0.7, 2), [0.0, 0.0], atol=1e-15)
+    assert np.allclose(s.deriv(0.7, 1), [2.0, 0.0], atol=1e-15)
+    assert np.allclose(s.deriv(0.7, 2), [0.0, 0.0], atol=1e-15)
     with pytest.raises(GeometryError):
-        derivative(s, 0.5, 3)
+        s.deriv(0.5, 3)
 
 
 def test_derivative_matches_finite_differences():
@@ -101,19 +98,19 @@ def test_degenerate_tangent_is_error():
 
 
 def test_restrict_segment():
-    r = restrict(segment((0, 0), (1, 0)), 0.25, 0.75)
+    r = segment((0, 0), (1, 0)).restricted(0.25, 0.75)
     assert r.kind == "segment"
     assert np.allclose(r.ctrl, [(0.25, 0), (0.75, 0)], atol=1e-15)
 
 
 def test_restrict_bezier_de_casteljau_half():
-    r = restrict(quadratic_arch(), 0.0, 0.5)
+    r = quadratic_arch().restricted(0.0, 0.5)
     assert np.allclose(r.ctrl, [(0, 0), (0.25, 0.5), (0.5, 0.5)], atol=1e-15)
 
 
 def test_restrict_full_domain_identity():
     c = circle_bspline(radius=1.0, n_ctrl=12, n_samples=200)
-    r = restrict(c, 0.0, 1.0)
+    r = c.restricted(0.0, 1.0)
     for t in np.linspace(0, 1, 100):
         assert np.linalg.norm(r.point(t) - c.point(t)) <= 1e-12
 
@@ -124,7 +121,7 @@ def test_restrict_consistency_random():
     c = ParamCurve("bspline", rng.uniform(0, 2, (7, 2)), degree=3, knots=knots)
     diag = c.bbox_diag()
     t0, t1 = 0.18, 0.83
-    r = restrict(c, t0, t1)
+    r = c.restricted(t0, t1)
     for t in rng.uniform(t0, t1, 40):
         s = (t - t0) / (t1 - t0)
         assert np.linalg.norm(r.point(s) - c.point(t)) <= 1e-12 * max(diag, 1.0)
@@ -132,7 +129,7 @@ def test_restrict_consistency_random():
 
 def test_restrict_inverted_interval_raises():
     with pytest.raises(GeometryError):
-        restrict(segment((0, 0), (1, 0)), 0.8, 0.2)
+        segment((0, 0), (1, 0)).restricted(0.8, 0.2)
 
 
 def test_bbox_contains_samples():

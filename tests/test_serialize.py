@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from curveplan.errors import SchemaError
 from curveplan.regions import Region, RegionSet
 from curveplan.serialize import (
+    _number,
     curve_from_dict,
     curves_from_json,
     dumps_canonical,
@@ -116,3 +117,23 @@ def test_regions_writer_equals_canonical_dump(regions, outer, keep_outer):
         want["outer"] = [region_to_dict(r) for r in outer]
     got = region_set_to_json(RegionSet(regions=regions, outer=outer), keep_outer=keep_outer)
     assert got == dumps_canonical(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)  # the least subnormal
+@example(-2.2250738585072e-309)
+@example(2.2250738585072014e-308)  # the least normal
+@example(1e308)
+@example(-1e308)
+@example(1.7976931348623157e308)
+@example(0.1)
+@example(1e16)
+@example(1e-5)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_float_writer_equals_json_dumps(x):
+    assert _number(x) == json.dumps(x)
