@@ -485,8 +485,8 @@ class Edge:
     @property
     def geometry(self):
         if self._geometry is None:
-            net = tuple(map(tuple, self.stack[self.row].tolist()))
-            self._geometry = trusted_bezier(np.array(net), net)
+            ctrl = self.stack[self.row]
+            self._geometry = trusted_bezier(ctrl, tuple(map(tuple, ctrl.tolist())))
         return self._geometry
 
     @property
@@ -762,21 +762,21 @@ def _cut_segments(curves, cut):
     of their curves, in one array pass: on a segment's domain [0, 1], a
     split at t0 > snap keeps m + 0.0 q of m = (1 - t0) p + t0 q, then one at
     t1 < 1 - snap keeps (1 - al) m' + al q, al = (t1 - lo) / (1 - lo), as
-    ``_boehm_steps`` computes them.  An edge that ``restricted`` refuses, or
-    whose split it would snap onto an end, gets ``restricted``'s curve."""
+    ``_boehm_steps`` computes them.  An edge with an end within the knot
+    snap of 0, of 1 or of its other end, where ``restricted`` may snap a
+    split or refuse the edge, or outside the domain, takes ``restricted``."""
     if not cut:
         return
     pq = np.array([curves[e.curve_id].nets()[0][2] for e in cut], float)
     t0, t1 = np.array([(e.t_lo, e.t_hi) for e in cut]).T
     p, q, snap = pq[:, 0], pq[:, 1], _KNOT_SNAP
+    bad = (t1 - t0 <= snap) | (1.0 - t0 <= snap) | (t1 <= snap) | (t0 < -snap) | (t1 > 1.0 + snap)
     right, left = t0 > snap, t1 < 1.0 - snap
-    lo, al = np.where(right, t0, 0.0), t0[:, None]  # (t0 - 0.0) / (1.0 - 0.0)
+    lo, al = np.where(right & ~bad, t0, 0.0), t0[:, None]  # (t0 - 0.0) / (1.0 - 0.0)
     start = np.where(right[:, None], ((1.0 - al) * p + al * q) + 0.0 * q, p)
-    with np.errstate(divide="ignore", invalid="ignore"):  # refused lanes
-        al = ((t1 - lo) / (1.0 - lo))[:, None]
-    stack = np.stack((start, np.where(left[:, None], (1.0 - al) * start + al * q, q)), axis=1)
-    bad = ~((t0 < t1) & (t0 >= -snap) & (t1 <= 1.0 + snap))
-    bad |= right & (np.abs(1.0 - t0) <= snap) | left & (np.abs(lo - t1) <= snap)
+    al = ((t1 - lo) / (1.0 - lo))[:, None]
+    end = np.where(left[:, None], (1.0 - al) * start + al * q, q)
+    stack = np.concatenate((start, end), axis=1).reshape(-1, 2, 2)
     for row, (e, refused) in enumerate(zip(cut, bad.tolist())):
         if refused:
             e._geometry = curves[e.curve_id].restricted(e.t_lo, e.t_hi)

@@ -551,9 +551,10 @@ _SNAP = 1e-12  # the knot snap of a segment's domain [0, 1]
 @st.composite
 def _segment_cuts(draw):
     """Segments and edge intervals on them, with ends on, near and within
-    the knot snap of 0, of 1 and of each other."""
+    the knot snap of 0, of 1 and of each other, inside and outside [0, 1]."""
     curves = draw(st.lists(_segment, min_size=1, max_size=3))
-    special = [0.0, 1.0, 0.5 * _SNAP, 1.0 - 0.5 * _SNAP, 2 * _SNAP, 1.0 - 2 * _SNAP]
+    special = [0.0, 1.0, 0.5 * _SNAP, 1.0 - 0.5 * _SNAP, 2 * _SNAP, 1.0 - 2 * _SNAP,
+               -0.5 * _SNAP, 1.0 + 0.5 * _SNAP, -2 * _SNAP, 1.0 + 2 * _SNAP]
     ts = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
     lanes = []
     for _ in range(draw(st.integers(1, 6))):
@@ -577,6 +578,8 @@ def _cut_or_error(fn):
 @example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 0.3 + 0.5 * _SNAP)]))
 @example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 1.0 - 0.5 * _SNAP, 1.0), (0, 0.2, 0.7)]))
 @example(([segment((-0.0, 0.5), (0.75, -0.0))], [(0, 0.0, 0.5), (0, 0.25, 1.0)]))
+@example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, -0.5 * _SNAP, 0.7 * _SNAP)]))
+@example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 1.0 + 0.5 * _SNAP), (0, -2 * _SNAP, 0.5)]))
 def test_cut_segments_equals_restricted(case):
     # lane by lane, the array pass equals restricted, whose error a lane
     # that it refuses or would snap raises in lane order
