@@ -477,10 +477,10 @@ class Edge:
     ``build_drawing`` holds its net as row ``row`` of the drawing's stacked
     nets ``stack`` (n, 2, 2) instead and builds its geometry on first use."""
 
-    def __init__(self, id, curve_id, t_lo, t_hi, v_from, v_to, geometry=None, stack=None, row=None):
+    def __init__(self, id, curve_id, t_lo, t_hi, v_from, v_to, geometry=None):
         self.id, self.curve_id, self.t_lo, self.t_hi = id, curve_id, t_lo, t_hi
-        self.v_from, self.v_to, self.stack, self.row = v_from, v_to, stack, row
-        self._geometry = geometry
+        self.v_from, self.v_to, self._geometry = v_from, v_to, geometry
+        self.stack = self.row = None  # set by _cut_segments
 
     @property
     def geometry(self):
@@ -762,23 +762,25 @@ def _cut_segments(curves, cut):
     of their curves, in one array pass: on a segment's domain [0, 1], a
     split at t0 > snap keeps m + 0.0 q of m = (1 - t0) p + t0 q, then one at
     t1 < 1 - snap keeps (1 - al) m' + al q, al = (t1 - lo) / (1 - lo), as
-    ``_boehm_steps`` computes them.  An edge with an end within the knot
-    snap of 0, of 1 or of its other end, where ``restricted`` may snap a
-    split or refuse the edge, or outside the domain, takes ``restricted``."""
+    ``_boehm_steps`` computes them; an end within the knot snap of 0 or 1
+    is not split at, as ``restricted`` snaps it.  An edge narrower than the
+    snap, which ``restricted`` refuses, keeps the same net between its ends;
+    an empty one, or one outside the domain, takes ``restricted`` and its
+    error."""
     if not cut:
         return
     pq = np.array([curves[e.curve_id].nets()[0][2] for e in cut], float)
     t0, t1 = np.array([(e.t_lo, e.t_hi) for e in cut]).T
     p, q, snap = pq[:, 0], pq[:, 1], _KNOT_SNAP
-    bad = (t1 - t0 <= snap) | (1.0 - t0 <= snap) | (t1 <= snap) | (t0 < -snap) | (t1 > 1.0 + snap)
     right, left = t0 > snap, t1 < 1.0 - snap
-    lo, al = np.where(right & ~bad, t0, 0.0), t0[:, None]  # (t0 - 0.0) / (1.0 - 0.0)
+    lo, al = np.where(right & left, t0, 0.0), t0[:, None]  # (t0 - 0.0) / (1.0 - 0.0)
     start = np.where(right[:, None], ((1.0 - al) * p + al * q) + 0.0 * q, p)
     al = ((t1 - lo) / (1.0 - lo))[:, None]
     end = np.where(left[:, None], (1.0 - al) * start + al * q, q)
     stack = np.concatenate((start, end), axis=1).reshape(-1, 2, 2)
-    for row, (e, refused) in enumerate(zip(cut, bad.tolist())):
-        if refused:
+    refused = ~(t0 < t1) | (t0 < -snap) | (t1 > 1.0 + snap)
+    for row, (e, refuse) in enumerate(zip(cut, refused.tolist())):
+        if refuse:
             e._geometry = curves[e.curve_id].restricted(e.t_lo, e.t_hi)
         else:
             e.stack, e.row = stack, row

@@ -481,30 +481,45 @@ def test_build_drawing_equals_all_pairs_reference(case):
     assert got == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
-# a segment shorter than tol, across another: never a closed curve's wrap edge
-@example([segment((0.0, 0.0), (1.0, 0.0)), segment((0.5, -1.0), (0.5, 1.0)),
-          segment((0.5 - 3e-8, 1e-8), (0.5 + 3e-8, -1e-8))], DEFAULT_TOL)
-def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
-    # every edge is its curve's restriction to the edge interval, bit for
-    # bit, as split_bspline computes it, nets included
-    drawing = _drawing_or_error(curves, tol)
-    if isinstance(drawing, tuple):  # overlapping or point-like segments
-        return
-    for e in drawing.edges.values():
-        want = _restricted_reference(curves[e.curve_id], e.t_lo, e.t_hi)
-        assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
-        assert e.geometry.knots.tobytes() == want.knots.tobytes()
-        assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
-
-
 def _cross_grid(eps):
     """The unit square, its midlines x = 0.5 and y = 0.5 and the segment
     (0, eps)-(1, 1 + eps): for eps of a few tol the diagonal's hits near
     (0.5, 0.5) cluster into vertices between tol and 4 tol apart."""
     return square_curves() + [segment((0.5, 0.0), (0.5, 1.0)), segment((0.0, 0.5), (1.0, 0.5)),
                               segment((0.0, eps), (1.0, 1.0 + eps))]
+
+
+def _verticals(*xs):
+    return [segment((x, -1.0), (x, 1.0)) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
+# a segment shorter than tol, across another: never a closed curve's wrap edge
+@example([segment((0.0, 0.0), (1.0, 0.0)), segment((0.5, -1.0), (0.5, 1.0)),
+          segment((0.5 - 3e-8, 1e-8), (0.5 + 3e-8, -1e-8))], DEFAULT_TOL)
+# edge ends within the knot snap (1e-12) of 0 and 1, which restricted does
+# not split at, and just outside it
+@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(5e-13, 0.5, 1.0 - 5e-13)], DEFAULT_TOL)
+@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(2e-12, 0.5, 1.0 - 2e-12)], DEFAULT_TOL)
+# a short edge between two distinct vertices
+@example(_cross_grid(2e-7), 1e-7)
+def test_segment_edges_equal_split_bspline_restrictions(curves, tol):
+    # the array pass gives every edge its curve's restriction to the edge
+    # interval, bit for bit, as restricted and split_bspline compute it:
+    # kind, control points, knots and nets, and the stack row that the
+    # half-edge table and the SVG writer read holds the same net
+    drawing = _drawing_or_error(curves, tol)
+    if isinstance(drawing, tuple):  # overlapping or point-like segments
+        return
+    for e in drawing.edges.values():
+        curve = curves[e.curve_id]
+        for want in (curve.restricted(e.t_lo, e.t_hi), _restricted_reference(curve, e.t_lo, e.t_hi)):
+            assert (e.geometry.kind, e.geometry.degree) == (want.kind, want.degree)
+            assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
+            assert e.geometry.knots.tobytes() == want.knots.tobytes()
+            assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
+        assert e.stack[e.row].tobytes() == want.ctrl.tobytes()
 
 
 @pytest.mark.parametrize("eps", [1.5e-7, 2e-7, 3e-7, 3.9e-7, 5e-7])
@@ -515,34 +530,6 @@ def test_a_short_edge_between_distinct_vertices_is_kept(eps):
     rs = extract_and_classify(build_drawing(_cross_grid(eps), tol=1e-7))
     assert len(rs.regions) == 7
     assert abs(sum(r.signed_area for r in rs.regions) - 1.0) <= 1e-12
-
-
-def _verticals(*xs):
-    return [segment((x, -1.0), (x, 1.0)) for x in xs]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_segment, min_size=3, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
-# edge ends within the knot snap (1e-12) of 0 and 1, which restricted does
-# not split at, and just outside it
-@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(5e-13, 0.5, 1.0 - 5e-13)], DEFAULT_TOL)
-@example([segment((0.0, 0.0), (1.0, 0.0)), *_verticals(2e-12, 0.5, 1.0 - 2e-12)], DEFAULT_TOL)
-# a short edge between two distinct vertices
-@example(_cross_grid(2e-7), 1e-7)
-def test_stacked_segment_edges_equal_restricted(curves, tol):
-    # the one array pass gives every segment edge the kind, control points,
-    # knots and nets of its curve's restriction, bit for bit, and the stack
-    # row the half-edge table and the SVG writer read holds the same net
-    drawing = _drawing_or_error(curves, tol)
-    if isinstance(drawing, tuple):  # overlapping or point-like segments
-        return
-    for e in drawing.edges.values():
-        want = curves[e.curve_id].restricted(e.t_lo, e.t_hi)
-        assert (e.geometry.kind, e.geometry.degree) == (want.kind, want.degree)
-        assert e.geometry.ctrl.tobytes() == want.ctrl.tobytes()
-        assert e.geometry.knots.tobytes() == want.knots.tobytes()
-        assert repr(e.geometry.nets()) == repr(want.nets())  # repr keeps signed zeros
-        assert e.stack[e.row].tobytes() == want.ctrl.tobytes()
 
 
 _SNAP = 1e-12  # the knot snap of a segment's domain [0, 1]
@@ -573,6 +560,9 @@ def _cut_or_error(fn):
     return c.kind, c.degree, c.knots.tobytes(), c.ctrl.tobytes(), repr(c.nets())
 
 
+_NARROW = (GeometryError, "restriction interval is narrower than the knot snap")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_segment_cuts())
 @example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 0.3 + 0.5 * _SNAP)]))
@@ -580,20 +570,42 @@ def _cut_or_error(fn):
 @example(([segment((-0.0, 0.5), (0.75, -0.0))], [(0, 0.0, 0.5), (0, 0.25, 1.0)]))
 @example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, -0.5 * _SNAP, 0.7 * _SNAP)]))
 @example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 1.0 + 0.5 * _SNAP), (0, -2 * _SNAP, 0.5)]))
+@example(([segment((0.0, 0.0), (1.0, 3.0))], [(0, 0.3, 0.3), (0, 0.2, 0.7)]))
 def test_cut_segments_equals_restricted(case):
-    # lane by lane, the array pass equals restricted, whose error a lane
-    # that it refuses or would snap raises in lane order
+    # lane by lane, the array pass equals restricted bit for bit; a lane
+    # narrower than the knot snap, which restricted refuses, keeps the
+    # segment between the points of its ends (an end within the snap of 0
+    # or 1 snapped onto it), and an empty lane or one outside the domain
+    # raises restricted's error, the first in lane order
     curves, lanes = case
     edges = [Edge(k + 1, ci, t0, t1, 1, 2) for k, (ci, t0, t1) in enumerate(lanes)]
     wants = [_cut_or_error(lambda: curves[ci].restricted(t0, t1)) for ci, t0, t1 in lanes]
-    errors = [want for want in wants if len(want) == 2]
+    errors = [want for want in wants if len(want) == 2 and want != _NARROW]
     try:
         arrangement._cut_segments(curves, edges)
     except GeometryError as exc:
         assert errors and (type(exc), str(exc)) == errors[0]
         return
     assert not errors
-    assert [_cut_or_error(lambda: e.geometry) for e in edges] == wants
+    for e, want, (ci, t0, t1) in zip(edges, wants, lanes):
+        if want != _NARROW:
+            assert _cut_or_error(lambda: e.geometry) == want
+            continue
+        c = curves[ci]
+        ends = [c.point(min(max(t, 0.0), 1.0)) for t in (t0, t1)]
+        assert (e.geometry.kind, e.geometry.degree) == ("segment", 1)
+        assert np.allclose(e.geometry.ctrl, ends, rtol=0.0, atol=4 * _SNAP * max(1.0, c.bbox_diag()))
+
+
+@pytest.mark.parametrize("gap", [5e-13, 2e-12])
+def test_an_edge_narrower_than_the_knot_snap_is_kept(gap):
+    # verticals gap apart at tol 1e-14 cut the square's top and bottom into
+    # edges between distinct vertices whose span is about the knot snap; the
+    # array pass keeps them, so the sliver between the verticals is a region
+    curves = square_curves() + [segment((0.5, 0.0), (0.5, 1.0)), segment((0.5 + gap, 0.0), (0.5 + gap, 1.0))]
+    rs = extract_and_classify(build_drawing(curves, tol=1e-14))
+    assert len(rs.regions) == 3
+    assert abs(sum(r.signed_area for r in rs.regions) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
